@@ -3,33 +3,25 @@
 from __future__ import annotations
 
 from . import (  # noqa: F401  (imported for their registration side effect)
+    guards,
     r1_dtype,
     r2_hotpath,
-    r3_telemetry,
     r4_randomness,
     r5_errors,
     r6_rng,
-    r7_tracing,
-    r8_audit,
     r9_linearity,
     r10_concurrency,
     r11_dtypeflow,
-    r12_profiling,
-    r13_federation,
 )
 
 __all__ = [
+    "guards",
     "r1_dtype",
     "r2_hotpath",
-    "r3_telemetry",
     "r4_randomness",
     "r5_errors",
     "r6_rng",
-    "r7_tracing",
-    "r8_audit",
     "r9_linearity",
     "r10_concurrency",
     "r11_dtypeflow",
-    "r12_profiling",
-    "r13_federation",
 ]

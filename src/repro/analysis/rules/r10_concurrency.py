@@ -49,7 +49,7 @@ class ConcurrencyDiscipline(Rule):
     (shard list, dirty flag, pending counters) or mutating module-level
     state is a data race waiting for the shared-memory rewrite.
 
-    The shared-memory mode sharpens the discipline: a worker's writes to
+    The shared-memory plane sharpens the discipline: a worker's writes to
     sketch counters are legal only inside its *own* attached segment
     view (shard ``i`` -> worker ``i``), with everything else crossing at
     the flush barrier.  Indexing into a per-shard collection (``views``,

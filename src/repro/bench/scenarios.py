@@ -192,9 +192,7 @@ def _run_ingest_parallel(params: dict[str, Any]) -> tuple[float, dict[str, Any]]
     schema = HashSketchSchema(
         params["width"], params["depth"], params["domain"], seed=params["seed"]
     )
-    with ShardedIngestor(
-        schema, workers=params["workers"], mode=params["mode"]
-    ) as ingestor:
+    with ShardedIngestor(schema, workers=params["workers"]) as ingestor:
         start = time.perf_counter()
         for batch in batches:
             ingestor.ingest(batch)
@@ -208,7 +206,6 @@ def _run_ingest_parallel(params: dict[str, Any]) -> tuple[float, dict[str, Any]]
 
 def _ingest_parallel_suites(workers: int) -> dict[str, dict[str, Any]]:
     """Suite params for one worker count of the ingest.parallel series."""
-    mode = "serial" if workers == 1 else "thread"
     return {
         "smoke": {
             "n": 50_000,
@@ -218,7 +215,6 @@ def _ingest_parallel_suites(workers: int) -> dict[str, dict[str, Any]]:
             "depth": 7,
             "seed": 7,
             "workers": workers,
-            "mode": mode,
         },
         "full": {
             "n": 500_000,
@@ -228,38 +224,19 @@ def _ingest_parallel_suites(workers: int) -> dict[str, dict[str, Any]]:
             "depth": 9,
             "seed": 7,
             "workers": workers,
-            "mode": mode,
         },
     }
-
-
-def _ingest_parallel_shm_suites(workers: int) -> dict[str, dict[str, Any]]:
-    """Suite params for one worker count of the shared-memory series.
-
-    ``workers=1`` runs the serial no-executor path (the ingestor
-    short-circuits), so that record is the honest single-core reference
-    the parallel-scaling gate compares the shm records against.
-    """
-    suites = _ingest_parallel_suites(workers)
-    for params in suites.values():
-        params["mode"] = "serial" if workers == 1 else "shm"
-    return suites
 
 
 for _workers in (1, 2, 4):
     _register(
         "ingest.parallel",
         "ShardedIngestor batch ingest + exact merge at "
-        f"{_workers} worker(s) (records are keyed by the workers param; "
-        "compare against workers=1 for the scaling curve)",
+        f"{_workers} worker(s): inline serial at 1, the shared-memory "
+        "plane above (records are keyed by the workers param; the "
+        "workers=1 record is the serial reference the scaling gate "
+        "compares against)",
         _ingest_parallel_suites(_workers),
-    )(_run_ingest_parallel)
-    _register(
-        "ingest.parallel.shm",
-        "ShardedIngestor shared-memory ingest (zero-copy flush, deferred "
-        f"hashing) at {_workers} worker(s); the workers=1 record is the "
-        "serial reference the parallel-scaling CI gate compares against",
-        _ingest_parallel_shm_suites(_workers),
     )(_run_ingest_parallel)
 
 

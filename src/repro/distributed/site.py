@@ -28,7 +28,7 @@ from ..core.estimator import SkimmedSketchSchema
 from ..errors import ParameterError, QueryError
 from ..federate import TelemetryShipper, telemetry_size_in_bytes
 from ..obs import METRICS as _METRICS
-from ..parallel import INGEST_MODES, ShardedIngestor
+from ..parallel import ShardedIngestor
 from ..profile import RECORDER as _RECORDER
 from ..trace import TRACER as _TRACER
 from .protocol import SketchReport, TraceContext
@@ -53,11 +53,8 @@ class SketchSite:
     mode:
         ``"cumulative"`` or ``"delta"`` (see module docstring).
     parallel_workers:
-        Shard the site's local ingestion across this many workers
-        (default 1 = plain serial sketches, no executors).
-    parallel_mode:
-        :data:`~repro.parallel.INGEST_MODES` strategy used when
-        ``parallel_workers`` > 1.
+        Shard the site's local ingestion across this many worker
+        processes (default 1 = plain serial sketches, no workers).
     telemetry:
         When true the site owns a
         :class:`~repro.federate.TelemetryShipper` (origin
@@ -73,7 +70,6 @@ class SketchSite:
         streams: list[str],
         mode: str = "cumulative",
         parallel_workers: int = 1,
-        parallel_mode: str = "thread",
         telemetry: bool = False,
     ):
         if mode not in REPORT_MODES:
@@ -86,22 +82,15 @@ class SketchSite:
             raise ParameterError(
                 f"parallel_workers must be >= 1, got {parallel_workers}"
             )
-        if parallel_mode not in INGEST_MODES:
-            raise ParameterError(
-                f"parallel_mode must be one of {INGEST_MODES}, got {parallel_mode!r}"
-            )
         self.name = name
         self.schema = schema
         self.mode = mode
         self.parallel_workers = parallel_workers
-        self.parallel_mode = parallel_mode
         self._sketches = {stream: schema.create_sketch() for stream in streams}
         self._ingestors: dict[str, ShardedIngestor] | None = None
         if parallel_workers > 1:
             self._ingestors = {
-                stream: ShardedIngestor(
-                    schema, workers=parallel_workers, mode=parallel_mode
-                )
+                stream: ShardedIngestor(schema, workers=parallel_workers)
                 for stream in streams
             }
         self.shipper = TelemetryShipper(f"site.{name}") if telemetry else None
@@ -212,7 +201,7 @@ class SketchSite:
         return reports
 
     def close(self) -> None:
-        """Shut down parallel-ingest executor resources, if any (idempotent)."""
+        """Stop parallel-ingest worker processes, if any (idempotent)."""
         if self._ingestors is not None:
             for ingestor in self._ingestors.values():
                 ingestor.close()

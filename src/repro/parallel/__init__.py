@@ -6,27 +6,26 @@ sketches built from one schema and merged later by summing counters —
 **exactly**, not approximately.  This package packages that observation
 as infrastructure:
 
-* :class:`ShardedIngestor` — N shard synopses behind one strategy-driven
-  executor (serial / thread pool / per-shard process pool), with
-  deterministic value partitioning, lazy dirty-flag-cached exact merge,
-  and ``parallel.*`` metrics/span instrumentation;
+* :class:`ShardedIngestor` — N shard synopses with deterministic value
+  partitioning, lazy dirty-flag-cached exact merge, and ``parallel.*``
+  metrics/span instrumentation; one worker ingests inline, more workers
+  run the shared-memory plane (one process per shard);
 * :class:`ParallelStreamEngine` — the Figure-1 stream engine with its
   ingestion hooks rerouted through per-stream sharded ingestors; query
   answers are bit-identical (integer-weight regime) to the serial
   :class:`~repro.streams.engine.StreamEngine`;
-* ``python -m repro.parallel selfcheck|bench`` — serial-vs-sharded
-  equality proof on a seeded stream, and a worker-scaling throughput
-  table.
+* ``python -m repro.parallel selfcheck|scaling-gate`` — serial-vs-sharded
+  equality proof on a seeded stream, and the "sharded must beat serial"
+  throughput gate.
 
 See docs/PERFORMANCE.md for the sharding model, the exact-merge argument
 and worker-count guidance.
 """
 
-from .shards import INGEST_MODES, ShardedIngestor, partition_batch
+from .shards import ShardedIngestor, partition_batch
 from .engine import ParallelStreamEngine
 
 __all__ = [
-    "INGEST_MODES",
     "ParallelStreamEngine",
     "ShardedIngestor",
     "partition_batch",

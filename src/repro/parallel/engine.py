@@ -22,7 +22,7 @@ from ..obs import METRICS as _METRICS
 from ..profile import PROFILER as _PROFILER, RECORDER as _RECORDER
 from ..streams.engine import StreamEngine, _RegisteredStream
 from ..streams.query import Predicate, Query
-from .shards import INGEST_MODES, ShardedIngestor
+from .shards import ShardedIngestor
 
 if TYPE_CHECKING:
     from ..core.config import SketchParameters
@@ -32,20 +32,19 @@ __all__ = ["ParallelStreamEngine"]
 
 
 class ParallelStreamEngine(StreamEngine):
-    """Stream engine with sharded (optionally multi-process) ingestion.
+    """Stream engine with sharded (multi-process when ``workers > 1``) ingestion.
 
     Parameters
     ----------
     domain_size, parameters, synopsis, seed, attribute_domains:
         As for :class:`~repro.streams.engine.StreamEngine`.
     workers:
-        Shards (and executor parallelism) per registered stream.
-    mode:
-        ``"serial"`` | ``"thread"`` | ``"process"`` | ``"shm"`` — the
-        :class:`~repro.parallel.ShardedIngestor` execution strategy.
+        Shards per registered stream; each stream's
+        :class:`~repro.parallel.ShardedIngestor` runs one worker process
+        per shard when ``workers > 1``.
 
-    Use as a context manager (or call :meth:`close`) when running
-    executor-backed modes, so worker pools shut down deterministically.
+    Use as a context manager (or call :meth:`close`) so the worker
+    processes shut down deterministically.
     """
 
     def __init__(
@@ -56,7 +55,6 @@ class ParallelStreamEngine(StreamEngine):
         seed: int = 0,
         attribute_domains: dict[str, int] | None = None,
         workers: int = 2,
-        mode: str = "thread",
     ) -> None:
         super().__init__(
             domain_size,
@@ -67,10 +65,7 @@ class ParallelStreamEngine(StreamEngine):
         )
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
-        if mode not in INGEST_MODES:
-            raise ParameterError(f"mode must be one of {INGEST_MODES}, got {mode!r}")
         self.workers = workers
-        self.mode = mode
         self._ingestors: dict[str, ShardedIngestor] = {}
 
     # -- registration: give every stream its own sharded ingestor ---------------
@@ -78,9 +73,7 @@ class ParallelStreamEngine(StreamEngine):
     def register_stream(self, name: str, predicate: Predicate | None = None) -> None:
         """Declare a stream; its batches will be sharded across workers."""
         super().register_stream(name, predicate)
-        self._ingestors[name] = ShardedIngestor(
-            self._schema, workers=self.workers, mode=self.mode
-        )
+        self._ingestors[name] = ShardedIngestor(self._schema, workers=self.workers)
 
     # -- ingestion hooks ---------------------------------------------------------
 
@@ -114,12 +107,11 @@ class ParallelStreamEngine(StreamEngine):
         Lazy underneath: streams with no new batches since their last
         merge cost nothing (dirty-flag caching in the ingestor).
 
-        In the process-backed modes (``"process"`` / ``"shm"``) the
-        merge also surfaces each worker process's ingest vitals —
-        counters its own (process-local, disabled) singletons would have
-        discarded — into this process's registry as
-        ``parallel.shard.<N>.worker.*``; the shm strategy carries them
-        on the flush ack, no JSON channel involved.
+        With ``workers > 1`` the merge also surfaces each worker
+        process's ingest vitals — counters its own (process-local,
+        disabled) singletons would have discarded — into this process's
+        registry as ``parallel.shard.<N>.worker.*``; they ride the flush
+        barrier's ack.
         """
         for name, ingestor in self._ingestors.items():
             self._streams[name].synopsis = ingestor.merged()
@@ -161,7 +153,7 @@ class ParallelStreamEngine(StreamEngine):
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down every stream's executor resources (idempotent)."""
+        """Stop every stream's worker processes (idempotent)."""
         for ingestor in self._ingestors.values():
             ingestor.close()
 
@@ -175,5 +167,5 @@ class ParallelStreamEngine(StreamEngine):
         return (
             f"ParallelStreamEngine(domain_size={self.domain_size}, "
             f"synopsis={self.synopsis_kind!r}, workers={self.workers}, "
-            f"mode={self.mode!r}, streams={list(self._streams)})"
+            f"streams={list(self._streams)})"
         )

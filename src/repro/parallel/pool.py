@@ -1,13 +1,12 @@
-"""Persistent worker-process pool for the process-backed ingest strategies.
+"""Persistent worker-process pool behind the shared-memory ingest plane.
 
 One long-lived worker process per shard, fed by its own bounded task
-queue, replaces the single-worker ``ProcessPoolExecutor`` that the
-process strategy used to spawn per shard: batches stream to workers
-without per-submit ``Future`` bookkeeping, back-pressure falls out of
-the queue bound, and every control message (flush / collect / reset /
-stop) is a queue token answered on a per-worker reply queue.  Shard
-``i`` always maps to worker ``i``, preserving the value -> shard ->
-process affinity the exactness argument rests on.
+queue: batches stream to workers without per-submit ``Future``
+bookkeeping, back-pressure falls out of the queue bound, and every
+control message (flush / reset / stop) is a queue token answered on a
+per-worker reply queue.  Shard ``i`` always maps to worker ``i``,
+preserving the value -> shard -> process affinity the exactness
+argument rests on.
 
 Error model: batch messages are fire-and-forget (pipelined).  A worker
 that fails a batch parks the traceback and reports it at the next

@@ -7,61 +7,42 @@ exactly — shard-and-merge parallelism is exact, not approximate (the
 property the paper's distributed setting is built on, applied here to
 intra-process parallelism).
 
-:class:`ShardedIngestor` owns N shard synopses plus an execution strategy:
+:class:`ShardedIngestor` picks its path from ``workers`` alone:
 
-* ``"serial"`` — no executor; apply each sub-batch inline (the
-  parallelism-off reference path, overhead-free by construction);
-* ``"thread"`` — a persistent :class:`concurrent.futures.ThreadPoolExecutor`;
-  shard updates run concurrently in-process (NumPy kernels release the
-  GIL for parts of the work);
-* ``"process"`` — one persistent worker process per shard, fed by a
-  bounded queue (:class:`~repro.parallel.pool.PersistentWorkerPool`).
-  Workers receive a JSON schema spec once (schema-only construction —
-  seeded randomness rebuilds identical hash families), accumulate their
-  shard sketch locally, and ship counters back as serialised state at
-  flush time;
-* ``"shm"`` — the same persistent pool, but each worker scatter-adds
-  into a per-shard ``multiprocessing.shared_memory`` segment the parent
-  has mapped too, so flush ships no counter state at all (zero-copy
-  merge; see :mod:`repro.parallel.shm`).
-
-``"serial"`` and ``"thread"`` ingest synchronously; the process-backed
-modes pipeline batches through bounded queues and surface worker
-failures at the next flush/merge barrier.
+* ``workers == 1`` — the one shard's ``update_bulk`` runs inline: no
+  partitioning, no worker processes, no merge;
+* ``workers > 1`` — the shared-memory plane (:mod:`repro.parallel.shm`):
+  one segment and one persistent worker process per shard, deferred
+  dense accumulation, zero-copy flush.  Batches pipeline through bounded
+  queues, so each batch is validated here, before it is partitioned: a
+  bad value or weight raises from :meth:`ShardedIngestor.ingest` rather
+  than at the next merge.
 
 Batches are partitioned by a deterministic multiplicative hash of the
 value, so a given value always lands in the same shard regardless of
-batch boundaries, worker count stays the only knob, and merge order is
-fixed — with integer (or dyadic-rational) weights the merged counters are
-bit-identical to serial ingestion.
+batch boundaries, and merge order is fixed — with integer (or
+dyadic-rational) weights the merged counters are bit-identical to serial
+ingestion.  docs/PERFORMANCE.md has the measurements that leave these
+two paths and no others.
 """
 
 from __future__ import annotations
 
-import json
-import traceback
-from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
-from typing import Any, Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import DomainError, ParameterError
 from ..obs import METRICS as _METRICS
-from ..sketches.serialize import (
-    AnySketch,
-    merge_sketch_state,
-    sketch_from_spec,
-    sketch_spec,
-    sketch_state,
-)
+from ..sketches.base import finite_mass
 from ..trace import TRACER as _TRACER
-from .pool import PersistentWorkerPool
 
-__all__ = ["INGEST_MODES", "ShardedIngestor", "partition_batch"]
+if TYPE_CHECKING:
+    from ..sketches.serialize import AnySketch
+    from .shm import _SharedMemoryStrategy
 
-#: Execution strategies :class:`ShardedIngestor` supports.
-INGEST_MODES = ("serial", "thread", "process", "shm")
+__all__ = ["ShardedIngestor", "partition_batch"]
 
 # Fibonacci-hash multiplier (2**64 / phi): spreads consecutive values
 # uniformly across shards while keeping the value -> shard map pure.
@@ -71,7 +52,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 class _SchemaLike(Protocol):
     """Any sketch schema: all we need is a fresh-synopsis factory."""
 
-    def create_sketch(self) -> AnySketch:
+    def create_sketch(self) -> "AnySketch":
         """A fresh empty synopsis bound to this schema."""
         ...
 
@@ -107,228 +88,6 @@ def partition_batch(
     return parts
 
 
-# -- process-mode worker side --------------------------------------------------
-#
-# Runs inside the shard's persistent worker process.  All state lives in
-# locals of the worker loop — no module-level accumulators — and the
-# pool's shard <-> worker affinity guarantees one loop sees every batch
-# of exactly one shard.  Per-process ingest vitals (the counters the
-# worker's own disabled, process-local observability singletons would
-# discard) ride the collect reply and resurface in the parent as
-# ``parallel.shard.N.*`` metrics (repro.federate's answer to the
-# process-local-singleton caveat).
-
-
-def _worker_main_json(tasks, replies, config: dict) -> None:
-    """Persistent ``"process"``-mode worker: accumulate one shard locally.
-
-    Messages: ``("batch", values, weights)`` fire-and-forget;
-    ``("collect",)`` replies ``(sketch_state | None, stats)`` and clears
-    the local accumulator; ``("reset",)`` just clears; ``("stop",)``
-    exits.  A failed batch parks its traceback and reports it at the
-    next barrier (the pool's pipelined error model).
-    """
-    spec = json.loads(config["spec_json"])
-    sketch: AnySketch | None = None
-    stats = {"worker.batches": 0.0, "worker.elements": 0.0}
-    failure: str | None = None
-    while True:
-        message = tasks.get()
-        kind = message[0]
-        if kind == "stop":
-            replies.put(("ok", None))
-            return
-        if kind == "batch":
-            if failure is not None:
-                continue  # park until the next barrier reports it
-            try:
-                if sketch is None:
-                    sketch = sketch_from_spec(spec)
-                sketch.update_bulk(message[1], message[2])
-                stats["worker.batches"] += 1.0
-                stats["worker.elements"] += float(message[1].size)
-            except Exception:
-                failure = traceback.format_exc()
-            continue
-        # Barrier messages below always get exactly one reply.
-        if failure is not None:
-            replies.put(("error", failure))
-            failure = None
-            continue
-        if kind == "collect":
-            state = None if sketch is None else sketch_state(sketch)
-            replies.put(("ok", (state, stats)))
-            sketch = None
-            stats = {"worker.batches": 0.0, "worker.elements": 0.0}
-        elif kind == "reset":
-            sketch = None
-            stats = {"worker.batches": 0.0, "worker.elements": 0.0}
-            replies.put(("ok", None))
-        else:
-            replies.put(("error", f"unknown message kind {kind!r}"))
-
-
-# -- execution strategies ------------------------------------------------------
-
-
-class _SerialStrategy:
-    """No executor: apply each sub-batch inline (the 1-worker fast path)."""
-
-    def ingest(
-        self,
-        shards: list[AnySketch],
-        parts: Sequence[tuple[np.ndarray, np.ndarray | None] | None],
-    ) -> None:
-        """Apply each shard's sub-batch directly."""
-        for shard, part in zip(shards, parts):
-            if part is not None:
-                shard.update_bulk(part[0], part[1])
-
-    def flush(self, shards: list[AnySketch]) -> list[AnySketch]:
-        """Nothing pending: shards are always current."""
-        return shards
-
-    def reset(self, schema: "_SchemaLike", shards: list[AnySketch]) -> list[AnySketch]:
-        """Fresh shards; there is no worker-side state to discard."""
-        return [schema.create_sketch() for _ in shards]
-
-    def drain_worker_telemetry(self) -> list[tuple[int, dict[str, float]]]:
-        """Inline ingestion records into the parent's own singletons —
-        there is no foreign-process state to surface."""
-        return []
-
-    def close(self, shards: list[AnySketch]) -> list[AnySketch]:
-        """Nothing to shut down."""
-        return shards
-
-
-class _ThreadStrategy:
-    """Persistent thread pool; shard updates run concurrently in-process."""
-
-    def __init__(self, workers: int) -> None:
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-shard"
-        )
-
-    def ingest(
-        self,
-        shards: list[AnySketch],
-        parts: Sequence[tuple[np.ndarray, np.ndarray | None] | None],
-    ) -> None:
-        """Submit one update task per non-empty shard and wait for all."""
-        futures = [
-            self._executor.submit(shards[i].update_bulk, part[0], part[1])
-            for i, part in enumerate(parts)
-            if part is not None
-        ]
-        _collect_results(futures)
-
-    def flush(self, shards: list[AnySketch]) -> list[AnySketch]:
-        """Every batch was awaited at ingest time: shards are current."""
-        return shards
-
-    def reset(self, schema: "_SchemaLike", shards: list[AnySketch]) -> list[AnySketch]:
-        """Fresh shards; threads hold no state between batches."""
-        return [schema.create_sketch() for _ in shards]
-
-    def drain_worker_telemetry(self) -> list[tuple[int, dict[str, float]]]:
-        """Threads share the parent's singletons — nothing to surface."""
-        return []
-
-    def close(self, shards: list[AnySketch]) -> list[AnySketch]:
-        """Shut the pool down (idempotent)."""
-        self._executor.shutdown(wait=True)
-        return shards
-
-
-class _ProcessStrategy:
-    """One shared persistent pool; worker ``i`` accumulates shard ``i``.
-
-    The parent's shard sketches stay empty until :meth:`flush`, which
-    collects each worker's accumulated counters (as serialised state —
-    the JSON channel the shm strategy eliminates) and merges them in.
-    Kept as the portable fallback where ``/dev/shm`` segments are
-    unavailable or domains make the dense accumulator unattractive.
-    """
-
-    def __init__(self, workers: int, spec_json: str) -> None:
-        self._pool = PersistentWorkerPool(
-            workers, _worker_main_json, [{"spec_json": spec_json}] * workers
-        )
-        # shard -> ingest stats collected from the shard's worker process
-        # at flush time, held until the engine drains them.
-        self._pending_stats: dict[int, dict[str, float]] = {}
-        self._strategy_closed = False
-
-    def ingest(
-        self,
-        shards: list[AnySketch],
-        parts: Sequence[tuple[np.ndarray, np.ndarray | None] | None],
-    ) -> None:
-        """Enqueue each shard's sub-batch on its worker (pipelined).
-
-        Returns as soon as every sub-batch is queued; worker failures
-        surface at the next flush barrier.
-        """
-        for worker, part in enumerate(parts):
-            if part is not None:
-                self._pool.submit(worker, ("batch", part[0], part[1]))
-
-    def flush(self, shards: list[AnySketch]) -> list[AnySketch]:
-        """Pull accumulated counters out of every worker and merge.
-
-        Each worker also returns its ingest stats; they accumulate in
-        ``_pending_stats`` until :meth:`drain_worker_telemetry` hands
-        them to the engine (flush can run several times between drains).
-        """
-        if self._strategy_closed:
-            return shards
-        current = list(shards)
-        for i, (state, stats) in enumerate(self._pool.barrier(("collect",))):
-            if state is not None:
-                current[i] = merge_sketch_state(current[i], state)
-            if stats["worker.batches"]:
-                held = self._pending_stats.setdefault(i, {})
-                for key, value in stats.items():
-                    held[key] = held.get(key, 0.0) + value
-        return current
-
-    def reset(self, schema: "_SchemaLike", shards: list[AnySketch]) -> list[AnySketch]:
-        """Discard worker-side accumulators and hand back fresh shards."""
-        if not self._strategy_closed:
-            self._pool.barrier(("reset",))
-        return [schema.create_sketch() for _ in shards]
-
-    def drain_worker_telemetry(self) -> list[tuple[int, dict[str, float]]]:
-        """Hand over (and clear) per-shard worker stats gathered at flush."""
-        drained = sorted(self._pending_stats.items())
-        self._pending_stats = {}
-        return drained
-
-    def close(self, shards: list[AnySketch]) -> list[AnySketch]:
-        """Stop the pooled workers (idempotent)."""
-        if not self._strategy_closed:
-            self._strategy_closed = True
-            self._pool.close()
-        return shards
-
-
-def _collect_results(futures: list["Future[None]"]) -> None:
-    """Wait for every task; re-raise the first failure after all settle."""
-    first_error: BaseException | None = None
-    for future in futures:
-        try:
-            future.result()
-        except BaseException as error:  # propagate DomainError etc. faithfully
-            if first_error is None:
-                first_error = error
-    if first_error is not None:
-        raise first_error
-
-
-# -- the ingestor --------------------------------------------------------------
-
-
 class ShardedIngestor:
     """Partition batches across N shard synopses; merge exactly on demand.
 
@@ -339,60 +98,40 @@ class ShardedIngestor:
         ``schema.create_sketch()``, so shards — and therefore the merge —
         share one set of hash/sign families.
     workers:
-        Number of shards (= executor parallelism).  ``workers=1`` always
-        uses the serial no-executor path regardless of ``mode``.
-    mode:
-        ``"serial"`` | ``"thread"`` | ``"process"`` | ``"shm"`` — see
-        the module docstring for the trade-offs.
+        Number of shards.  ``1`` ingests inline into the one shard;
+        ``> 1`` starts one shared-memory worker process per shard (see
+        the module docstring).
 
     The merged synopsis is computed lazily (:meth:`merged`) and cached
     behind a dirty flag, so interleaving ingestion and queries only pays
     the counter sum when new data actually arrived.
     """
 
-    def __init__(
-        self, schema: _SchemaLike, workers: int = 1, mode: str = "thread"
-    ) -> None:
+    def __init__(self, schema: _SchemaLike, workers: int = 1) -> None:
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
-        if mode not in INGEST_MODES:
-            raise ParameterError(
-                f"mode must be one of {INGEST_MODES}, got {mode!r}"
-            )
         self._schema = schema
         self._workers = workers
-        self._mode = mode
         self._shards: list[AnySketch] = [
             schema.create_sketch() for _ in range(workers)
         ]
-        self._strategy = self._make_strategy()
+        self._domain = int(self._shards[0].domain_size)
+        self._plane: _SharedMemoryStrategy | None = None
+        if workers > 1:
+            # Imported here so `import repro` never loads multiprocessing.
+            from .shm import _SharedMemoryStrategy
+
+            self._plane = _SharedMemoryStrategy(self._shards)
         self._merged: AnySketch | None = None
         self._dirty = False
         self._closed = False
         self._batches = 0
         self._elements = 0
 
-    def _make_strategy(self) -> Any:
-        if self._workers == 1 or self._mode == "serial":
-            return _SerialStrategy()
-        if self._mode == "thread":
-            return _ThreadStrategy(self._workers)
-        spec_json = json.dumps(sketch_spec(self._shards[0]), sort_keys=True)
-        if self._mode == "shm":
-            from .shm import _SharedMemoryStrategy
-
-            return _SharedMemoryStrategy(self._workers, self._shards, spec_json)
-        return _ProcessStrategy(self._workers, spec_json)
-
     @property
     def workers(self) -> int:
         """Number of shard synopses (= maximum ingest parallelism)."""
         return self._workers
-
-    @property
-    def mode(self) -> str:
-        """The execution strategy name this ingestor runs."""
-        return self._mode
 
     @property
     def batches_ingested(self) -> int:
@@ -409,11 +148,11 @@ class ShardedIngestor:
     ) -> None:
         """Partition one batch across the shards and apply it.
 
-        ``"serial"``/``"thread"`` apply sub-batches synchronously; the
-        process-backed modes pipeline them through bounded queues, so a
-        bad value aborts the offending shard's whole sub-batch at the
-        next flush/merge barrier rather than here.  Weight validation
-        follows ``update_bulk``.
+        Raises :class:`~repro.errors.DomainError` for a value outside the
+        schema's domain and :class:`~repro.errors.ParameterError` for a
+        NaN or infinite weight, before any shard sees the batch.  With
+        ``workers > 1`` the sub-batches are queued, not yet applied: a
+        worker-side failure surfaces at the next :meth:`merged`.
         """
         if self._closed:
             raise RuntimeError("ShardedIngestor is closed")
@@ -424,14 +163,18 @@ class ShardedIngestor:
                 raise ParameterError("weights must have the same shape as values")
         if values.size == 0:
             return
+        if self._plane is not None:
+            # One shard's update_bulk checks this itself; queued
+            # sub-batches must be checked before they leave.
+            self._check_batch(values, weights)
         parts = partition_batch(values, weights, self._workers)
         with _TRACER.span(
-            "parallel.ingest",
-            elements=int(values.size),
-            workers=self._workers,
-            mode=self._mode,
+            "parallel.ingest", elements=int(values.size), workers=self._workers
         ) if _TRACER.enabled else nullcontext():
-            self._strategy.ingest(self._shards, parts)
+            if self._plane is None:
+                self._shards[0].update_bulk(values, weights)
+            else:
+                self._plane.ingest(parts)
         self._dirty = True
         self._merged = None
         self._batches += 1
@@ -444,13 +187,22 @@ class ShardedIngestor:
                 depth = 0 if part is None else int(part[0].size)
                 _METRICS.gauge(f"parallel.shard.{shard}.queue_depth", float(depth))
 
-    def merged(self) -> AnySketch:
+    def _check_batch(self, values: np.ndarray, weights: np.ndarray | None) -> None:
+        low, high = int(values.min()), int(values.max())
+        if low < 0 or high >= self._domain:
+            raise DomainError(
+                f"value {low if low < 0 else high} outside domain "
+                f"[0, {self._domain})"
+            )
+        if weights is not None:
+            finite_mass(float(np.abs(weights).sum()))
+
+    def merged(self) -> "AnySketch":
         """The exact merged synopsis of everything ingested so far.
 
-        Lazy and cached: the counter sum (and, in ``"process"`` mode, the
-        worker collect) only happens when new batches arrived since the
-        last call.  With ``workers=1`` this is the live shard itself —
-        zero merge cost, the parallelism-off reference path.
+        Lazy and cached: the worker flush barrier and the counter sum only
+        happen when new batches arrived since the last call.  With
+        ``workers=1`` this is the live shard itself — zero merge cost.
         """
         if self._merged is not None and not self._dirty:
             return self._merged
@@ -458,9 +210,10 @@ class ShardedIngestor:
             "parallel.merge.seconds"
         ) if _METRICS.enabled else nullcontext():
             with _TRACER.span(
-                "parallel.merge", workers=self._workers, mode=self._mode
+                "parallel.merge", workers=self._workers
             ) if _TRACER.enabled else nullcontext():
-                self._shards = self._strategy.flush(self._shards)
+                if self._plane is not None:
+                    self._plane.flush()
                 merged = self._shards[0]
                 for shard in self._shards[1:]:
                     merged = merged.merged_with(shard)
@@ -473,39 +226,44 @@ class ShardedIngestor:
     def drain_worker_telemetry(self) -> list[tuple[int, dict[str, float]]]:
         """Per-shard ingest stats collected from worker processes.
 
-        Non-empty only in the process-backed modes (``"process"`` /
-        ``"shm"``) after a flush (``merged()`` / ``reset()`` /
+        Non-empty only with ``workers > 1`` after a flush (``merged()`` /
         ``close()``): each entry is ``(shard_index, {"worker.batches":
         ..., "worker.elements": ...})`` — the vitals the worker's
         process-local singletons couldn't publish.  Draining clears the
         pending stats, so each call reports new activity only.
         """
-        return self._strategy.drain_worker_telemetry()
+        if self._plane is None:
+            return []
+        return self._plane.drain_worker_telemetry()
 
     def reset(self) -> None:
-        """Drop all accumulated state (fresh shards, empty workers)."""
-        self._shards = self._strategy.reset(self._schema, self._shards)
+        """Drop all accumulated state (zeroed shards, empty workers)."""
+        if self._plane is None or self._closed:
+            self._shards = [self._schema.create_sketch() for _ in self._shards]
+        else:
+            self._plane.reset()
         self._merged = None
         self._dirty = False
         self._batches = 0
         self._elements = 0
 
     def close(self) -> None:
-        """Shut down executor resources (idempotent, exception-safe).
+        """Stop the worker processes (idempotent, exception-safe).
 
         Pending worker-side state is folded into the parent-side shards
         first, so :meth:`merged` keeps working after close — even if the
-        flush itself fails, the strategy is still torn down (workers
-        stopped, shared-memory segments unlinked).  Further
-        :meth:`ingest` calls are an error.
+        flush itself fails, the workers are still stopped and the
+        shared-memory segments unlinked.  Further :meth:`ingest` calls
+        are an error.
         """
         if self._closed:
             return
         self._closed = True
-        try:
-            self._shards = self._strategy.flush(self._shards)
-        finally:
-            self._shards = self._strategy.close(self._shards)
+        if self._plane is not None:
+            try:
+                self._plane.flush()
+            finally:
+                self._plane.close()
 
     def __enter__(self) -> "ShardedIngestor":
         return self
@@ -515,6 +273,6 @@ class ShardedIngestor:
 
     def __repr__(self) -> str:
         return (
-            f"ShardedIngestor(workers={self._workers}, mode={self._mode!r}, "
+            f"ShardedIngestor(workers={self._workers}, "
             f"batches={self._batches}, elements={self._elements})"
         )

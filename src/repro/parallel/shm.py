@@ -1,4 +1,4 @@
-"""Shared-memory shard segments with zero-copy flush (the ``"shm"`` mode).
+"""Shared-memory shard segments with zero-copy flush (``workers > 1``).
 
 One ``multiprocessing.shared_memory`` segment per shard holds the shard
 sketch's float64 counter blocks back to back — a single ``depth x
@@ -9,9 +9,9 @@ views over the same segment through the ``counters_view()`` /
 ``attach_counters()`` seam, so worker scatter-adds land directly in
 memory the parent's ``merged()`` sums — a flush ships only a few floats
 of tracked mass plus the worker's ingest vitals over the reply queue,
-never counter state (contrast ``"process"`` mode's JSON round-trip).
+never counter state.
 
-Throughput model (why this wins even on a single core): each worker
+Throughput model (why this beats per-batch serial ingest): each worker
 owns its value partition exclusively, so it accumulates the shard's
 *net* frequency vector in a dense domain-sized accumulator — one
 ``bincount`` per batch, O(n + domain) — and defers all hashing to the
@@ -261,7 +261,7 @@ def _drain_dense(
     return 0.0
 
 
-# -- the strategy --------------------------------------------------------------
+# -- the parent side -----------------------------------------------------------
 
 
 class _SharedMemoryStrategy:
@@ -273,12 +273,13 @@ class _SharedMemoryStrategy:
     ``ShardedIngestor.merged()`` reads worker memory directly.
     """
 
-    def __init__(
-        self, workers: int, shards: list["AnySketch"], spec_json: str
-    ) -> None:
+    def __init__(self, shards: list["AnySketch"]) -> None:
+        from ..sketches.serialize import sketch_spec
+
+        spec_json = json.dumps(sketch_spec(shards[0]), sort_keys=True)
         layout = _segment_layout(shards[0])
         nbytes = _layout_bytes(layout)
-        segments = [_create_segment(nbytes) for _ in range(workers)]
+        segments = [_create_segment(nbytes) for _ in shards]
         try:
             for shard, segment in zip(shards, segments):
                 shard.attach_counters(_attach_blocks(segment, layout))
@@ -292,10 +293,11 @@ class _SharedMemoryStrategy:
                 }
                 for segment in segments
             ]
-            pool = PersistentWorkerPool(workers, _worker_main_shm, configs)
+            pool = PersistentWorkerPool(len(shards), _worker_main_shm, configs)
         except BaseException:
             _unlink_all(segments)
             raise
+        self._shards = shards
         self._segments = segments
         self._pool = pool
         self._pending_stats: dict[int, dict[str, float]] = {}
@@ -304,7 +306,9 @@ class _SharedMemoryStrategy:
         # whichever comes first; normal close() triggers it explicitly.
         self._finalizer = weakref.finalize(self, _release, segments, pool)
 
-    def ingest(self, shards, parts) -> None:
+    def ingest(
+        self, parts: Sequence[tuple[np.ndarray, np.ndarray | None] | None]
+    ) -> None:
         """Enqueue each shard's sub-batch on its worker (pipelined).
 
         Returns as soon as every sub-batch is queued; worker failures
@@ -314,28 +318,26 @@ class _SharedMemoryStrategy:
             if part is not None:
                 self._pool.submit(worker, ("batch", part[0], part[1]))
 
-    def flush(self, shards):
+    def flush(self) -> None:
         """Barrier: every worker drains its queue and folds its dense
         accumulator into the shared counters; the parent installs the
-        tracked masses (a few floats — the only per-flush IPC)."""
+        tracked masses (a few floats — the only per-flush IPC).  Each
+        worker's ingest stats accumulate until
+        :meth:`drain_worker_telemetry` hands them over."""
         if self._strategy_closed:
-            return shards
+            return
         for worker, (masses, stats) in enumerate(self._pool.barrier(("flush",))):
-            shards[worker].set_tracked_masses(masses)
+            self._shards[worker].set_tracked_masses(masses)
             if stats["worker.batches"]:
                 held = self._pending_stats.setdefault(worker, {})
                 for key, value in stats.items():
                     held[key] = held.get(key, 0.0) + value
-        return shards
 
-    def reset(self, schema, shards):
+    def reset(self) -> None:
         """Zero the shared counters in place (workers own the memory)."""
-        if self._strategy_closed:
-            return [schema.create_sketch() for _ in shards]
         self._pool.barrier(("reset",))
-        for shard in shards:
+        for shard in self._shards:
             shard.set_tracked_masses([0.0] * len(shard.tracked_masses()))
-        return shards
 
     def drain_worker_telemetry(self) -> list[tuple[int, dict[str, float]]]:
         """Hand over (and clear) per-shard worker stats gathered at flush."""
@@ -343,15 +345,15 @@ class _SharedMemoryStrategy:
         self._pending_stats = {}
         return drained
 
-    def close(self, shards):
+    def close(self) -> None:
         """Detach the parent's shards into private arrays, stop workers,
         unlink the segments.  Idempotent; leaks no ``/dev/shm`` entries
         even when a worker already died."""
         if self._strategy_closed:
-            return shards
+            return
         self._strategy_closed = True
         try:
-            for shard in shards:
+            for shard in self._shards:
                 shard.attach_counters(
                     [
                         np.empty(block.shape, dtype=np.float64)
@@ -361,4 +363,3 @@ class _SharedMemoryStrategy:
         finally:
             self._pool.close()
             self._finalizer()  # terminate (a no-op now) + unlink segments
-        return shards

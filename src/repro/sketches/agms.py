@@ -30,7 +30,7 @@ import numpy as np
 
 from ..errors import IncompatibleSketchError, ParameterError
 from ..hashing import FourWiseSignFamily
-from .base import StreamSynopsis
+from .base import StreamSynopsis, finite_mass
 
 if TYPE_CHECKING:  # type-only: repro.streams imports repro.sketches at runtime
     from ..streams.model import FrequencyVector
@@ -167,9 +167,10 @@ class AGMSSketch(StreamSynopsis):
     def update(self, value: int, weight: float = 1.0) -> None:
         """O(averaging * median): every atomic sketch is touched (paper §2.2)."""
         self._check_value(value)
+        mass = finite_mass(abs(weight))
         signs = self._schema.signs.signs(value)[:, 0]
         self._atomic += weight * signs.reshape(self._atomic.shape)
-        self._absolute_mass += abs(weight)
+        self._absolute_mass += mass
 
     def update_bulk(self, values: np.ndarray, weights: np.ndarray | None = None) -> None:
         values = np.asarray(values, dtype=np.int64)
@@ -183,13 +184,14 @@ class AGMSSketch(StreamSynopsis):
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != values.shape:
                 raise ParameterError("weights must have the same shape as values")
+        mass = finite_mass(float(np.abs(weights).sum()))
         flat = self._atomic.reshape(-1)
         chunk = max(1, _BULK_CHUNK_ELEMENTS // self._schema.signs.count)
         for start in range(0, values.size, chunk):
             stop = start + chunk
             signs = self._schema.signs.signs(values[start:stop])
             flat += signs @ weights[start:stop]
-        self._absolute_mass += float(np.abs(weights).sum())
+        self._absolute_mass += mass
 
     def update_coalesced(
         self,

@@ -11,6 +11,7 @@ they differ per synopsis type.
 from __future__ import annotations
 
 import abc
+import math
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -18,6 +19,19 @@ from ..errors import ParameterError
 
 if TYPE_CHECKING:  # type-only: repro.streams imports repro.sketches at runtime
     from ..streams.model import FrequencyVector, Update
+
+
+def finite_mass(mass: float) -> float:
+    """Return ``mass`` — a batch's ``sum(|weight|)`` — or reject the batch.
+
+    One NaN or infinite weight makes the sum non-finite, so checking the
+    sum the bulk paths already compute for ``absolute_mass`` rejects such
+    a batch without another pass over it (and before any counter moves:
+    a single NaN would otherwise poison one counter in every table).
+    """
+    if not math.isfinite(mass):
+        raise ParameterError(f"weights must be finite, got sum(|w|) = {mass}")
+    return mass
 
 
 class StreamSynopsis(abc.ABC):

@@ -30,7 +30,7 @@ from ..errors import IncompatibleSketchError, ParameterError
 from ..hashing.bulk import BulkHashCache
 from ..obs import METRICS as _METRICS
 from ..trace import TRACER as _TRACER
-from .base import StreamSynopsis
+from .base import StreamSynopsis, finite_mass
 from .hash_sketch import HashSketch, HashSketchSchema
 
 if TYPE_CHECKING:  # type-only: repro.streams imports repro.sketches at runtime
@@ -183,7 +183,7 @@ class DyadicHashSketch(StreamSynopsis):
         if values.size == 0:
             return
         cache = BulkHashCache(values, weights)
-        observed = cache.total_absolute_mass
+        observed = finite_mass(cache.total_absolute_mass)
         with _TRACER.span(
             "sketch.update_bulk",
             elements=int(values.size),

@@ -40,7 +40,7 @@ from ..hashing import FourWiseSignFamily, PairwiseBucketHash
 from ..hashing.bulk import coalesce_updates
 from ..obs import METRICS as _METRICS
 from ..trace import TRACER as _TRACER
-from .base import StreamSynopsis
+from .base import StreamSynopsis, finite_mass
 
 if TYPE_CHECKING:  # type-only: repro.streams imports repro.sketches at runtime
     from ..streams.model import FrequencyVector
@@ -235,12 +235,13 @@ class HashSketch(StreamSynopsis):
     def update(self, value: int, weight: float = 1.0) -> None:
         """O(depth): exactly one counter per table is touched (paper §4.1)."""
         self._check_value(value)
+        mass = finite_mass(abs(weight))
         buckets = self._schema.buckets.buckets(value)[:, 0]
         signs = self._schema.signs.signs(value)[:, 0]
         # The O(depth) single-element fast path the paper's update-time
         # claim rests on; the bincount primitive costs O(depth * width).
         self._counters[self._table_index, buckets] += weight * signs  # repro: noqa[R9] -- O(depth) per-element hot path; linear by inspection
-        self._absolute_mass += abs(weight)
+        self._absolute_mass += mass
         if _METRICS.enabled:
             _METRICS.count("sketch.update.elements")
             if weight < 0:
@@ -260,11 +261,12 @@ class HashSketch(StreamSynopsis):
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != values.shape:
                 raise ParameterError("weights must have the same shape as values")
+        mass = finite_mass(float(np.abs(weights).sum()))
         with _TRACER.span(
             "sketch.update_bulk", elements=int(values.size)
         ) if _TRACER.enabled else nullcontext():
             self._apply_point_masses(values, weights)
-            self._absolute_mass += float(np.abs(weights).sum())
+            self._absolute_mass += mass
         if _METRICS.enabled:
             _METRICS.count("sketch.update.elements", int(values.size))
             _METRICS.count("sketch.update.batches")

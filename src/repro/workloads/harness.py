@@ -47,7 +47,6 @@ def run_workload(
     depth: int = DEFAULT_DEPTH,
     engine_seed: int = DEFAULT_ENGINE_SEED,
     workers: int | None = None,
-    mode: str = "thread",
 ) -> dict[str, Any]:
     """Run one workload fully audited; return its ACCURACY record.
 
@@ -79,7 +78,6 @@ def run_workload(
             synopsis="skimmed",
             seed=engine_seed,
             workers=workers,
-            mode=mode,
         )
         engine = parallel_engine
         closer = parallel_engine.close
@@ -160,7 +158,6 @@ def run_suite(
     depth: int = DEFAULT_DEPTH,
     engine_seed: int = DEFAULT_ENGINE_SEED,
     workers: int | None = None,
-    mode: str = "thread",
     progress: Callable[[str], None] | None = None,
 ) -> dict[str, Any]:
     """Run every corpus family in ``suite``; return an ACCURACY document."""
@@ -182,7 +179,6 @@ def run_suite(
                 depth=depth,
                 engine_seed=engine_seed,
                 workers=workers,
-                mode=mode,
             )
         )
     return validate_accuracy(
@@ -198,7 +194,6 @@ def run_suite(
                 "seed": engine_seed,
                 "delta": AUDIT.delta,
                 "workers": workers,
-                "mode": mode if workers is not None else None,
             },
             "records": records,
         }

@@ -101,8 +101,6 @@ class TestSketchSite:
     def test_parallel_parameters_validated(self):
         with pytest.raises(ValueError):
             SketchSite("s", make_schema(), ["f"], parallel_workers=0)
-        with pytest.raises(ValueError):
-            SketchSite("s", make_schema(), ["f"], parallel_mode="telepathy")
 
 
 class TestCoordinator:

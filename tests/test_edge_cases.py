@@ -117,3 +117,47 @@ class TestThresholdBoundaries:
         sketch.update(5, 49.0)
         result, _ = skim_dense(sketch, threshold=50.0)
         assert result.dense_count == 0
+
+
+class TestNonFiniteWeights:
+    """A NaN or infinite weight is rejected before any counter moves.
+
+    Unchecked, one NaN in a batch turns one counter per table NaN, and
+    every later estimate silently becomes NaN.
+    """
+
+    SCHEMAS = {
+        "hash": lambda: HashSketchSchema(64, 5, 256, seed=1),
+        "agms": lambda: AGMSSchema(16, 5, 256, seed=1),
+        "dyadic": lambda: DyadicSketchSchema(32, 5, 256, seed=1),
+    }
+
+    @staticmethod
+    def _state(sketch):
+        from repro.sketches.serialize import sketch_state
+
+        return sketch_state(sketch)
+
+    @pytest.mark.parametrize("path", ["update", "update_bulk"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", sorted(SCHEMAS))
+    def test_rejected_and_nothing_changes(self, kind, bad, path):
+        from repro.errors import ParameterError
+
+        sketch = self.SCHEMAS[kind]().create_sketch()
+        sketch.update_bulk(np.arange(0, 256, 3, dtype=np.int64))
+        before = self._state(sketch)
+        mass = sketch.absolute_mass
+        with pytest.raises(ParameterError):
+            if path == "update":
+                sketch.update(7, bad)
+            else:
+                sketch.update_bulk(
+                    np.asarray([1, 2, 3], dtype=np.int64),
+                    np.asarray([1.0, bad, 1.0]),
+                )
+        after = self._state(sketch)
+        assert sketch.absolute_mass == mass
+        assert after.keys() == before.keys()
+        for key, value in before.items():
+            assert np.array_equal(after[key], value), key

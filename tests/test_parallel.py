@@ -3,8 +3,8 @@
 The load-bearing claim is *exactness*: because every synopsis is a
 linear projection, sharding a stream across workers and merging the
 shard counters reproduces the serial sketch bit-for-bit (integer-weight
-regime).  These tests pin that down per mode, per synopsis kind, and
-through the full ParallelStreamEngine query path.
+regime).  These tests pin that down per worker count, per synopsis kind,
+and through the full ParallelStreamEngine query path.
 """
 
 from __future__ import annotations
@@ -13,14 +13,11 @@ import numpy as np
 import pytest
 
 from repro.core.config import SketchParameters
-from repro.errors import ParameterError
-from repro.parallel import (
-    INGEST_MODES,
-    ParallelStreamEngine,
-    ShardedIngestor,
-    partition_batch,
-)
+from repro.core.estimator import SkimmedSketchSchema
+from repro.errors import DomainError, ParameterError
+from repro.parallel import ParallelStreamEngine, ShardedIngestor, partition_batch
 from repro.parallel.__main__ import main as parallel_main
+from repro.sketches.agms import AGMSSchema
 from repro.sketches.dyadic import DyadicSketchSchema
 from repro.sketches.hash_sketch import HashSketchSchema
 from repro.sketches.serialize import sketch_state
@@ -29,6 +26,21 @@ from repro.streams.query import JoinCountQuery, PointQuery, SelfJoinQuery
 
 DOMAIN = 1 << 10
 PARAMS = SketchParameters(width=128, depth=5)
+
+#: Worker counts naming the two ingest paths: inline serial at 1, the
+#: shared-memory plane above.
+PATHS = pytest.mark.parametrize("workers", [1, 3], ids=["serial", "shm"])
+
+#: One schema per synopsis kind the sharded path must reproduce exactly.
+SCHEMA_KINDS = {
+    "hash": lambda: HashSketchSchema(128, 5, DOMAIN, seed=9),
+    "dyadic": lambda: DyadicSketchSchema(64, 5, DOMAIN, seed=2),
+    "agms": lambda: AGMSSchema(16, 5, DOMAIN, seed=4),
+    "skimmed": lambda: SkimmedSketchSchema(128, 5, DOMAIN, seed=6),
+    "skimmed-dyadic": lambda: SkimmedSketchSchema(
+        64, 5, DOMAIN, seed=8, dyadic=True
+    ),
+}
 
 
 def seeded_batches(n=6000, batches=7, seed=3):
@@ -97,23 +109,56 @@ class TestPartitionBatch:
             partition_batch(np.arange(4, dtype=np.int64), None, 0)
 
 
-class TestShardedIngestorExactness:
-    @pytest.mark.parametrize("mode", INGEST_MODES)
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_hash_sketch_matches_serial(self, mode, workers):
-        schema = HashSketchSchema(128, 5, DOMAIN, seed=9)
-        serial = schema.create_sketch()
-        with ShardedIngestor(schema, workers=workers, mode=mode) as ingestor:
-            for values, weights in seeded_batches():
-                serial.update_bulk(values, weights)
-                ingestor.ingest(values, weights)
-            assert states_equal(ingestor.merged(), serial)
+def ingest_along(path, schema, workers, batches):
+    """Merged sketch of ``batches`` sharded ``workers`` ways.
 
-    @pytest.mark.parametrize("mode", INGEST_MODES)
-    def test_dyadic_sketch_matches_serial(self, mode):
-        schema = DyadicSketchSchema(64, 5, DOMAIN, seed=2)
+    ``"serial"`` partitions each batch inline with :func:`partition_batch`
+    and merges the per-shard sketches; ``"shm"`` runs the same shard count
+    through :class:`ShardedIngestor` (the shared-memory plane above one
+    worker).
+    """
+    if path == "shm":
+        with ShardedIngestor(schema, workers=workers) as ingestor:
+            for values, weights in batches:
+                ingestor.ingest(values, weights)
+            return ingestor.merged()
+    shards = [schema.create_sketch() for _ in range(workers)]
+    for values, weights in batches:
+        for shard, part in zip(shards, partition_batch(values, weights, workers)):
+            if part is not None:
+                shard.update_bulk(*part)
+    merged = shards[0]
+    for shard in shards[1:]:
+        merged = merged.merged_with(shard)
+    return merged
+
+
+class TestShardedIngestorExactness:
+    @pytest.mark.parametrize("path", ["serial", "shm"])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_hash_sketch_matches_serial(self, path, workers):
+        schema = HashSketchSchema(128, 5, DOMAIN, seed=9)
+        batches = seeded_batches()
         serial = schema.create_sketch()
-        with ShardedIngestor(schema, workers=3, mode=mode) as ingestor:
+        for values, weights in batches:
+            serial.update_bulk(values, weights)
+        assert states_equal(ingest_along(path, schema, workers, batches), serial)
+
+    @pytest.mark.parametrize("path", ["serial", "shm"])
+    def test_dyadic_sketch_matches_serial(self, path):
+        schema = DyadicSketchSchema(64, 5, DOMAIN, seed=2)
+        batches = seeded_batches(n=3000, batches=4)
+        serial = schema.create_sketch()
+        for values, weights in batches:
+            serial.update_bulk(values, weights)
+        assert states_equal(ingest_along(path, schema, 3, batches), serial)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("kind", sorted(SCHEMA_KINDS))
+    def test_merged_counters_bit_identical_to_serial(self, kind, workers):
+        schema = SCHEMA_KINDS[kind]()
+        serial = schema.create_sketch()
+        with ShardedIngestor(schema, workers=workers) as ingestor:
             for values, weights in seeded_batches(n=3000, batches=4):
                 serial.update_bulk(values, weights)
                 ingestor.ingest(values, weights)
@@ -124,8 +169,8 @@ class TestShardedIngestorExactness:
         batches = seeded_batches()
         values = np.concatenate([v for v, _ in batches])
         weights = np.concatenate([w for _, w in batches])
-        with ShardedIngestor(schema, workers=4, mode="thread") as chunked, \
-                ShardedIngestor(schema, workers=4, mode="thread") as whole:
+        with ShardedIngestor(schema, workers=4) as chunked, \
+                ShardedIngestor(schema, workers=4) as whole:
             for v, w in batches:
                 chunked.ingest(v, w)
             whole.ingest(values, weights)
@@ -135,13 +180,13 @@ class TestShardedIngestorExactness:
 class TestShardedIngestorBehaviour:
     def test_merge_is_cached_until_new_data(self):
         schema = HashSketchSchema(64, 3, DOMAIN, seed=1)
-        ingestor = ShardedIngestor(schema, workers=2, mode="serial")
         values, weights = seeded_batches(n=500, batches=1)[0]
-        ingestor.ingest(values, weights)
-        first = ingestor.merged()
-        assert ingestor.merged() is first
-        ingestor.ingest(values, weights)
-        assert ingestor.merged() is not first
+        with ShardedIngestor(schema, workers=2) as ingestor:
+            ingestor.ingest(values, weights)
+            first = ingestor.merged()
+            assert ingestor.merged() is first
+            ingestor.ingest(values, weights)
+            assert ingestor.merged() is not first
 
     def test_single_worker_merged_is_live_shard(self):
         schema = HashSketchSchema(64, 3, DOMAIN, seed=1)
@@ -155,31 +200,30 @@ class TestShardedIngestorBehaviour:
 
     def test_stats_and_repr(self):
         schema = HashSketchSchema(64, 3, DOMAIN, seed=1)
-        ingestor = ShardedIngestor(schema, workers=2, mode="serial")
-        assert ingestor.workers == 2
-        assert ingestor.mode == "serial"
-        values, weights = seeded_batches(n=100, batches=1)[0]
-        ingestor.ingest(values, weights)
-        ingestor.ingest(np.asarray([], dtype=np.int64))  # ignored
-        assert ingestor.batches_ingested == 1
-        assert ingestor.elements_ingested == 100
-        assert "workers=2" in repr(ingestor)
+        with ShardedIngestor(schema, workers=2) as ingestor:
+            assert ingestor.workers == 2
+            values, weights = seeded_batches(n=100, batches=1)[0]
+            ingestor.ingest(values, weights)
+            ingestor.ingest(np.asarray([], dtype=np.int64))  # ignored
+            assert ingestor.batches_ingested == 1
+            assert ingestor.elements_ingested == 100
+            assert "workers=2" in repr(ingestor)
 
     def test_reset_drops_everything(self):
         schema = HashSketchSchema(64, 3, DOMAIN, seed=1)
-        ingestor = ShardedIngestor(schema, workers=2, mode="serial")
         values, weights = seeded_batches(n=100, batches=1)[0]
-        ingestor.ingest(values, weights)
-        ingestor.reset()
-        assert ingestor.elements_ingested == 0
-        assert states_equal(ingestor.merged(), schema.create_sketch())
+        with ShardedIngestor(schema, workers=2) as ingestor:
+            ingestor.ingest(values, weights)
+            ingestor.reset()
+            assert ingestor.elements_ingested == 0
+            assert states_equal(ingestor.merged(), schema.create_sketch())
 
     def test_merged_works_after_close(self):
         schema = HashSketchSchema(64, 3, DOMAIN, seed=1)
         values, weights = seeded_batches(n=400, batches=1)[0]
         serial = schema.create_sketch()
         serial.update_bulk(values, weights)
-        ingestor = ShardedIngestor(schema, workers=2, mode="thread")
+        ingestor = ShardedIngestor(schema, workers=1)
         ingestor.ingest(values, weights)
         ingestor.close()
         assert states_equal(ingestor.merged(), serial)
@@ -188,22 +232,63 @@ class TestShardedIngestorBehaviour:
         schema = HashSketchSchema(64, 3, DOMAIN, seed=1)
         with pytest.raises(ParameterError):
             ShardedIngestor(schema, workers=0)
-        with pytest.raises(ParameterError):
-            ShardedIngestor(schema, workers=2, mode="fork")
-        ingestor = ShardedIngestor(schema, workers=2, mode="serial")
-        with pytest.raises(ParameterError):
-            ingestor.ingest(
-                np.arange(4, dtype=np.int64), np.ones(3, dtype=np.float64)
-            )
+        with ShardedIngestor(schema, workers=2) as ingestor:
+            with pytest.raises(ParameterError):
+                ingestor.ingest(
+                    np.arange(4, dtype=np.int64), np.ones(3, dtype=np.float64)
+                )
+
+
+class TestShardedIngestorBoundary:
+    """Bad batches raise typed errors from ``ingest`` and change nothing.
+
+    With ``workers > 1`` sub-batches are queued to worker processes, so
+    a value or weight a worker would reject must be caught before the
+    batch is partitioned — otherwise it surfaces only at the next merge
+    as a bare ``WorkerError``, or (a NaN weight) silently poisons the
+    merged counters.
+    """
+
+    @PATHS
+    @pytest.mark.parametrize("value", [-1, DOMAIN, DOMAIN + 4000])
+    def test_out_of_domain_value_raises_domain_error(self, workers, value):
+        schema = HashSketchSchema(64, 5, DOMAIN, seed=1)
+        values, weights = seeded_batches(n=300, batches=1)[0]
+        serial = schema.create_sketch()
+        serial.update_bulk(values, weights)
+        with ShardedIngestor(schema, workers=workers) as ingestor:
+            ingestor.ingest(values, weights)
+            with pytest.raises(DomainError):
+                ingestor.ingest(np.asarray([1, value], dtype=np.int64))
+            assert ingestor.elements_ingested == values.size
+            assert states_equal(ingestor.merged(), serial)
+
+    @PATHS
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_raises_parameter_error(self, workers, bad):
+        schema = HashSketchSchema(64, 5, DOMAIN, seed=1)
+        values, weights = seeded_batches(n=300, batches=1)[0]
+        serial = schema.create_sketch()
+        serial.update_bulk(values, weights)
+        with ShardedIngestor(schema, workers=workers) as ingestor:
+            ingestor.ingest(values, weights)
+            with pytest.raises(ParameterError):
+                ingestor.ingest(
+                    np.asarray([1, 2, 3], dtype=np.int64),
+                    np.asarray([1.0, bad, 1.0]),
+                )
+            merged = ingestor.merged()
+            assert np.isfinite(merged.counters).all()
+            assert states_equal(merged, serial)
 
 
 class TestParallelStreamEngine:
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
-    def test_answers_match_serial_engine(self, mode):
+    @PATHS
+    def test_answers_match_serial_engine(self, workers):
         serial = StreamEngine(DOMAIN, PARAMS, synopsis="skimmed", seed=5)
         batches = seeded_batches()
         with ParallelStreamEngine(
-            DOMAIN, PARAMS, synopsis="skimmed", seed=5, workers=3, mode=mode
+            DOMAIN, PARAMS, synopsis="skimmed", seed=5, workers=workers
         ) as engine:
             for eng in (serial, engine):
                 for name in ("f", "g"):
@@ -224,7 +309,7 @@ class TestParallelStreamEngine:
     def test_single_element_process_path(self):
         serial = StreamEngine(DOMAIN, PARAMS, synopsis="hash", seed=5)
         with ParallelStreamEngine(
-            DOMAIN, PARAMS, synopsis="hash", seed=5, workers=2, mode="serial"
+            DOMAIN, PARAMS, synopsis="hash", seed=5, workers=2
         ) as engine:
             for eng in (serial, engine):
                 eng.register_stream("f")
@@ -234,7 +319,7 @@ class TestParallelStreamEngine:
 
     def test_total_space_scales_with_workers(self):
         with ParallelStreamEngine(
-            DOMAIN, PARAMS, synopsis="hash", seed=5, workers=3, mode="serial"
+            DOMAIN, PARAMS, synopsis="hash", seed=5, workers=3
         ) as engine:
             engine.register_stream("f")
             serial = StreamEngine(DOMAIN, PARAMS, synopsis="hash", seed=5)
@@ -247,8 +332,6 @@ class TestParallelStreamEngine:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ParameterError):
             ParallelStreamEngine(DOMAIN, PARAMS, workers=0)
-        with pytest.raises(ParameterError):
-            ParallelStreamEngine(DOMAIN, PARAMS, mode="fibers")
 
 
 class TestAdversarialMetamorphic:
@@ -312,8 +395,8 @@ class TestAdversarialMetamorphic:
                 in_order.synopsis_for(name), permuted.synopsis_for(name)
             )
 
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process", "shm"])
-    def test_rechunking_adversarial_stream_is_exact_per_mode(self, mode):
+    @PATHS
+    def test_rechunking_adversarial_stream_is_exact(self, workers):
         instance = self._instance("delete_churn", self.CHURN_PARAMS)
         values = np.concatenate(
             [b.values for b in instance.batches if b.stream == "f"]
@@ -322,16 +405,16 @@ class TestAdversarialMetamorphic:
             [b.weights for b in instance.batches if b.stream == "f"]
         )
         schema = HashSketchSchema(128, 5, instance.domain_size, seed=13)
-        with ShardedIngestor(schema, workers=2, mode=mode) as coarse, \
-                ShardedIngestor(schema, workers=2, mode=mode) as fine:
+        with ShardedIngestor(schema, workers=workers) as coarse, \
+                ShardedIngestor(schema, workers=workers) as fine:
             coarse.ingest(values, weights)
             splits = np.array_split(np.arange(values.size), 9)
             for chunk in splits:
                 fine.ingest(values[chunk], weights[chunk])
             assert states_equal(coarse.merged(), fine.merged())
 
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
-    def test_permuted_ingest_matches_serial_engine_answers(self, mode):
+    @PATHS
+    def test_permuted_ingest_matches_serial_engine_answers(self, workers):
         instance = self._instance("delete_churn", self.CHURN_PARAMS)
         serial = self._engine_with_batches(instance, instance.batches)
         permutation = np.random.default_rng(1).permutation(
@@ -339,7 +422,7 @@ class TestAdversarialMetamorphic:
         )
         with ParallelStreamEngine(
             instance.domain_size, PARAMS, synopsis="skimmed", seed=13,
-            workers=3, mode=mode,
+            workers=workers,
         ) as engine:
             for name, predicate in instance.streams.items():
                 engine.register_stream(name, predicate=predicate)
@@ -362,41 +445,21 @@ class TestAdversarialMetamorphic:
 class TestCli:
     def test_selfcheck_passes(self, capsys):
         code = parallel_main(
-            [
-                "selfcheck",
-                "--workers",
-                "2",
-                "--modes",
-                "serial,thread",
-                "--elements",
-                "2000",
-                "--domain",
-                "256",
-            ]
+            ["selfcheck", "--workers", "2", "--elements", "2000", "--domain", "256"]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "selfcheck OK" in out
 
-    def test_bench_prints_table(self, capsys):
-        code = parallel_main(
-            [
-                "bench",
-                "--workers-list",
-                "1,2",
-                "--elements",
-                "4000",
-                "--domain",
-                "256",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "updates/sec" in out
+    @pytest.mark.parametrize("command", ["selfcheck", "scaling-gate"])
+    def test_no_mode_flag(self, command, capsys):
+        with pytest.raises(SystemExit):
+            parallel_main([command, "--modes", "shm"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestWorkerTelemetry:
-    """Process-mode workers surface their ingest vitals at flush time.
+    """Worker processes surface their ingest vitals at flush time.
 
     Worker processes run with their own (disabled) observability
     singletons, so their counters would silently vanish; the federation
@@ -411,13 +474,12 @@ class TestWorkerTelemetry:
             engine.process_bulk("f", chunk, None)
         return n
 
-    @pytest.mark.parametrize("mode", ["process", "shm"])
-    def test_process_mode_flush_surfaces_worker_counters(self, mode, rng):
+    def test_flush_surfaces_worker_counters(self, rng):
         from repro.obs import METRICS
 
         METRICS.enable()
         with ParallelStreamEngine(
-            DOMAIN, PARAMS, synopsis="hash", seed=5, workers=2, mode=mode
+            DOMAIN, PARAMS, synopsis="hash", seed=5, workers=2
         ) as engine:
             n = self._ingest(engine, rng)
             engine.flush()
@@ -436,12 +498,11 @@ class TestWorkerTelemetry:
         ]
         assert sum(batches) >= 1.0
 
-    @pytest.mark.parametrize("mode", ["process", "shm"])
-    def test_flush_drains_even_while_disabled(self, mode, rng):
+    def test_flush_drains_even_while_disabled(self, rng):
         from repro.obs import METRICS
 
         with ParallelStreamEngine(
-            DOMAIN, PARAMS, synopsis="hash", seed=5, workers=2, mode=mode
+            DOMAIN, PARAMS, synopsis="hash", seed=5, workers=2
         ) as engine:
             self._ingest(engine, rng)
             engine.flush()  # disabled: stats must be dropped, not queued
@@ -458,13 +519,12 @@ class TestWorkerTelemetry:
         )
         assert elements == 3.0
 
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
-    def test_in_process_modes_have_no_worker_telemetry(self, mode, rng):
+    def test_single_worker_has_no_worker_telemetry(self, rng):
         from repro.obs import METRICS
 
         METRICS.enable()
         with ParallelStreamEngine(
-            DOMAIN, PARAMS, synopsis="hash", seed=5, workers=2, mode=mode
+            DOMAIN, PARAMS, synopsis="hash", seed=5, workers=1
         ) as engine:
             self._ingest(engine, rng)
             engine.flush()
@@ -473,7 +533,7 @@ class TestWorkerTelemetry:
 
 
 class TestSharedMemoryLifecycle:
-    """No leaked ``/dev/shm`` segments, whatever path tears the shm mode down.
+    """No leaked ``/dev/shm`` segments, whatever tears the shm plane down.
 
     Segment names are ``repro_shm_*``; :func:`active_segment_names`
     enumerates the live ones, so every test can assert the before/after
@@ -483,7 +543,7 @@ class TestSharedMemoryLifecycle:
     @staticmethod
     def _ingestor(workers=2):
         schema = HashSketchSchema(64, 3, DOMAIN, seed=1)
-        return ShardedIngestor(schema, workers=workers, mode="shm")
+        return ShardedIngestor(schema, workers=workers)
 
     def test_segments_live_during_ingest_and_unlinked_on_close(self):
         from repro.parallel.shm import SEGMENT_PREFIX, active_segment_names
@@ -514,7 +574,7 @@ class TestSharedMemoryLifecycle:
         values, weights = seeded_batches(n=400, batches=1)[0]
         serial = schema.create_sketch()
         serial.update_bulk(values, weights)
-        ingestor = ShardedIngestor(schema, workers=2, mode="shm")
+        ingestor = ShardedIngestor(schema, workers=2)
         ingestor.ingest(values, weights)
         ingestor.close()
         assert states_equal(ingestor.merged(), serial)
@@ -543,8 +603,9 @@ class TestSharedMemoryLifecycle:
 
         before = set(active_segment_names())
         ingestor = self._ingestor()
-        bad = np.asarray([DOMAIN + 17], dtype=np.int64)  # outside the domain
-        ingestor.ingest(bad)
+        # Bypass the ingest-side checks: a worker that fails anyway must
+        # still surface at the merge barrier and leave nothing behind.
+        ingestor._plane.ingest([(np.asarray([DOMAIN + 17]), None), None])
         with pytest.raises(WorkerError):
             ingestor.merged()
         ingestor.close()
@@ -555,7 +616,7 @@ class TestSharedMemoryLifecycle:
         values, weights = seeded_batches(n=500, batches=1)[0]
         serial = schema.create_sketch()
         serial.update_bulk(values, weights)
-        with ShardedIngestor(schema, workers=2, mode="shm") as ingestor:
+        with ShardedIngestor(schema, workers=2) as ingestor:
             ingestor.ingest(values, weights)
             ingestor.reset()
             assert states_equal(ingestor.merged(), schema.create_sketch())
@@ -573,7 +634,7 @@ class TestSharedMemoryLifecycle:
             "from repro.parallel.shm import active_segment_names\n"
             "from repro.sketches.hash_sketch import HashSketchSchema\n"
             "schema = HashSketchSchema(64, 3, 1 << 10, seed=1)\n"
-            "ingestor = ShardedIngestor(schema, workers=2, mode='shm')\n"
+            "ingestor = ShardedIngestor(schema, workers=2)\n"
             "ingestor.ingest(np.arange(64, dtype=np.int64))\n"
             "ingestor.merged()\n"
             "print(','.join(active_segment_names()))\n"
