@@ -131,10 +131,11 @@ workloads-smoke:
 		benchmarks/baselines/ACCURACY_baseline.json .workloads-smoke.json
 	rm -f .workloads-smoke.json
 
-# Federated-telemetry gate: prove the merge algebra + wire contracts
-# (selfcheck), run a 3-site distributed round trip with telemetry-enabled
-# sites (merged per-origin metrics, one stitched Perfetto trace, per-origin
-# accumulated snapshots), then scrape everything through a federated
+# Per-origin telemetry gate: prove scope isolation, the merge algebra and
+# the wire contracts (selfcheck); run a 3-site distributed round trip in
+# one process, which fails unless every ingested update is attributed to
+# its site's origin (per-origin metrics, one Perfetto trace with a lane per
+# site, per-origin exports); then scrape everything through a federated
 # monitor (origin-labelled /metrics + /topology health).  See the
 # "Federated telemetry" section of docs/OBSERVABILITY.md.
 federate-smoke:

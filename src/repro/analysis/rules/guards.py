@@ -1,16 +1,12 @@
-"""R3, R7, R8, R12, R13 — observability calls guarded by an ``.enabled`` flag.
+"""R3, R7, R8, R12 — observability calls guarded by an ``.enabled`` flag.
 
-The five rules share one walker.  A row of :data:`GUARDS` says which
-calls a rule polices and which guard excuses them:
-
-* the receiver-name pattern (``None``: any receiver, or a bare call);
-* the recording methods;
-* whether the guard must read the *same* singleton's ``.enabled``
-  (``_PROFILER.enabled`` does not excuse ``_RECORDER.pulse``) or *any*
-  observability singleton's.
+The four rules share one walker.  A row of :data:`GUARDS` says which
+calls a rule polices: the receiver-name pattern and the recording
+methods.  Only the receiving singleton's own ``.enabled`` excuses a call
+(``_PROFILER.enabled`` does not excuse ``_RECORDER.pulse``).
 
 A call is guarded inside an ``if``/conditional-expression branch whose
-test reads a qualifying ``<SINGLETON>.enabled``, and after an early-exit
+test reads that ``<SINGLETON>.enabled``, and after an early-exit
 guard (``if not X.enabled: return``) in the same function body.  The
 ``else`` branch of such a test is unguarded, and a guard outside a
 ``def`` does not cover the calls inside it.
@@ -33,11 +29,10 @@ SINGLETON_NAME_RE = re.compile(r"^_?(METRICS|TRACER|RECORDER|PROFILER|AUDIT)$")
 
 @dataclass(frozen=True)
 class Guard:
-    """One rule's row: what it polices and what excuses it."""
+    """One rule's row: the calls it polices and the hint its message gives."""
 
-    receiver: re.Pattern[str] | None
+    receiver: re.Pattern[str]
     methods: frozenset[str]
-    same_singleton: bool
     hint: str
 
 
@@ -50,32 +45,22 @@ GUARDS: dict[str, Guard] = {
         frozenset(
             {"count", "counter", "gauge", "gauge_max", "histogram", "observe", "timer"}
         ),
-        True,
         "disabled telemetry stays free",
     ),
     "R7": Guard(
         re.compile(r"^_?TRACER$"),
         frozenset({"span", "instant"}),
-        True,
         "disabled tracing stays free",
     ),
     "R8": Guard(
         re.compile(r"^_?AUDIT$"),
         frozenset({"record", "annotate_last", "alert"}),
-        True,
         "disabled auditing stays free",
     ),
     "R12": Guard(
         re.compile(r"^_?(PROFILER|RECORDER)$"),
         frozenset({"mark", "pulse"}),
-        True,
         "disabled profiling stays free",
-    ),
-    "R13": Guard(
-        None,
-        frozenset({"capture_telemetry"}),
-        False,
-        "nothing is serialized while every singleton is off",
     ),
 }
 
@@ -106,7 +91,7 @@ def _early_exit_singletons(stmt: ast.stmt) -> frozenset[str]:
 
 
 class GuardRule(Rule):
-    """Base of the five guard rules; the row in :data:`GUARDS` drives it."""
+    """Base of the four guard rules; the row in :data:`GUARDS` drives it."""
 
     def applies_to(self, ctx: FileContext) -> bool:
         return ctx.role in (Role.KERNEL, Role.LIBRARY)
@@ -136,7 +121,7 @@ class GuardRule(Rule):
                 yield from self._visit(ctx, guard, child, guarded)
             return
         call = _policed_call(guard, node)
-        if call is not None and not _is_guarded(guard, call[0], guarded):
+        if call is not None and _singleton(call[0]) not in guarded:
             yield self.finding(
                 ctx, node.lineno, node.col_offset, _message(guard, *call)
             )
@@ -146,37 +131,18 @@ class GuardRule(Rule):
 
 
 def _policed_call(guard: Guard, node: ast.AST) -> tuple[str, str] | None:
-    """``(receiver, method)`` of a call ``guard`` polices, else None.
-
-    The receiver is ``""`` for rules that police any receiver.
-    """
+    """``(receiver, method)`` of a call ``guard`` polices, else None."""
     if not isinstance(node, ast.Call):
         return None
     func = node.func
-    if isinstance(func, ast.Name):
-        is_bare_match = guard.receiver is None and func.id in guard.methods
-        return ("", func.id) if is_bare_match else None
     if not isinstance(func, ast.Attribute) or func.attr not in guard.methods:
         return None
-    if guard.receiver is None:
-        return "", func.attr
     if isinstance(func.value, ast.Name) and guard.receiver.match(func.value.id):
         return func.value.id, func.attr
     return None
 
 
-def _is_guarded(guard: Guard, receiver: str, guarded: frozenset[str]) -> bool:
-    if guard.same_singleton:
-        return _singleton(receiver) in guarded
-    return bool(guarded)
-
-
 def _message(guard: Guard, receiver: str, method: str) -> str:
-    if not receiver:
-        return (
-            f"unguarded {method}() — branch on an observability singleton's "
-            f"'.enabled' flag first, so {guard.hint}"
-        )
     return (
         f"unguarded {receiver}.{method}(...) — wrap in "
         f"'if {receiver}.enabled:' so {guard.hint}"
@@ -312,37 +278,3 @@ class GuardedProfiling(GuardRule):
 
     rule_id = "R12"
     title = "profiler hooks guarded by their own enabled flag"
-
-
-@register
-class GuardedFederation(GuardRule):
-    """``capture_telemetry()`` must be guarded by a singleton's ``enabled``.
-
-    The federation plane piggybacks telemetry snapshots on protocol
-    messages (``SketchReport.telemetry``).  Capturing a snapshot walks
-    the whole metrics registry, drains the span ring, and serializes the
-    result — work that must not happen on the hot report path when every
-    observability singleton is off.  Any function that serializes a
-    snapshot into a protocol message must therefore branch on the owning
-    singleton's ``enabled`` flag first.  Accepted guard shapes::
-
-        if _METRICS.enabled or _TRACER.enabled:
-            report = replace(report, telemetry=shipper.capture_telemetry())
-
-        def _attach(...):
-            if not _METRICS.enabled:
-                return          # early-exit guard; rest of body is guarded
-            doc = self.shipper.capture_telemetry()
-
-    Example violation::
-
-        doc = shipper.capture_telemetry()      # R13 (no guard in sight)
-
-    Suppress only where the shipper wraps a private, always-enabled
-    registry (e.g. the CLI's emulated origins)::
-
-        doc = shipper.capture_telemetry()  # repro: noqa[R13] -- private registry
-    """
-
-    rule_id = "R13"
-    title = "telemetry snapshot capture guarded by an enabled flag"

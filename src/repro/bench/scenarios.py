@@ -455,82 +455,6 @@ def _run_join_hash(params: dict[str, Any]) -> tuple[float, dict[str, Any]]:
     }
 
 
-_FEDERATE_SUITES = {
-    "smoke": {
-        "domain": 1 << 12,
-        "updates": 20_000,
-        "width": 256,
-        "depth": 11,
-        "seed": 7,
-    },
-    "full": {
-        "domain": 1 << 14,
-        "updates": 200_000,
-        "width": 512,
-        "depth": 11,
-        "seed": 7,
-    },
-}
-
-
-@_register(
-    "federate.overhead",
-    "Telemetry piggyback cost on a distributed reporting round: a "
-    "telemetry-carrying site closes one round with metrics + tracing "
-    "enabled, and the snapshot bytes riding on the sketch payload must "
-    "stay under 5% of the report bytes",
-    _FEDERATE_SUITES,
-)
-def _run_federate_overhead(params: dict[str, Any]) -> tuple[float, dict[str, Any]]:
-    import numpy as np
-
-    from ..core import SkimmedSketchSchema
-    from ..distributed import SketchSite
-    from ..obs import METRICS
-    from ..trace import TRACER
-
-    schema = SkimmedSketchSchema(
-        params["width"], params["depth"], params["domain"], seed=params["seed"]
-    )
-    site = SketchSite("bench-site", schema, streams=["R", "S"], telemetry=True)
-    rng = np.random.default_rng(params["seed"])
-    values = rng.integers(0, params["domain"], size=params["updates"], dtype=np.int64)
-    weights = rng.normal(1.0, 0.25, size=params["updates"])
-    metrics_was, tracer_was = METRICS.enabled, TRACER.enabled
-    METRICS.reset()
-    TRACER.reset()
-    METRICS.enable()
-    TRACER.enable()
-    try:
-        for stream in ("R", "S"):
-            site.observe_bulk(stream, values, weights)
-        start = time.perf_counter()
-        reports = site.close_round()
-        elapsed = time.perf_counter() - start
-    finally:
-        if not metrics_was:
-            METRICS.disable()
-        if not tracer_was:
-            TRACER.disable()
-        METRICS.reset()
-        TRACER.reset()
-    payload_bytes = sum(r.size_in_bytes() for r in reports)
-    telemetry_bytes = sum(r.telemetry_size_in_bytes() for r in reports)
-    ratio = telemetry_bytes / payload_bytes
-    if telemetry_bytes == 0:
-        raise RuntimeError("expected a telemetry snapshot on the round's reports")
-    if ratio >= 0.05:
-        raise RuntimeError(
-            f"telemetry piggyback is {ratio:.1%} of the report payload "
-            f"({telemetry_bytes}/{payload_bytes} bytes); bound is 5%"
-        )
-    return elapsed, {
-        "payload_bytes": payload_bytes,
-        "telemetry_bytes": telemetry_bytes,
-        "overhead_ratio": ratio,
-    }
-
-
 def _run_workload_scenario(params: dict[str, Any]) -> tuple[float, dict[str, Any]]:
     """Shared runner for the workload.* adversarial-corpus series.
 

@@ -7,6 +7,11 @@ sketches are linear, the merged estimate equals what a single centralised
 sketch over all sites' traffic would produce — distribution costs
 *communication only* (a few KB per site per round), which is the point of
 using synopses in the paper's network-monitoring setting.
+
+Linearity also means the merged answer hides which site did what; the
+per-site view is telemetry.  :meth:`SketchCoordinator.telemetry_by_origin`
+exports each reporting site's scoped metrics and spans (see
+:mod:`repro.federate`).
 """
 
 from __future__ import annotations
@@ -16,12 +21,18 @@ from contextlib import nullcontext
 
 from ..core.estimator import SkimmedSketch, SkimmedSketchSchema
 from ..errors import IncompatibleSketchError, QueryError
-from ..federate import merge_telemetry, telemetry_size_in_bytes, validate_telemetry
+from ..federate import export_telemetry
 from ..monitor import AUDIT as _AUDIT
 from ..obs import METRICS as _METRICS
 from ..profile import PROFILER as _PROFILER, RECORDER as _RECORDER
 from ..trace import TRACER as _TRACER
-from .protocol import ProtocolError, RoundSummary, SketchReport, TraceContext
+from .protocol import (
+    ProtocolError,
+    RoundSummary,
+    SketchReport,
+    TraceContext,
+    site_origin,
+)
 
 
 class SketchCoordinator:
@@ -47,10 +58,6 @@ class SketchCoordinator:
         self._last_round: dict[tuple[str, str], int] = {}
         self._bytes_received = 0
         self._reports_merged = 0
-        # origin -> accumulated (merged) telemetry snapshot.
-        self._telemetry: dict[str, dict] = {}
-        self._telemetry_bytes = 0
-        self._telemetry_reports = 0
         self._minted_rounds = 0
 
     # -- trace-context minting ---------------------------------------------
@@ -123,54 +130,6 @@ class SketchCoordinator:
             _METRICS.count("dist.reports.received")
             _METRICS.count("dist.bytes.received", size)
             _METRICS.gauge_max("dist.round.max", report.round_number)
-        if report.telemetry is not None:
-            self._absorb_telemetry(report, span)
-
-    def _absorb_telemetry(self, report: SketchReport, span) -> None:
-        """Fold a report's telemetry piggyback into the coordinator's view.
-
-        Three destinations, all per-origin: the coordinator's own
-        accumulated snapshot (:meth:`telemetry_by_origin`, merged with
-        :func:`repro.federate.merge_telemetry` so successive rounds sum
-        exactly), the live metrics registry
-        (:meth:`MetricsRegistry.merge_snapshot`), and the live tracer —
-        the site's span batch is grafted under the currently open
-        ``dist.receive`` span, which is what stitches every site's round
-        tree beneath the coordinator's round timeline.
-        """
-        try:
-            doc = validate_telemetry(report.telemetry)
-        except ValueError as exc:
-            if _METRICS.enabled:
-                _METRICS.count("dist.telemetry.rejected")
-            if span is not None:
-                span.set(rejected="telemetry")
-            raise ProtocolError(
-                f"report from {report.site!r} carries malformed telemetry: {exc}"
-            ) from None
-        origin = doc["origin"]
-        held = self._telemetry.get(origin)
-        self._telemetry[origin] = doc if held is None else merge_telemetry(held, doc)
-        size = telemetry_size_in_bytes(doc)
-        self._telemetry_bytes += size
-        self._telemetry_reports += 1
-        if _METRICS.enabled:
-            _METRICS.count("dist.telemetry.received")
-            _METRICS.count("dist.telemetry.bytes.received", size)
-            _METRICS.merge_snapshot(
-                {
-                    "counters": doc["counters"],
-                    "gauges": doc["gauges"],
-                    "histograms": doc["histograms"],
-                },
-                prefix=origin,
-            )
-        if _TRACER.enabled and doc["spans"]:
-            _TRACER.import_spans(
-                doc["spans"], origin=origin, parent_id=_TRACER.current_span_id()
-            )
-        if span is not None:
-            span.set(telemetry_bytes=size, telemetry_origin=origin)
 
     def receive_all(self, reports: list[SketchReport]) -> RoundSummary:
         """Absorb a batch of reports and summarise the round."""
@@ -196,7 +155,6 @@ class SketchCoordinator:
             sites_reporting=tuple(sorted({r.site for r in reports})),
             bytes_received=sum(r.size_in_bytes() for r in reports),
             reports_merged=len(reports),
-            telemetry_bytes=sum(r.telemetry_size_in_bytes() for r in reports),
         )
 
     # -- global state ----------------------------------------------------------
@@ -263,21 +221,17 @@ class SketchCoordinator:
         return self._reports_merged, self._bytes_received
 
     def telemetry_by_origin(self) -> dict[str, dict]:
-        """Accumulated telemetry snapshot per reporting origin.
+        """Cumulative telemetry envelope per reporting site.
 
-        Each value is the :func:`repro.federate.merge_telemetry` fold of
-        every snapshot that origin has shipped — counters are fleet-exact
-        totals, spans are the bounded recent batches.
+        Keys are origins (``site.<name>``) of every site with a merged
+        report; each value is :func:`repro.federate.export_telemetry` of
+        that origin's scopes in the process-wide ``METRICS`` and
+        ``TRACER`` — what the site recorded, and nothing else.
         """
-        return dict(self._telemetry)
-
-    def telemetry_stats(self) -> tuple[int, int]:
-        """``(telemetry snapshots absorbed, total telemetry bytes)``.
-
-        The federation-overhead side of :meth:`communication_stats` —
-        comparing the two is how the <5% piggyback budget is checked.
-        """
-        return self._telemetry_reports, self._telemetry_bytes
+        origins = sorted({site_origin(site) for site, _ in self._last_round})
+        return {
+            origin: export_telemetry(origin, _METRICS, _TRACER) for origin in origins
+        }
 
     def __repr__(self) -> str:
         return (

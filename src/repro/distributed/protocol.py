@@ -15,7 +15,6 @@ moves bytes (the tests and example use in-memory delivery).
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -27,16 +26,21 @@ class ProtocolError(ReproError):
     """A malformed or out-of-order distributed-protocol message."""
 
 
+def site_origin(site: str) -> str:
+    """The telemetry origin a site records under (``site.<name>``)."""
+    return f"site.{site}"
+
+
 @dataclass(frozen=True)
 class TraceContext:
     """Coordinator-minted correlation context for one reporting round.
 
     The coordinator mints one per round (:meth:`SketchCoordinator.
     mint_trace_context`) and hands it to the sites; each site stamps it
-    on its reports and its round span, so when the site's span batch is
-    imported coordinator-side the stitched timeline can be grouped by
-    ``trace_id`` across every origin.  Plain strings/ints only — it must
-    survive any JSON transport.
+    on its reports and its round span, so the coordinator's round and
+    every site's round (each in its own origin lane) share one
+    ``trace_id``.  Plain strings/ints only — it must survive any JSON
+    transport.
     """
 
     trace_id: str
@@ -68,13 +72,10 @@ class SketchReport:
     :func:`repro.sketches.serialize.save_sketch`; ``round_number`` lets the
     coordinator reject stale or duplicated reports.
 
-    The two trailing fields are the federation piggyback (both optional
-    and defaulted, so pre-federation senders and receivers interoperate
-    unchanged): ``trace_context`` echoes the coordinator-minted
-    :class:`TraceContext` wire dict, and ``telemetry`` carries one
-    ``repro.telemetry`` snapshot (:mod:`repro.federate`) — by convention
-    on the *first* report of a site's round, so per-round telemetry is
-    shipped once, not once per stream.
+    ``trace_context`` (optional, so senders without one interoperate
+    unchanged) echoes the coordinator-minted :class:`TraceContext` wire
+    dict.  Reports carry no telemetry: a site's telemetry is attributed
+    where it is recorded (see :mod:`repro.federate`).
     """
 
     site: str
@@ -82,7 +83,6 @@ class SketchReport:
     round_number: int
     payload: bytes
     trace_context: dict | None = field(default=None)
-    telemetry: dict | None = field(default=None)
 
     @classmethod
     def from_sketch(
@@ -92,7 +92,6 @@ class SketchReport:
         round_number: int,
         sketch,
         trace_context: dict | None = None,
-        telemetry: dict | None = None,
     ) -> "SketchReport":
         """Package a live sketch into a transportable report."""
         buffer = io.BytesIO()
@@ -103,7 +102,6 @@ class SketchReport:
             round_number=round_number,
             payload=buffer.getvalue(),
             trace_context=trace_context,
-            telemetry=telemetry,
         )
 
     def open_sketch(self):
@@ -115,21 +113,6 @@ class SketchReport:
         exists to minimise."""
         return len(self.payload)
 
-    def telemetry_size_in_bytes(self) -> int:
-        """Wire size of the telemetry piggyback (0 when none rides along).
-
-        Kept separate from :meth:`size_in_bytes` so the federation
-        overhead stays visible next to the sketch payload it rides on —
-        the ``federate.overhead`` bench scenario bounds their ratio.
-        """
-        if self.telemetry is None:
-            return 0
-        return len(
-            json.dumps(
-                self.telemetry, sort_keys=True, separators=(",", ":")
-            ).encode("utf-8")
-        )
-
 
 @dataclass(frozen=True)
 class RoundSummary:
@@ -140,4 +123,3 @@ class RoundSummary:
     sites_reporting: tuple[str, ...]
     bytes_received: int
     reports_merged: int = field(default=0)
-    telemetry_bytes: int = field(default=0)

@@ -17,21 +17,26 @@ A site can additionally shard its *local* ingestion across workers
 (``parallel_workers`` > 1): each stream's sketch is then wrapped in a
 :class:`~repro.parallel.ShardedIngestor` and merged exactly when a round
 closes.  Reports are bit-identical to serial ingestion either way.
+
+Telemetry is attributed where it is recorded: :meth:`SketchSite.observe`,
+:meth:`~SketchSite.observe_bulk` and :meth:`~SketchSite.close_round` run
+inside ``METRICS.scope(origin)`` and ``TRACER.scope(origin)`` with origin
+``site.<name>``.  Every site shares its process with the other sites and
+the coordinator; the scopes keep their counters and spans apart, and
+:meth:`~repro.distributed.SketchCoordinator.telemetry_by_origin` reads
+them back per site.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import replace
 
 from ..core.estimator import SkimmedSketchSchema
 from ..errors import ParameterError, QueryError
-from ..federate import TelemetryShipper, telemetry_size_in_bytes
 from ..obs import METRICS as _METRICS
 from ..parallel import ShardedIngestor
-from ..profile import RECORDER as _RECORDER
 from ..trace import TRACER as _TRACER
-from .protocol import SketchReport, TraceContext
+from .protocol import SketchReport, TraceContext, site_origin
 
 #: Supported reporting modes.
 REPORT_MODES = ("cumulative", "delta")
@@ -55,12 +60,8 @@ class SketchSite:
     parallel_workers:
         Shard the site's local ingestion across this many worker
         processes (default 1 = plain serial sketches, no workers).
-    telemetry:
-        When true the site owns a
-        :class:`~repro.federate.TelemetryShipper` (origin
-        ``site.<name>``) and each :meth:`close_round` piggybacks one
-        telemetry snapshot on the round's first report — provided any
-        observability singleton is actually enabled at close time.
+
+    The site's telemetry origin is ``origin`` (``site.<name>``).
     """
 
     def __init__(
@@ -70,7 +71,6 @@ class SketchSite:
         streams: list[str],
         mode: str = "cumulative",
         parallel_workers: int = 1,
-        telemetry: bool = False,
     ):
         if mode not in REPORT_MODES:
             raise ParameterError(f"mode must be one of {REPORT_MODES}, got {mode!r}")
@@ -83,6 +83,7 @@ class SketchSite:
                 f"parallel_workers must be >= 1, got {parallel_workers}"
             )
         self.name = name
+        self.origin = site_origin(name)
         self.schema = schema
         self.mode = mode
         self.parallel_workers = parallel_workers
@@ -93,7 +94,6 @@ class SketchSite:
                 stream: ShardedIngestor(schema, workers=parallel_workers)
                 for stream in streams
             }
-        self.shipper = TelemetryShipper(f"site.{name}") if telemetry else None
         self._round = 0
 
     @property
@@ -112,15 +112,16 @@ class SketchSite:
             raise QueryError(
                 f"site {self.name!r} does not observe stream {stream!r}"
             )
-        if self._ingestors is not None:
-            import numpy as np
+        with _METRICS.scope(self.origin), _TRACER.scope(self.origin):
+            if self._ingestors is not None:
+                import numpy as np
 
-            self._ingestors[stream].ingest(
-                np.asarray([value], dtype=np.int64),
-                np.asarray([weight], dtype=np.float64),
-            )
-            return
-        self._sketches[stream].update(value, weight)
+                self._ingestors[stream].ingest(
+                    np.asarray([value], dtype=np.int64),
+                    np.asarray([weight], dtype=np.float64),
+                )
+                return
+            self._sketches[stream].update(value, weight)
 
     def observe_bulk(self, stream: str, values, weights=None) -> None:
         """Absorb a batch of local elements."""
@@ -128,10 +129,11 @@ class SketchSite:
             raise QueryError(
                 f"site {self.name!r} does not observe stream {stream!r}"
             )
-        if self._ingestors is not None:
-            self._ingestors[stream].ingest(values, weights)
-            return
-        self._sketches[stream].update_bulk(values, weights)
+        with _METRICS.scope(self.origin), _TRACER.scope(self.origin):
+            if self._ingestors is not None:
+                self._ingestors[stream].ingest(values, weights)
+                return
+            self._sketches[stream].update_bulk(values, weights)
 
     def close_round(
         self, trace_context: TraceContext | None = None
@@ -143,62 +145,48 @@ class SketchSite:
 
         ``trace_context`` (coordinator-minted, optional) is stamped on
         the round span and echoed on every report, correlating this
-        site's round with the coordinator's.  When the site was built
-        with ``telemetry=True`` and any observability singleton is
-        enabled, one telemetry snapshot — captured *after* the round span
-        closes, so the round's own spans and counters ride along — is
-        attached to the first report.
+        site's round with the coordinator's.
         """
-        self._round += 1
-        if self._ingestors is not None:
-            for stream, ingestor in self._ingestors.items():
-                self._sketches[stream] = ingestor.merged()
-        context_doc = trace_context.as_dict() if trace_context is not None else None
-        with _TRACER.span(
-            "dist.round", site=self.name, round=self._round, mode=self.mode
-        ) if _TRACER.enabled else nullcontext() as sp:
-            reports = [
-                SketchReport.from_sketch(
-                    self.name,
-                    stream,
-                    self._round,
-                    sketch,
-                    trace_context=context_doc,
-                )
-                for stream, sketch in self._sketches.items()
-            ]
-            if self.mode == "delta":
-                self._sketches = {
-                    stream: self.schema.create_sketch() for stream in self._sketches
-                }
-                if self._ingestors is not None:
-                    for ingestor in self._ingestors.values():
-                        ingestor.reset()
-            if sp is not None:
-                sp.set(
-                    reports=len(reports),
-                    bytes=sum(r.size_in_bytes() for r in reports),
-                )
-                if trace_context is not None:
-                    sp.set(trace_id=trace_context.trace_id)
-        if _METRICS.enabled:
-            _METRICS.count("dist.rounds.closed")
-            _METRICS.count("dist.reports.sent", len(reports))
-            _METRICS.count(
-                "dist.bytes.sent", sum(r.size_in_bytes() for r in reports)
-            )
-        if self.shipper is not None and (
-            _METRICS.enabled or _TRACER.enabled or _RECORDER.enabled
-        ):
-            telemetry_doc = self.shipper.capture_telemetry()
-            reports[0] = replace(reports[0], telemetry=telemetry_doc)
+        with _METRICS.scope(self.origin), _TRACER.scope(self.origin):
+            self._round += 1
+            if self._ingestors is not None:
+                for stream, ingestor in self._ingestors.items():
+                    self._sketches[stream] = ingestor.merged()
+            context_doc = trace_context.as_dict() if trace_context is not None else None
+            with _TRACER.span(
+                "dist.round", site=self.name, round=self._round, mode=self.mode
+            ) if _TRACER.enabled else nullcontext() as sp:
+                reports = [
+                    SketchReport.from_sketch(
+                        self.name,
+                        stream,
+                        self._round,
+                        sketch,
+                        trace_context=context_doc,
+                    )
+                    for stream, sketch in self._sketches.items()
+                ]
+                if self.mode == "delta":
+                    self._sketches = {
+                        stream: self.schema.create_sketch() for stream in self._sketches
+                    }
+                    if self._ingestors is not None:
+                        for ingestor in self._ingestors.values():
+                            ingestor.reset()
+                if sp is not None:
+                    sp.set(
+                        reports=len(reports),
+                        bytes=sum(r.size_in_bytes() for r in reports),
+                    )
+                    if trace_context is not None:
+                        sp.set(trace_id=trace_context.trace_id)
             if _METRICS.enabled:
-                _METRICS.count("dist.telemetry.sent")
+                _METRICS.count("dist.rounds.closed")
+                _METRICS.count("dist.reports.sent", len(reports))
                 _METRICS.count(
-                    "dist.telemetry.bytes.sent",
-                    telemetry_size_in_bytes(telemetry_doc),
+                    "dist.bytes.sent", sum(r.size_in_bytes() for r in reports)
                 )
-        return reports
+            return reports
 
     def close(self) -> None:
         """Stop parallel-ingest worker processes, if any (idempotent)."""

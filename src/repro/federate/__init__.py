@@ -1,29 +1,32 @@
-"""repro.federate — cross-process telemetry for the distributed fleet.
+"""repro.federate — per-origin telemetry for the distributed fleet.
 
 The observability singletons (``repro.obs.METRICS``,
-``repro.trace.TRACER``, ``repro.profile.RECORDER``,
-``repro.monitor.AUDIT``) are process-local; the paper's deployment (§1)
-is many sites and one coordinator.  This package federates the two:
+``repro.trace.TRACER``) are process-wide; the paper's deployment (§1)
+is many sites and one coordinator.  Attribution happens when telemetry
+is recorded:
 
-* :class:`TelemetryShipper` captures a site's singleton state into a
-  versioned, delta-encoded **telemetry snapshot**
-  (:func:`validate_telemetry` / :func:`telemetry_to_json` round-trip it);
-* :class:`~repro.distributed.SketchSite` piggybacks that snapshot on its
-  sketch reports (``telemetry=True``) together with the
-  coordinator-minted :class:`~repro.distributed.TraceContext`, and
-  :class:`~repro.distributed.SketchCoordinator` folds it back into its
-  own registry (counters sum, gauges last-write-by-timestamp, histograms
-  merge reservoirs) and tracer (span trees stitched under the receiving
-  round span, per-origin Perfetto lanes);
-* :class:`FederatedSource` scrapes many such outputs — live monitor
-  endpoints or files — into one origin-labelled Prometheus exposition
-  and a fleet ``/topology`` summary for ``python -m repro.monitor serve
-  --federate``.
+* a :class:`~repro.distributed.SketchSite` records its ingest and round
+  closes inside ``METRICS.scope(origin)`` / ``TRACER.scope(origin)``
+  (origin ``site.<name>``), so its counters are named
+  ``site.<name>.<metric>`` and its spans carry ``origin=site.<name>`` —
+  one Perfetto lane per site, correlated with the coordinator by the
+  round's ``trace_id``;
+* :func:`export_telemetry` reads one origin's scopes back out as a
+  versioned ``repro.telemetry`` envelope of cumulative totals
+  (:func:`validate_telemetry` / :func:`telemetry_to_json` round-trip
+  it); :meth:`~repro.distributed.SketchCoordinator.telemetry_by_origin`
+  returns one per reporting site;
+* envelopes cross processes as files or HTTP documents:
+  :func:`merge_telemetry` folds exports of distinct origins, and
+  :class:`FederatedSource` scrapes many sources — live monitor endpoints
+  or files — into one origin-labelled Prometheus exposition and a fleet
+  ``/topology`` summary for ``python -m repro.monitor serve --federate``.
 
-``python -m repro.federate`` hosts the CLI: ``selfcheck`` (merge
-algebra + wire round-trips), ``validate`` / ``merge`` for snapshot
-files, and ``run`` (a multi-site demo producing merged metrics, a
-stitched trace, and per-origin telemetry files).
+``python -m repro.federate`` hosts the CLI: ``selfcheck`` (scope
+isolation, merge algebra, wire round-trips), ``validate`` / ``merge``
+for envelope files, and ``run`` (a multi-site demo that checks per-origin
+attribution and writes merged metrics, one trace, and per-origin
+telemetry files).
 
 Everything importable here is standard-library only; the ``run``
 demo imports the sketch machinery (numpy) lazily.
@@ -37,12 +40,11 @@ from .snapshot import (
     DEFAULT_SPAN_BATCH,
     TELEMETRY_KIND,
     TELEMETRY_VERSION,
-    TelemetryShipper,
     empty_telemetry,
+    export_telemetry,
     merge_all_telemetry,
     merge_telemetry,
     telemetry_from_json,
-    telemetry_size_in_bytes,
     telemetry_to_json,
     telemetry_to_metrics,
     validate_telemetry,
@@ -55,13 +57,12 @@ __all__ = [
     "TELEMETRY_KIND",
     "TELEMETRY_VERSION",
     "TOPOLOGY_VERSION",
-    "TelemetryShipper",
     "empty_telemetry",
+    "export_telemetry",
     "federation_from_args",
     "merge_all_telemetry",
     "merge_telemetry",
     "telemetry_from_json",
-    "telemetry_size_in_bytes",
     "telemetry_to_json",
     "telemetry_to_metrics",
     "validate_telemetry",

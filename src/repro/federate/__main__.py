@@ -1,30 +1,31 @@
-"""CLI for the federated telemetry plane.
+"""CLI for per-origin telemetry.
 
 Subcommands::
 
     python -m repro.federate selfcheck
-        Prove the merge algebra and wire contracts end to end with three
-        emulated origins (no numpy needed): capture -> JSON round-trip ->
-        validate, merge commutativity and counter associativity, registry
-        merge order-insensitivity, span-import nesting, per-origin
-        Perfetto lanes.  Exit 0 when every check passes.
+        Prove scope attribution and the wire contracts end to end with
+        three origins recording through scopes of one shared registry and
+        tracer (no numpy needed): each origin's export carries only its
+        own counters and spans, exports JSON round-trip and validate,
+        merges commute and counters associate, and the Perfetto export
+        gives each origin its own lane.  Exit 0 when every check passes.
 
     python -m repro.federate validate FILE...
         Validate telemetry snapshot files against the wire schema.
 
     python -m repro.federate merge FILE... [--out OUT]
-        Merge snapshot files into one (printed or written to OUT).
+        Merge snapshot files of distinct origins into one (printed or
+        written to OUT).
 
     python -m repro.federate run --sites N --rounds R --out-dir DIR
-        Multi-site distributed demo (needs numpy): N telemetry-enabled
+        Multi-site distributed demo in one process (needs numpy): N
         sites ingest and report over R coordinator-minted rounds; writes
-        DIR/metrics.json (merged, per-origin prefixed), DIR/trace.chrome.json
-        (one stitched Perfetto timeline, one lane per site), and
-        DIR/telemetry.<origin>.json (per-origin accumulated snapshots).
-        Process boundaries are emulated by resetting the global
-        singletons between per-site segments — the shipper's watermarks
-        detect the resets, exactly as fresh per-process singletons would
-        behave.
+        DIR/metrics.json (coordinator counters plus per-origin prefixed
+        site counters), DIR/trace.chrome.json (one Perfetto timeline,
+        one lane per site), and DIR/telemetry.<origin>.json (one export
+        per site).  Exits 1 unless the per-origin
+        ``sketch.update.elements`` add up to the updates ingested, with
+        none recorded outside a site's scope.
 """
 
 from __future__ import annotations
@@ -32,14 +33,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
 
 try:  # package layout
     from ..obs.registry import MetricsRegistry
     from ..trace.export import trace_to_chrome
     from ..trace.tracer import SpanTracer
     from .snapshot import (
-        TelemetryShipper,
+        export_telemetry,
         merge_all_telemetry,
         merge_telemetry,
         telemetry_from_json,
@@ -51,7 +51,7 @@ except ImportError:  # pragma: no cover - standalone layout
     from trace.export import trace_to_chrome  # type: ignore
     from trace.tracer import SpanTracer  # type: ignore
     from federate.snapshot import (  # type: ignore
-        TelemetryShipper,
+        export_telemetry,
         merge_all_telemetry,
         merge_telemetry,
         telemetry_from_json,
@@ -59,23 +59,30 @@ except ImportError:  # pragma: no cover - standalone layout
         validate_telemetry,
     )
 
+_ORIGINS = ("site.alpha", "site.beta", "site.gamma")
 
-def _emulated_origin(name: str, seed: int) -> tuple[dict[str, Any], TelemetryShipper]:
-    """One in-process "site": private registry + tracer, one capture."""
-    registry = MetricsRegistry(enabled=True)
-    tracer = SpanTracer(enabled=True)
-    for i in range(1 + seed):
-        registry.count("demo.updates", 10 + i)
-    registry.gauge("demo.round", seed + 1)
-    for i in range(5):
-        registry.observe("demo.latency", 0.01 * (seed + 1) * (i + 1))
-    with tracer.span("demo.round", site=name):
-        with tracer.span("demo.ingest"):
-            tracer.instant("demo.mark", step=seed)
-    shipper = TelemetryShipper(
-        name, registry=registry, tracer=tracer, recorder=None, audit=None
-    )
-    return shipper.capture_telemetry(), shipper  # repro: noqa[R13] -- private always-enabled registry, not a singleton
+
+def _record_origins(registry: MetricsRegistry, tracer: SpanTracer) -> dict[str, float]:
+    """Record each origin inside its scopes, beside unscoped local activity.
+
+    Every origin records three span records; returns each origin's
+    ``demo.updates`` total.
+    """
+    updates = {}
+    with tracer.span("coordinator.round"):
+        registry.count("demo.updates", 1000)
+        for seed, name in enumerate(_ORIGINS):
+            with registry.scope(name), tracer.scope(name):
+                for i in range(1 + seed):
+                    registry.count("demo.updates", 10 + i)
+                registry.gauge("demo.round", seed + 1)
+                for i in range(5):
+                    registry.observe("demo.latency", 0.01 * (seed + 1) * (i + 1))
+                with tracer.span("demo.round", site=name):
+                    with tracer.span("demo.ingest"):
+                        tracer.instant("demo.mark", step=seed)
+            updates[name] = float(sum(10 + i for i in range(1 + seed)))
+    return updates
 
 
 def _cmd_selfcheck(_args: argparse.Namespace) -> int:
@@ -87,13 +94,22 @@ def _cmd_selfcheck(_args: argparse.Namespace) -> int:
         if not ok:
             failures += 1
 
-    docs = {}
-    for seed, name in enumerate(["site.alpha", "site.beta", "site.gamma"]):
-        doc, _ = _emulated_origin(name, seed)
-        docs[name] = doc
-    a, b, c = docs["site.alpha"], docs["site.beta"], docs["site.gamma"]
+    registry = MetricsRegistry(enabled=True)
+    tracer = SpanTracer(enabled=True)
+    updates = _record_origins(registry, tracer)
+    docs = {name: export_telemetry(name, registry, tracer) for name in _ORIGINS}
+    a, b, c = (docs[name] for name in _ORIGINS)
 
-    # 1. Wire round-trip.
+    # 1. Scope isolation: an export carries its own origin and nothing else.
+    isolated = all(
+        doc["counters"] == {"demo.updates": updates[name]}
+        and len(doc["spans"]) == 3
+        and all(span["attrs"]["origin"] == name for span in doc["spans"])
+        for name, doc in docs.items()
+    )
+    check(isolated, "each origin's export carries only its own counters and spans")
+
+    # 2. Wire round-trip.
     try:
         round_tripped = all(
             telemetry_from_json(telemetry_to_json(doc)) == doc
@@ -104,51 +120,19 @@ def _cmd_selfcheck(_args: argparse.Namespace) -> int:
         print(f"     round-trip raised: {exc}")
     check(round_tripped, "wire schema validates and JSON round-trips exactly")
 
-    # 2. Merge commutativity (whole document).
+    # 3. Merge commutativity (whole document).
     check(
         merge_telemetry(a, b) == merge_telemetry(b, a),
         "merge_telemetry(a, b) == merge_telemetry(b, a)",
     )
 
-    # 3. Counter associativity (integer-valued counters are exact).
+    # 4. Counter associativity (integer-valued counters are exact).
     left = merge_telemetry(merge_telemetry(a, b), c)["counters"]
     right = merge_telemetry(a, merge_telemetry(b, c))["counters"]
     check(left == right, "counter merge is associative across three origins")
 
-    # 4. Registry merge is order-insensitive for disjoint origins.
-    forward, backward = MetricsRegistry(), MetricsRegistry()
-    for name in sorted(docs):
-        forward.merge_snapshot(docs[name], prefix=name)
-    for name in sorted(docs, reverse=True):
-        backward.merge_snapshot(docs[name], prefix=name)
-    check(
-        {n: k.value for n, k in forward._counters.items()}
-        == {n: k.value for n, k in backward._counters.items()},
-        "MetricsRegistry.merge_snapshot is order-insensitive (disjoint origins)",
-    )
-
-    # 5. Span import preserves nesting under the anchor span.
-    sink = SpanTracer(enabled=True)
-    with sink.span("coordinator.round") as anchor:
-        for name, doc in sorted(docs.items()):
-            sink.import_spans(doc["spans"], origin=name, parent_id=anchor.span_id)
-    imported = [s for s in sink.spans() if "origin" in s.attributes]
-    roots = [s for s in imported if s.name == "demo.round"]
-    nested_ok = (
-        len(roots) == 3
-        and all(r.parent_id == anchor.span_id for r in roots)
-        and all(
-            any(
-                child.parent_id == root.span_id and child.name == "demo.ingest"
-                for child in imported
-            )
-            for root in roots
-        )
-    )
-    check(nested_ok, "import_spans keeps nesting and anchors under the round span")
-
-    # 6. Perfetto export gives every origin its own lane.
-    chrome = trace_to_chrome(sink.snapshot())
+    # 5. Perfetto export gives every origin its own lane.
+    chrome = trace_to_chrome(tracer.snapshot())
     pids = {
         event["pid"]
         for event in chrome["traceEvents"]
@@ -156,7 +140,7 @@ def _cmd_selfcheck(_args: argparse.Namespace) -> int:
     }
     check(len(pids) == 4, "chrome export has one lane per origin plus local")
 
-    print(f"selfcheck: {6 - failures}/6 checks passed")
+    print(f"selfcheck: {5 - failures}/5 checks passed")
     return 1 if failures else 0
 
 
@@ -214,7 +198,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     coordinator = SketchCoordinator(schema)
     sites = [
-        SketchSite(f"edge-{i}", schema, streams=["R", "S"], telemetry=True)
+        SketchSite(f"edge-{i}", schema, streams=["R", "S"])
         for i in range(args.sites)
     ]
     obs.enable()
@@ -222,16 +206,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     METRICS.reset()
     TRACER.reset()
     try:
-        batches = []
+        summaries = []
         for round_index in range(args.rounds):
             context = coordinator.mint_trace_context()
             batch = []
             for site_index, site in enumerate(sites):
-                # Emulate the process boundary between sites sharing this
-                # interpreter: each site's segment starts from clean
-                # singletons, as a real per-site process would.
-                METRICS.reset()
-                TRACER.reset()
                 rng = np.random.default_rng(
                     args.seed + round_index * args.sites + site_index
                 )
@@ -239,11 +218,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     values = rng.integers(0, schema.domain_size, args.updates)
                     site.observe_bulk(stream, values.astype(np.int64))
                 batch.extend(site.close_round(context))
-            batches.append((context, batch))
-        # The coordinator's own "process".
-        METRICS.reset()
-        TRACER.reset()
-        summaries = [coordinator.receive_all(batch) for _, batch in batches]
+            summaries.append(coordinator.receive_all(batch))
         estimate = coordinator.est_join_size("R", "S")
     finally:
         for site in sites:
@@ -255,44 +230,56 @@ def _cmd_run(args: argparse.Namespace) -> int:
     write_snapshot(metrics_path, METRICS.snapshot())
     chrome_path = os.path.join(args.out_dir, "trace.chrome.json")
     write_trace_chrome(chrome_path, TRACER.snapshot())
+    by_origin = coordinator.telemetry_by_origin()
     telemetry_paths = {}
-    for origin, doc in sorted(coordinator.telemetry_by_origin().items()):
+    for origin, doc in sorted(by_origin.items()):
         path = os.path.join(args.out_dir, f"telemetry.{origin}.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(telemetry_to_json(doc) + "\n")
         telemetry_paths[origin] = path
 
     reports, payload_bytes = coordinator.communication_stats()
-    telemetry_reports, telemetry_bytes = coordinator.telemetry_stats()
     last = summaries[-1]
     print(
         f"rounds={len(summaries)} sites={len(sites)} "
-        f"reports={reports} payload_bytes={payload_bytes} "
-        f"telemetry_snapshots={telemetry_reports} "
-        f"telemetry_bytes={telemetry_bytes}"
+        f"reports={reports} payload_bytes={payload_bytes}"
     )
     print(
         f"last round: number={last.round_number} "
-        f"sites={','.join(last.sites_reporting)} "
-        f"telemetry_bytes={last.telemetry_bytes}"
+        f"sites={','.join(last.sites_reporting)}"
     )
     print(f"est |R join S| = {estimate:.1f}")
     print(f"wrote {metrics_path}")
     print(f"wrote {chrome_path}")
     for origin, path in telemetry_paths.items():
         print(f"wrote {path}")
-    return 0
+
+    ingested = len(sites) * args.rounds * 2 * args.updates
+    attributed = sum(
+        doc["counters"].get("sketch.update.elements", 0.0)
+        for doc in by_origin.values()
+    )
+    unscoped = METRICS.counter_value("sketch.update.elements")
+    ok = len(by_origin) == len(sites) and attributed == ingested and unscoped == 0
+    print(
+        f"{'ok' if ok else 'FAIL'} - attribution: {attributed:.0f} of "
+        f"{ingested} ingested updates across {len(by_origin)} origins, "
+        f"{unscoped:.0f} outside a scope"
+    )
+    return 0 if ok else 1
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.federate",
-        description="Federated cross-process telemetry tools.",
+        description="Per-origin telemetry tools.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("selfcheck", help="prove merge algebra and wire contracts")
+    sub.add_parser(
+        "selfcheck", help="prove scope attribution, merge algebra and wire contracts"
+    )
 
     p_validate = sub.add_parser("validate", help="validate telemetry files")
     p_validate.add_argument("files", nargs="+", help="telemetry JSON files")

@@ -5,7 +5,8 @@ loader (a JSON file on disk or an HTTP endpoint serving JSON).  Each
 origin may serve either wire format the repo emits:
 
 * a **telemetry snapshot** (``repro.telemetry``, :mod:`.snapshot`) —
-  what a site's shipper writes / piggybacks on sketch reports;
+  one origin's :func:`~.snapshot.export_telemetry`, written to a file
+  or served by another process;
 * a **metrics snapshot** (version-1 ``repro.obs`` shape) — what
   ``--metrics-out`` files and a plain monitor's ``/metrics.json`` hold.
 
@@ -14,8 +15,8 @@ one Prometheus text exposition where every sample carries an
 ``origin="..."`` label and each metric family is declared exactly once
 even when several origins report it.  :meth:`FederatedSource.topology`
 summarises the fleet (per origin: reachability, staleness, rounds,
-report/telemetry bytes) for the monitor's ``/topology`` endpoint and the
-dashboard's per-origin rows.
+reports and report bytes) for the monitor's ``/topology`` endpoint and
+the dashboard's per-origin rows.
 
 Stdlib-only, like the rest of the observability plane.
 """
@@ -253,9 +254,8 @@ class FederatedSource:
 
         Per origin: loader kind and target, scrape health, last-report
         age, and the distributed-protocol vitals derived from the
-        origin's own ``dist.*`` metrics — rounds closed, reports and
-        payload bytes sent/received, and the telemetry piggyback bytes
-        (the federation's own overhead, satellite #1's counters).
+        origin's own ``dist.*`` metrics — rounds closed, and reports and
+        payload bytes sent/received.
         """
         origins: dict[str, dict[str, Any]] = {}
         for origin in self.origins:
@@ -269,7 +269,6 @@ class FederatedSource:
                 "rounds": 0,
                 "reports": 0,
                 "bytes": 0,
-                "telemetry_bytes": 0,
             }
             if entry["ok"]:
                 try:
@@ -293,12 +292,6 @@ class FederatedSource:
                     _take("dist.reports.sent", "dist.reports.received")
                 )
                 row["bytes"] = int(_take("dist.bytes.sent", "dist.bytes.received"))
-                row["telemetry_bytes"] = int(
-                    _take(
-                        "dist.telemetry.bytes.sent",
-                        "dist.telemetry.bytes.received",
-                    )
-                )
             origins[origin] = row
         return {
             "version": TOPOLOGY_VERSION,

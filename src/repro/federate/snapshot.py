@@ -1,56 +1,52 @@
-"""The ``TelemetrySnapshot`` envelope: capture, wire schema, merge.
+"""The ``repro.telemetry`` envelope: per-origin export, wire schema, merge.
 
-The observability plane (``repro.obs`` / ``repro.trace`` /
-``repro.profile`` / ``repro.monitor``) is process-local by design — its
-singletons see only their own process.  The paper's deployment (§1) is
-the opposite: many network sites, one coordinator.  This module is the
-bridge: a **versioned JSON envelope** that one process captures and
-another merges, riding piggyback on the distributed protocol's sketch
-reports (or shipped as a standalone file).
+The observability singletons (``repro.obs.METRICS``,
+``repro.trace.TRACER``) are process-wide, and distributed sites share a
+process with each other and with their coordinator.  Each site records
+inside its own scopes (:meth:`repro.obs.MetricsRegistry.scope`,
+:meth:`repro.trace.SpanTracer.scope`): its metrics are named
+``<origin>.<name>`` and its spans carry ``origin=<origin>``.
+:func:`export_telemetry` reads one origin back out of those scopes as a
+**versioned JSON envelope** — the form telemetry takes when it leaves
+the process (a file, or an HTTP endpoint scraped by ``python -m
+repro.monitor serve --federate``).
 
 Wire schema (version 1)::
 
     {
       "version": 1,
       "kind": "repro.telemetry",
-      "origin": "site.edge-0",          # who captured this
-      "seq": 3,                          # capture sequence at the origin
-      "counters": {name: delta},         # since the previous capture
+      "origin": "site.edge-0",          # whose telemetry this is
+      "seq": 0,                          # sender-defined sequence number
+      "counters": {name: total},
       "gauges": {name: [value, ts]},     # wall-clock write timestamps
       "histograms": {name: {"count", "sum", "min", "max", "samples"}},
-      "spans": [span records],           # bounded batch, origin-local ids
+      "spans": [span records],           # bounded batch, most recent last
       "spans_dropped": 0,
-      "pulses": {name: delta},           # flight-recorder pulse deltas
+      "pulses": {name: total},           # flight-recorder pulses
     }
 
-Everything shipped is a **delta** relative to the shipper's previous
-capture, so merging successive snapshots by summation is exact for
-counters and pulses; gauges carry write timestamps so last-write-wins
-stays well-defined across processes; histograms ship exact count/sum
-deltas plus a bounded, evenly-strided reservoir excerpt (the reservoir
-itself is lifetime state, so the shipped excerpt is representative
-rather than window-exact — the one approximate section, and it only
-affects quantile estimates, never counts or sums).
+An export holds **cumulative totals** since the scope was first used.
+Merging sums counters and pulses, so merge exports of *distinct* origins
+(a fleet view); two exports of the same origin would count it twice.
+Gauges carry write timestamps so last-write-wins stays well-defined
+across processes; histograms carry exact count/sum plus a bounded,
+evenly strided reservoir excerpt (the one approximate section — it
+affects quantile estimates, never counts or sums).  Exports leave
+``pulses`` empty: flight-recorder pulses, like audits, stay
+process-wide.
 
-Merging lives in three places, all consistent with each other:
+:func:`merge_telemetry` is pure snapshot x snapshot -> snapshot (what
+``python -m repro.federate merge`` uses); it is commutative, and
+associative on counters and pulses.
 
-* :func:`merge_telemetry` — pure snapshot x snapshot -> snapshot (what
-  ``python -m repro.federate merge`` and the coordinator's per-origin
-  accumulation use); commutative and associative on counters/pulses.
-* :meth:`repro.obs.MetricsRegistry.merge_snapshot` — snapshot into a
-  live registry.
-* :meth:`repro.trace.SpanTracer.import_spans` — the span batch into a
-  live tracer, ids remapped, ``origin=`` preserved.
-
-Imports are stdlib-only (the same contract as every other observability
-package), with the standalone-layout fallbacks used across
-``repro.monitor``.
+Imports are stdlib-only, the same contract as every other
+observability package.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from typing import Any, Iterable, Mapping
 
 #: Telemetry envelope schema version.
@@ -59,19 +55,15 @@ TELEMETRY_VERSION = 1
 #: The envelope ``kind`` discriminator.
 TELEMETRY_KIND = "repro.telemetry"
 
-#: Default cap on spans shipped per capture (a site round emits a
-#: handful; the cap bounds pathological always-on tracing).
+#: Cap on spans per export (a site round emits a handful; the cap
+#: bounds pathological always-on tracing).
 DEFAULT_SPAN_BATCH = 512
 
-#: Default cap on reservoir samples shipped per histogram.
+#: Cap on reservoir samples exported per histogram.
 DEFAULT_HISTOGRAM_SAMPLES = 64
 
 _SPAN_FIELDS = ("name", "id", "parent", "start", "end", "attrs")
 _HISTOGRAM_FIELDS = ("count", "sum", "min", "max", "samples")
-
-#: Sentinel distinguishing "use the process singleton" (default) from an
-#: explicit ``None`` ("skip this section").
-_UNSET: Any = object()
 
 
 def empty_telemetry(origin: str, seq: int = 0) -> dict[str, Any]:
@@ -95,9 +87,9 @@ def validate_telemetry(snapshot: Any) -> dict[str, Any]:
 
     Returns the snapshot unchanged; raises ``ValueError`` describing the
     first violation.  Span parent references may point *outside* the
-    batch (a parent still open at capture time ships in a later batch) —
-    the importer re-parents those — so unlike ``validate_trace`` only id
-    uniqueness is required, not parent resolution.
+    batch (a parent recorded outside the origin's scope, or cut by the
+    span cap), so unlike ``validate_trace`` only id uniqueness is
+    required, not parent resolution.
     """
     if not isinstance(snapshot, dict):
         raise ValueError(
@@ -209,12 +201,6 @@ def telemetry_from_json(text: str) -> dict[str, Any]:
     return validate_telemetry(json.loads(text))
 
 
-def telemetry_size_in_bytes(snapshot: Mapping[str, Any]) -> int:
-    """Wire size of a snapshot — the federation overhead the
-    ``federate.overhead`` bench scenario budgets against report payloads."""
-    return len(telemetry_to_json(snapshot).encode("utf-8"))
-
-
 # -- pure merge -----------------------------------------------------------
 
 
@@ -277,8 +263,7 @@ def _merge_spans(
 
     Batches are ordered by origin name so the combined list — and the
     id assignment — is independent of argument order.  Parent links are
-    remapped within each batch; references outside a batch become null
-    (the live importer re-parents those under its own anchor instead).
+    remapped within each batch; references outside a batch become null.
     """
     batches = sorted(
         [(a["origin"], a["spans"]), (b["origin"], b["spans"])],
@@ -308,10 +293,10 @@ def merge_telemetry(
 ) -> dict[str, Any]:
     """Merge two validated snapshots into one (pure; inputs untouched).
 
-    Counters and pulses **sum** — commutative and associative, so a
-    coordinator can fold successive or sibling snapshots in any order
-    (``python -m repro.federate selfcheck`` proves it, the hypothesis
-    suite fuzzes it).  Gauges take the last write by timestamp;
+    Counters and pulses **sum** — commutative and associative, so
+    exports of distinct origins fold in any order (``python -m
+    repro.federate selfcheck`` proves it, the hypothesis suite fuzzes
+    it).  Gauges take the last write by timestamp;
     histograms add count/sum and combine bounded reservoirs; span
     batches concatenate with ids remapped and per-span ``origin=``
     attribution preserved.  The merged ``origin`` joins the two names
@@ -391,184 +376,41 @@ def telemetry_to_metrics(snapshot: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
-# -- capture --------------------------------------------------------------
+# -- export ---------------------------------------------------------------
 
 
-def _default_metrics() -> Any:
-    try:  # pragma: no cover - exercised via the standalone import test
-        from ..obs import METRICS
-    except ImportError:  # standalone layout: `obs` next to `federate`
-        from obs import METRICS  # type: ignore
-    return METRICS
+def export_telemetry(origin: str, registry: Any, tracer: Any) -> dict[str, Any]:
+    """One origin's cumulative telemetry, read from its scopes.
 
-
-def _default_tracer() -> Any:
-    try:  # pragma: no cover
-        from ..trace import TRACER
-    except ImportError:
-        from trace import TRACER  # type: ignore
-    return TRACER
-
-
-def _default_recorder() -> Any:
-    try:  # pragma: no cover
-        from ..profile import RECORDER
-    except ImportError:
-        from profile import RECORDER  # type: ignore
-    return RECORDER
-
-
-def _default_audit() -> Any:
-    try:  # pragma: no cover
-        from ..monitor import AUDIT
-    except ImportError:
-        from monitor import AUDIT  # type: ignore
-    return AUDIT
-
-
-class TelemetryShipper:
-    """Stateful capturer turning singleton state into delta snapshots.
-
-    One shipper per origin per process (a :class:`SketchSite` owns one
-    when constructed with ``telemetry=True``).  Each
-    :meth:`capture_telemetry` call diffs the registries against the
-    previous capture, so successive snapshots are disjoint deltas and a
-    coordinator merging them by summation reconstructs the origin's
-    totals exactly.
-
-    The source singletons default to the process-wide ones; tests (and
-    the ``selfcheck`` CLI) inject private registries to emulate separate
-    processes inside one.  Passing ``recorder=None`` / ``audit=None``
-    explicitly skips those sections entirely.
-
-    Call sites must guard on the owning singletons' ``enabled`` flags —
-    an unguarded ``capture_telemetry`` serialised into a protocol
-    message is exactly what linter rule R13 rejects.
+    Metrics ``registry`` recorded inside ``registry.scope(origin)`` (named
+    ``<origin>.<name>``) are exported under their bare names; spans are
+    those ``tracer`` recorded inside ``tracer.scope(origin)``, the latest
+    :data:`DEFAULT_SPAN_BATCH` of them (older ones count into
+    ``spans_dropped``).  Readable while recording is off, like
+    ``snapshot()``.
     """
-
-    def __init__(
-        self,
-        origin: str,
-        registry: Any | None = None,
-        tracer: Any | None = None,
-        recorder: Any = _UNSET,
-        audit: Any = _UNSET,
-        max_spans: int = DEFAULT_SPAN_BATCH,
-        max_histogram_samples: int = DEFAULT_HISTOGRAM_SAMPLES,
-    ) -> None:
-        if not origin:
-            raise ValueError("origin must be a non-empty string")
-        if max_spans < 1:
-            raise ValueError(f"max_spans must be >= 1, got {max_spans}")
-        self.origin = origin
-        self.registry = registry if registry is not None else _default_metrics()
-        self.tracer = tracer if tracer is not None else _default_tracer()
-        self.recorder = _default_recorder() if recorder is _UNSET else recorder
-        self.audit = _default_audit() if audit is _UNSET else audit
-        self.max_spans = max_spans
-        self.max_histogram_samples = max_histogram_samples
-        self._seq = 0
-        self._last_counters: dict[str, float] = {}
-        self._last_histograms: dict[str, tuple[int, float]] = {}
-        self._last_pulses: dict[str, float] = {}
-        self._span_cursor = 0
-        self._registry_generation = getattr(self.registry, "generation", 0)
-        self._tracer_epoch = getattr(self.tracer, "_epoch", 0.0)
-
-    @property
-    def seq(self) -> int:
-        """Number of captures taken so far."""
-        return self._seq
-
-    def capture_telemetry(self) -> dict[str, Any]:
-        """Assemble one delta snapshot and advance the capture cursor."""
-        self._seq += 1
-        doc = empty_telemetry(self.origin, seq=self._seq)
-        self._capture_metrics(doc)
-        self._capture_spans(doc)
-        self._capture_pulses(doc)
-        self._capture_audit(doc)
-        return doc
-
-    def _capture_metrics(self, doc: dict[str, Any]) -> None:
-        registry = self.registry
-        # A registry reset() since the last capture invalidates every
-        # watermark — everything currently held is new.
-        generation = getattr(registry, "generation", 0)
-        if generation != self._registry_generation:
-            self._registry_generation = generation
-            self._last_counters = {}
-            self._last_histograms = {}
-        current = {n: c.value for n, c in registry._counters.items()}
-        for name, total in sorted(current.items()):
-            delta = total - self._last_counters.get(name, 0.0)
-            if delta:
-                doc["counters"][name] = delta
-        self._last_counters = current
-        for name, gauge in sorted(registry._gauges.items()):
-            doc["gauges"][name] = [gauge.value, gauge.ts]
-        for name, histogram in sorted(registry._histograms.items()):
-            seen_count, seen_sum = self._last_histograms.get(name, (0, 0.0))
-            delta_count = histogram.count - seen_count
-            if delta_count <= 0:
-                continue
-            state = histogram.state(max_samples=self.max_histogram_samples)
-            state["count"] = delta_count
-            state["sum"] = histogram.sum - seen_sum
-            doc["histograms"][name] = state
-            self._last_histograms[name] = (histogram.count, histogram.sum)
-
-    def _capture_spans(self, doc: dict[str, Any]) -> None:
-        tracer = self.tracer
-        # A tracer reset() restarts the epoch (and drops spans) — the
-        # epoch comparison catches it even when the span count happens to
-        # match the cursor; the length check backstops tracers without one.
-        epoch = getattr(tracer, "_epoch", 0.0)
-        if epoch != self._tracer_epoch:
-            self._tracer_epoch = epoch
-            self._span_cursor = 0
-        finished = tracer.spans()
-        if len(finished) < self._span_cursor:
-            self._span_cursor = 0
-        fresh = finished[self._span_cursor :]
-        self._span_cursor = len(finished)
-        batch = fresh[: self.max_spans]
-        doc["spans"] = [span.as_dict() for span in batch]
-        for record in doc["spans"]:
-            attrs = dict(record["attrs"])
-            attrs.setdefault("origin", self.origin)
-            record["attrs"] = attrs
-        doc["spans_dropped"] = len(fresh) - len(batch)
-
-    def _capture_pulses(self, doc: dict[str, Any]) -> None:
-        recorder = self.recorder
-        if recorder is None:
-            return
-        current = recorder.pending_pulses()
-        for name, total in sorted(current.items()):
-            seen = self._last_pulses.get(name, 0.0)
-            # The recorder's tick() drains pulses to zero between our
-            # captures; a total below the watermark means everything
-            # current is new.
-            delta = total - seen if total >= seen else total
-            if delta:
-                doc["pulses"][name] = delta
-        self._last_pulses = current
-
-    def _capture_audit(self, doc: dict[str, Any]) -> None:
-        audit = self.audit
-        if audit is None:
-            return
-        now = time.time()
-        try:
-            audits = audit.audits()
-            alerts = len(audit.alerts)
-        except (AttributeError, RuntimeError):
-            return
-        decided = [a.covered for a in audits if a.covered is not None]
-        if decided:
-            doc["gauges"]["audit.coverage"] = [sum(decided) / len(decided), now]
-        doc["gauges"]["audit.alerts"] = [float(alerts), now]
+    doc = empty_telemetry(origin)
+    prefix = f"{origin}."
+    for section, metrics, value in (
+        ("counters", registry._counters, lambda c: c.value),
+        ("gauges", registry._gauges, lambda g: [g.value, g.ts]),
+        (
+            "histograms",
+            registry._histograms,
+            lambda h: h.state(max_samples=DEFAULT_HISTOGRAM_SAMPLES),
+        ),
+    ):
+        for name, metric in sorted(metrics.items()):
+            if name.startswith(prefix):
+                doc[section][name[len(prefix) :]] = value(metric)
+    spans = [
+        span.as_dict()
+        for span in tracer.spans()
+        if span.attributes.get("origin") == origin
+    ]
+    doc["spans"] = spans[-DEFAULT_SPAN_BATCH:]
+    doc["spans_dropped"] = len(spans) - len(doc["spans"])
+    return doc
 
 
 __all__ = [
@@ -576,12 +418,11 @@ __all__ = [
     "DEFAULT_SPAN_BATCH",
     "TELEMETRY_KIND",
     "TELEMETRY_VERSION",
-    "TelemetryShipper",
     "empty_telemetry",
+    "export_telemetry",
     "merge_all_telemetry",
     "merge_telemetry",
     "telemetry_from_json",
-    "telemetry_size_in_bytes",
     "telemetry_to_json",
     "telemetry_to_metrics",
     "validate_telemetry",

@@ -263,14 +263,14 @@ def _origin_rows(federation: Any) -> str:
 
     One row per configured origin — reachable or not (a dead site is
     exactly what an operator needs to see) — with last-report age,
-    rounds, report bytes, and the telemetry piggyback bytes.
+    rounds, reports and report bytes.
     """
     topology = federation.topology()
     parts = [
         "<table><caption>Federated origins</caption>",
         "<thead><tr><th>origin</th><th>source</th><th>status</th>"
         "<th>age s</th><th>rounds</th><th>reports</th><th>bytes</th>"
-        "<th>telemetry bytes</th></tr></thead><tbody>",
+        "</tr></thead><tbody>",
     ]
     for origin, row in sorted(topology.get("origins", {}).items()):
         if row.get("ok"):
@@ -286,8 +286,7 @@ def _origin_rows(federation: Any) -> str:
             f"<td>{'-' if age is None else _fmt(float(age))}</td>"
             f"<td>{_fmt(float(row.get('rounds', 0)))}</td>"
             f"<td>{_fmt(float(row.get('reports', 0)))}</td>"
-            f"<td>{_fmt(float(row.get('bytes', 0)))}</td>"
-            f"<td>{_fmt(float(row.get('telemetry_bytes', 0)))}</td></tr>"
+            f"<td>{_fmt(float(row.get('bytes', 0)))}</td></tr>"
         )
     parts.append("</tbody></table>")
     return "".join(parts)

@@ -14,6 +14,12 @@ the numpy work those sites wrap.  Every recording method additionally
 no-ops when disabled, so a call site that forgets the guard still cannot
 pollute a disabled registry.
 
+Recording can be attributed to an *origin* (a distributed site sharing
+the process) with a context-local scope::
+
+    with METRICS.scope("site.edge-0"):
+        METRICS.count("dist.rounds.closed")   # -> site.edge-0.dist.rounds.closed
+
 Design constraints (enforced by the test suite):
 
 * **no third-party imports** — ``repro.obs`` must be importable without
@@ -28,7 +34,10 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Iterator, Mapping
+import zlib
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Any, Callable, Iterator
 
 #: Reservoir size for histogram percentile estimation.
 DEFAULT_RESERVOIR_SIZE = 2048
@@ -52,9 +61,9 @@ class Gauge:
     """A last-written-wins scalar (thresholds, round numbers, sizes).
 
     Each write stamps ``ts`` with the wall-clock time so last-write-wins
-    stays well-defined when gauges from several *processes* are merged
-    (:meth:`MetricsRegistry.merge_snapshot`): wall-clock timestamps are
-    the only ordering that is comparable across process boundaries.
+    stays well-defined when telemetry exports from several *processes*
+    are merged (``repro.federate.merge_telemetry``): wall-clock
+    timestamps are the only ordering comparable across processes.
     """
 
     __slots__ = ("name", "value", "ts")
@@ -75,9 +84,10 @@ class Histogram:
 
     Tracks exact ``count`` / ``sum`` / ``min`` / ``max`` and estimates
     percentiles from a reservoir.  Reservoir replacement uses an internal
-    xorshift generator (seeded from the metric name) instead of the
-    global ``random`` state, so recordings are deterministic and the
-    registry never perturbs user-level randomness.
+    xorshift generator (seeded from a CRC-32 of the metric name, which —
+    unlike ``hash()`` — does not vary with ``PYTHONHASHSEED``) instead of
+    the global ``random`` state, so recordings are deterministic across
+    processes and the registry never perturbs user-level randomness.
     """
 
     __slots__ = ("name", "count", "sum", "min", "max", "_samples", "_cap", "_state")
@@ -92,8 +102,8 @@ class Histogram:
         self.max = float("-inf")
         self._samples: list[float] = []
         self._cap = reservoir_size
-        # Non-zero 64-bit xorshift seed derived from the name.
-        self._state = (hash(name) & 0xFFFFFFFFFFFFFFFF) or 0x9E3779B97F4A7C15
+        # Non-zero xorshift seed derived from the name, stable across processes.
+        self._state = zlib.crc32(name.encode("utf-8")) or 0x9E3779B97F4A7C15
 
     def _next_rand(self) -> int:
         x = self._state
@@ -133,10 +143,10 @@ class Histogram:
         """Reservoir-carrying dump for cross-process merging.
 
         Unlike :meth:`summary` (quantiles only, not mergeable) the state
-        keeps raw reservoir samples, so two histograms built in different
-        processes can be folded together with :meth:`merge_state`.
-        ``max_samples`` bounds the shipped reservoir with an even stride
-        across the sorted samples, preserving the spread.
+        keeps raw reservoir samples, which is what a telemetry export
+        (``repro.federate``) carries.  ``max_samples`` bounds the shipped
+        reservoir with an even stride across the sorted samples,
+        preserving the spread.
         """
         samples = sorted(self._samples)
         if max_samples is not None and len(samples) > max_samples:
@@ -149,33 +159,6 @@ class Histogram:
             "max": self.max if self.count else 0.0,
             "samples": samples,
         }
-
-    def merge_state(self, state: Mapping[str, Any]) -> None:
-        """Fold a foreign histogram :meth:`state` into this one.
-
-        Count/sum add exactly; min/max combine; foreign reservoir samples
-        are folded through the same deterministic replacement policy as
-        :meth:`record`, so the merged reservoir stays bounded at ``_cap``
-        and remains an (approximate) sample of the union distribution.
-        """
-        count = int(state.get("count", 0))
-        if count <= 0:
-            return
-        self.sum += float(state.get("sum", 0.0))
-        low, high = float(state.get("min", 0.0)), float(state.get("max", 0.0))
-        if low < self.min:
-            self.min = low
-        if high > self.max:
-            self.max = high
-        self.count += count
-        for value in state.get("samples", ()):
-            value = float(value)
-            if len(self._samples) < self._cap:
-                self._samples.append(value)
-            else:
-                slot = self._next_rand() % self.count
-                if slot < self._cap:
-                    self._samples[slot] = value
 
     def summary(self) -> dict[str, float]:
         """JSON-ready summary: count/sum/min/max/mean and p50/p95/p99."""
@@ -266,7 +249,7 @@ class MetricsRegistry:
         "_histograms",
         "reservoir_size",
         "_lock",
-        "generation",
+        "_scope",
     )
 
     def __init__(self, enabled: bool = False, reservoir_size: int = DEFAULT_RESERVOIR_SIZE):
@@ -276,7 +259,9 @@ class MetricsRegistry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._lock = threading.Lock()
-        self.generation = 0
+        self._scope: ContextVar[str | None] = ContextVar(
+            "repro.obs.scope", default=None
+        )
 
     # -- switch ------------------------------------------------------------
 
@@ -287,6 +272,30 @@ class MetricsRegistry:
     def disable(self) -> None:
         """Turn recording off; existing metric values are kept."""
         self.enabled = False
+
+    # -- attribution -------------------------------------------------------
+
+    @contextmanager
+    def scope(self, origin: str) -> Iterator[None]:
+        """Attribute everything recorded inside the block to ``origin``.
+
+        Counters, gauges and histograms recorded in the block are filed as
+        ``<origin>.<name>``.  The scope is context-local (one
+        :class:`~contextvars.ContextVar` per registry), so threads and
+        asyncio tasks keep their own; the innermost scope wins.  The
+        lookup runs only when something is actually recorded.
+        """
+        if not origin:
+            raise ValueError("origin must be a non-empty string")
+        token = self._scope.set(origin)
+        try:
+            yield
+        finally:
+            self._scope.reset(token)
+
+    def _scoped(self, name: str) -> str:
+        origin = self._scope.get()
+        return name if origin is None else f"{origin}.{name}"
 
     # -- recording ---------------------------------------------------------
 
@@ -300,14 +309,20 @@ class MetricsRegistry:
     def count(self, name: str, amount: float = 1.0) -> None:
         """Increment a counter (no-op while disabled)."""
         if self.enabled:
-            self.counter(name).inc(amount)
+            self.counter(self._scoped(name)).inc(amount)
 
     def gauge(self, name: str, value: float | None = None) -> Gauge:
-        """The named gauge; also sets it when ``value`` is given (and enabled)."""
+        """The named gauge; also sets it when ``value`` is given (and enabled).
+
+        Only a write is scoped; a bare lookup reads ``name`` as given.
+        """
+        record = value is not None and self.enabled
+        if record:
+            name = self._scoped(name)
         found = self._gauges.get(name)
         if found is None:
             found = self._gauges[name] = Gauge(name)
-        if value is not None and self.enabled:
+        if record:
             found.set(value)
         return found
 
@@ -322,7 +337,7 @@ class MetricsRegistry:
         if not self.enabled:
             return
         with self._lock:
-            found = self.gauge(name)
+            found = self.gauge(self._scoped(name))
             if float(value) > found.value or found.ts == 0.0:
                 found.set(value)
 
@@ -336,7 +351,7 @@ class MetricsRegistry:
     def observe(self, name: str, value: float) -> None:
         """Record one histogram observation (no-op while disabled)."""
         if self.enabled:
-            self.histogram(name).record(value)
+            self.histogram(self._scoped(name)).record(value)
 
     def timer(self, name: str) -> Timer:
         """A :class:`Timer` feeding the named histogram."""
@@ -371,52 +386,11 @@ class MetricsRegistry:
             },
         }
 
-    def merge_snapshot(
-        self, snapshot: Mapping[str, Any], prefix: str | None = None
-    ) -> None:
-        """Fold a foreign process's metric state into this registry.
-
-        The inverse operation of shipping a telemetry snapshot
-        (:mod:`repro.federate`): **counters sum** (the foreign values are
-        deltas, so repeated merges of successive snapshots accumulate
-        exactly), **gauges take the last write by wall-clock timestamp**
-        (foreign gauges may arrive as ``[value, ts]`` pairs; a plain
-        number merges with timestamp 0, i.e. it never overrides a local
-        write), and **histograms merge reservoirs** via
-        :meth:`Histogram.merge_state`.
-
-        This is an administrative operation like :meth:`snapshot` — it
-        applies even while the registry is disabled, because the caller
-        (coordinator / parallel flush) decides whether federation is on
-        and guards with ``enabled`` at the call site.  ``prefix`` is
-        prepended (dot-joined) to every merged metric name, which is how
-        per-shard worker telemetry lands under ``parallel.shard.N.*``.
-        """
-        qualify = (lambda n: f"{prefix}.{n}") if prefix else (lambda n: n)
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(qualify(name)).inc(float(value))
-        for name, value in snapshot.get("gauges", {}).items():
-            if isinstance(value, (list, tuple)):
-                level, ts = float(value[0]), float(value[1])
-            else:
-                level, ts = float(value), 0.0
-            found = self.gauge(qualify(name))
-            if ts >= found.ts:
-                found.set(level, ts=ts)
-        for name, state in snapshot.get("histograms", {}).items():
-            if isinstance(state, Mapping) and "samples" in state:
-                self.histogram(qualify(name)).merge_state(state)
-
     def reset(self) -> None:
-        """Drop every metric (the enabled flag is left as-is).
-
-        Bumps ``generation`` so delta-tracking readers (the federation
-        shipper's watermarks) can tell a reset from mere inactivity.
-        """
+        """Drop every metric (the enabled flag is left as-is)."""
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
-        self.generation += 1
 
     def __repr__(self) -> str:
         return (

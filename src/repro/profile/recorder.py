@@ -366,15 +366,6 @@ class FlightRecorder:
         if self.enabled:
             self._pulses[name] = self._pulses.get(name, 0.0) + amount
 
-    def pending_pulses(self) -> dict[str, float]:
-        """Copy of the current window's undrained pulse deltas.
-
-        Non-destructive (``tick()`` still owns the drain); the federation
-        shipper reads this to carry pulse counters in a telemetry
-        snapshot without stealing them from the local flight recorder.
-        """
-        return dict(self._pulses)
-
     # -- ticking -----------------------------------------------------------
 
     def tick(self) -> TelemetryFrame | None:

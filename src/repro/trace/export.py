@@ -121,9 +121,9 @@ def validate_trace(snapshot: Any) -> dict[str, Any]:
 def trace_origins(snapshot: dict[str, Any]) -> list[str]:
     """Distinct ``origin=`` attribute values present in a trace, sorted.
 
-    Spans without an origin (recorded locally rather than imported via
-    :meth:`SpanTracer.import_spans`) are not listed — they belong to the
-    local lane.
+    Spans without an origin (recorded outside any
+    :meth:`SpanTracer.scope`) are not listed — they belong to the local
+    lane.
     """
     origins = {
         span["attrs"]["origin"]
@@ -141,11 +141,10 @@ def trace_to_chrome(snapshot: dict[str, Any]) -> dict[str, Any]:
     are microseconds since the tracer epoch, as the format requires.
 
     One timeline, one lane per origin: local spans render in pid/tid 1
-    and every distinct ``origin=`` attribute (site span trees imported by
-    the coordinator, see :mod:`repro.federate`) gets its own pid/tid with
-    a ``process_name`` metadata event, so a stitched federation trace
-    shows each site's rounds in a separate named track under the
-    coordinator's timeline.
+    and every distinct ``origin=`` attribute (spans recorded inside a
+    site's :meth:`SpanTracer.scope`) gets its own pid/tid with a
+    ``process_name`` metadata event, so a fleet trace shows each site's
+    rounds in a separate named track beside the coordinator's timeline.
     """
     validate_trace(snapshot)
     lanes: dict[str | None, int] = {None: 1}

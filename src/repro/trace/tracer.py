@@ -23,12 +23,18 @@ Span nesting uses an explicit stack on the tracer (not thread-locals):
 context is propagated by the call structure itself, which is exact for
 the single-threaded query path the library implements.  Like the
 metrics registry, the tracer is not thread-synchronised.
+
+Spans can be attributed to an *origin* (a distributed site sharing the
+process) with a context-local scope: inside ``with TRACER.scope(o):``
+every span and instant carries ``origin=o``, the attribute the Perfetto
+exporter keys its per-origin lanes on.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Any, Iterator
 
 #: Default cap on retained finished spans (a traced query emits tens of
@@ -112,6 +118,7 @@ class SpanTracer:
         "_stack",
         "_next_id",
         "_epoch",
+        "_scope",
     )
 
     def __init__(self, enabled: bool = False, max_spans: int = DEFAULT_MAX_SPANS) -> None:
@@ -124,6 +131,9 @@ class SpanTracer:
         self._stack: list[Span] = []
         self._next_id = 1
         self._epoch = time.perf_counter()
+        self._scope: ContextVar[str | None] = ContextVar(
+            "repro.trace.scope", default=None
+        )
 
     # -- switch ------------------------------------------------------------
 
@@ -144,6 +154,31 @@ class SpanTracer:
         self.dropped = 0
         self._epoch = time.perf_counter()
 
+    # -- attribution -------------------------------------------------------
+
+    @contextmanager
+    def scope(self, origin: str) -> Iterator[None]:
+        """Stamp ``origin=<origin>`` on every span and instant opened inside
+        the block (unless the call passes its own ``origin``).
+
+        Context-local like :meth:`repro.obs.MetricsRegistry.scope`; the
+        innermost scope wins, and the lookup runs only when a span is
+        actually recorded.
+        """
+        if not origin:
+            raise ValueError("origin must be a non-empty string")
+        token = self._scope.set(origin)
+        try:
+            yield
+        finally:
+            self._scope.reset(token)
+
+    def _attribute(self, attributes: dict[str, Any]) -> dict[str, Any]:
+        origin = self._scope.get()
+        if origin is not None:
+            attributes.setdefault("origin", origin)
+        return attributes
+
     # -- recording ---------------------------------------------------------
 
     @contextmanager
@@ -158,7 +193,7 @@ class SpanTracer:
             self._next_id,
             self._stack[-1].span_id if self._stack else None,
             time.perf_counter() - self._epoch,
-            attributes,
+            self._attribute(attributes),
         )
         self._next_id += 1
         self._stack.append(span)
@@ -178,7 +213,7 @@ class SpanTracer:
             self._next_id,
             self._stack[-1].span_id if self._stack else None,
             time.perf_counter() - self._epoch,
-            attributes,
+            self._attribute(attributes),
         )
         self._next_id += 1
         self._keep(span)
@@ -188,54 +223,6 @@ class SpanTracer:
             self._spans.append(span)
         else:
             self.dropped += 1
-
-    def import_spans(
-        self,
-        spans: list[dict[str, Any]],
-        origin: str,
-        parent_id: int | None = None,
-    ) -> int:
-        """Graft foreign finished spans (wire records) into this tracer.
-
-        The cross-process stitching half of trace-context propagation: a
-        site ships its span batch inside a telemetry snapshot and the
-        coordinator calls this to place the site's span tree on its own
-        timeline.  Span ids are **remapped** into this tracer's id space
-        (foreign ids are only unique per origin); parent links inside the
-        batch are remapped consistently, and batch roots — plus any span
-        whose parent is outside the batch — are re-parented under
-        ``parent_id`` (typically the coordinator's currently open round
-        span).  Every imported span gets an ``origin=`` attribute unless
-        it already carries one, which is what the Perfetto exporter keys
-        its per-origin lanes on.
-
-        Timestamps stay in the origin's epoch.  ``max_spans`` is
-        respected (overflow counts into ``dropped``).  Administrative —
-        callers guard with ``TRACER.enabled`` like every other hook.
-        Returns the number of spans kept.
-        """
-        id_map: dict[int, int] = {}
-        for record in spans:
-            id_map[int(record["id"])] = self._next_id
-            self._next_id += 1
-        kept = 0
-        for record in spans:
-            parent = record.get("parent")
-            mapped = id_map.get(parent, parent_id) if parent is not None else parent_id
-            attributes = dict(record.get("attrs") or {})
-            attributes.setdefault("origin", origin)
-            span = Span(
-                str(record["name"]),
-                id_map[int(record["id"])],
-                mapped,
-                float(record["start"]),
-                attributes,
-            )
-            span.end = float(record["end"])
-            before = len(self._spans)
-            self._keep(span)
-            kept += len(self._spans) - before
-        return kept
 
     # -- reading -----------------------------------------------------------
 
@@ -251,18 +238,6 @@ class SpanTracer:
         """
         try:
             return self._stack[-1].name
-        except IndexError:
-            return None
-
-    def current_span_id(self) -> int | None:
-        """Id of the innermost *open* span (``None`` outside any span).
-
-        The anchor :meth:`import_spans` callers use to stitch foreign
-        span trees under the span doing the importing.  Same best-effort
-        single-indexing-op read as :meth:`current_span_name`.
-        """
-        try:
-            return self._stack[-1].span_id
         except IndexError:
             return None
 

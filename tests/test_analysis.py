@@ -34,7 +34,6 @@ RULE_IDS = [
     "R10",
     "R11",
     "R12",
-    "R13",
     "R2",
     "R3",
     "R4",
@@ -59,11 +58,6 @@ FIXTURE_MAP = {
     "R10": ("src/repro/parallel/bad_r10.py", 3, "src/repro/parallel/good_r10.py"),
     "R11": ("src/repro/sketches/bad_r11.py", 3, "src/repro/sketches/good_r11.py"),
     "R12": ("src/repro/streams/bad_r12.py", 2, "src/repro/streams/good_r12.py"),
-    "R13": (
-        "src/repro/distributed/bad_r13.py",
-        2,
-        "src/repro/distributed/good_r13.py",
-    ),
 }
 
 

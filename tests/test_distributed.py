@@ -238,14 +238,12 @@ class TestTraceContext:
         coordinator.receive_all(reports)  # context-carrying reports merge fine
 
     def test_legacy_report_shape_still_accepted(self):
-        """Pre-federation reports (no context, no telemetry) interoperate."""
+        """Reports built without a trace context interoperate."""
         schema = make_schema()
         site = SketchSite("a", schema, streams=["R"])
         site.observe("R", 5)
         report = site.close_round()[0]
         assert report.trace_context is None
-        assert report.telemetry is None
-        assert report.telemetry_size_in_bytes() == 0
         legacy = SketchReport(
             site=report.site,
             stream=report.stream,
@@ -255,4 +253,3 @@ class TestTraceContext:
         coordinator = SketchCoordinator(schema)
         summary = coordinator.receive_all([legacy])
         assert summary.reports_merged == 1
-        assert summary.telemetry_bytes == 0

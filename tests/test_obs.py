@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 import math
 import pathlib
+import os
 import re
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,28 @@ class TestHistogram:
             a.record(v)
             b.record(v)
         assert a.summary() == b.summary()
+
+    def test_reservoir_is_stable_across_hash_seeds(self):
+        """Exports from different processes get merged, so a reservoir
+        must not depend on the interpreter's string-hash seed."""
+        code = (
+            "import json, sys; sys.path.insert(0, {path!r}); "
+            "from obs.registry import Histogram; "
+            "h = Histogram('engine.answer.seconds'); "
+            "[h.record(float(i)) for i in range(10_000)]; "
+            "print(json.dumps(h.state()))"
+        ).format(path=str(pathlib.Path(repro.obs.__file__).parent.parent))
+        states = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                check=True,
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert states[0] == states[1]
 
     def test_percentile_validates_range(self):
         with pytest.raises(ValueError):
@@ -223,6 +247,65 @@ class TestTimer:
             with reg.timer("t.seconds"):
                 raise RuntimeError("boom")
         assert reg.snapshot()["histograms"]["t.seconds"]["count"] == 1
+
+
+class TestScope:
+    def test_recordings_carry_the_origin_prefix(self):
+        registry = MetricsRegistry(enabled=True)
+        with registry.scope("site.a"):
+            registry.count("updates", 2)
+            registry.gauge("level", 5)
+            registry.gauge_max("round", 3)
+            registry.observe("lat", 0.5)
+            with registry.timer("t"):
+                pass
+        registry.count("updates")
+        snap = registry.snapshot()
+        assert snap["counters"] == {"site.a.updates": 2.0, "updates": 1.0}
+        assert snap["gauges"] == {"site.a.level": 5.0, "site.a.round": 3.0}
+        assert set(snap["histograms"]) == {"site.a.lat", "site.a.t"}
+
+    def test_innermost_scope_wins_and_exit_restores(self):
+        registry = MetricsRegistry(enabled=True)
+        with registry.scope("outer"):
+            with registry.scope("inner"):
+                registry.count("x")
+            registry.count("x")
+        with pytest.raises(RuntimeError):
+            with registry.scope("boom"):
+                raise RuntimeError("x")
+        registry.count("x")
+        assert registry.snapshot()["counters"] == {
+            "inner.x": 1.0,
+            "outer.x": 1.0,
+            "x": 1.0,
+        }
+
+    def test_scope_belongs_to_one_registry(self):
+        scoped, other = MetricsRegistry(enabled=True), MetricsRegistry(enabled=True)
+        with scoped.scope("site.a"):
+            other.count("x")
+        assert other.snapshot()["counters"] == {"x": 1.0}
+
+    def test_scope_is_context_local(self):
+        registry = MetricsRegistry(enabled=True)
+        with registry.scope("site.a"):
+            worker = threading.Thread(target=registry.count, args=("x",))
+            worker.start()
+            worker.join()
+        assert registry.snapshot()["counters"] == {"x": 1.0}
+
+    def test_disabled_registry_records_nothing_in_scope(self):
+        registry = MetricsRegistry(enabled=False)
+        with registry.scope("site.a"):
+            registry.count("x")
+            registry.observe("h", 1.0)
+        assert list(registry.metric_names()) == []
+
+    def test_empty_origin_rejected(self):
+        with pytest.raises(ValueError):
+            with MetricsRegistry().scope(""):
+                pass
 
 
 class TestGlobalHelpers:

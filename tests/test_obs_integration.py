@@ -126,13 +126,19 @@ class TestDistributedMetrics:
             coordinator.est_join_size("f", "g")
         snap = reg.snapshot()
 
-        assert snap["counters"]["dist.rounds.closed"] == 3
-        assert snap["counters"]["dist.reports.sent"] == 6
+        # Site-side counters are recorded under each site's origin.
+        for name in ("nyc", "sfo", "lhr"):
+            assert snap["counters"][f"site.{name}.dist.rounds.closed"] == 1
+            assert snap["counters"][f"site.{name}.dist.reports.sent"] == 2
         assert snap["counters"]["dist.reports.received"] == 6
         reports, received = coordinator.communication_stats()
         assert reports == 6
         assert snap["counters"]["dist.bytes.received"] == received
-        assert snap["counters"]["dist.bytes.sent"] == received
+        sent = sum(
+            snap["counters"][f"site.{name}.dist.bytes.sent"]
+            for name in ("nyc", "sfo", "lhr")
+        )
+        assert sent == received
         assert snap["gauges"]["dist.round.max"] == 1
         # The global join query runs the skimmed estimator.
         assert snap["counters"]["estimate.joins"] >= 1

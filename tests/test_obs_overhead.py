@@ -191,25 +191,28 @@ def test_shm_worker_telemetry_rides_the_flush_ack(rng):
 
 
 def test_disabled_telemetry_site_close_round_stays_free(rng):
-    """A telemetry-enabled site with every singleton off must close
-    rounds at the plain site's speed: the federation hook is one
-    attribute-read guard, never a snapshot capture."""
+    """With every singleton off, a site's round close — both telemetry
+    scopes entered — must cost what building the same reports from bare
+    sketches does: attribution adds no per-round work."""
     from repro.core.estimator import SkimmedSketchSchema
-    from repro.distributed import SketchSite
+    from repro.distributed import SketchReport, SketchSite
 
     schema = SkimmedSketchSchema(128, 5, 1 << 10, seed=3)
     values = rng.integers(0, 1 << 10, size=10_000).astype(np.int64)
+    site = SketchSite("edge", schema, streams=["R"])
+    site.observe_bulk("R", values)
+    sketch = schema.create_sketch()
+    sketch.update_bulk(values)
 
-    def closed_round(telemetry: bool) -> float:
-        site = SketchSite("edge", schema, streams=["R"], telemetry=telemetry)
-        site.observe_bulk("R", values)
-        site.close_round()  # warm
-        return _best_of(REPEATS, lambda: site.close_round())
+    def bare_reports() -> list:
+        return [SketchReport.from_sketch("edge", "R", 1, sketch)]
 
-    plain = closed_round(False)
-    federated = closed_round(True)
-    assert federated <= plain * MAX_FACTOR + SLACK_SECONDS, (
-        f"telemetry-enabled close_round {federated * 1e3:.2f}ms vs plain "
-        f"{plain * 1e3:.2f}ms — the disabled federation hook must be a "
-        "single guarded branch"
+    bare_reports()  # warm
+    site.close_round()
+    bare = _best_of(REPEATS, bare_reports)
+    scoped = _best_of(REPEATS, site.close_round)
+    assert scoped <= bare * MAX_FACTOR + SLACK_SECONDS, (
+        f"scoped close_round {scoped * 1e3:.2f}ms vs bare reports "
+        f"{bare * 1e3:.2f}ms — entering the telemetry scopes must stay "
+        "per-round constant work"
     )

@@ -58,6 +58,21 @@ class TestSpanTracer:
         (span,) = tracer.find("skim")
         assert span.attributes == {"kind": "flat", "threshold": 12.5, "dense": 3}
 
+    def test_scope_stamps_origin_on_spans_and_instants(self):
+        tracer = SpanTracer(enabled=True)
+        with tracer.span("local"):
+            with tracer.scope("site.a"):
+                with tracer.span("round"):
+                    tracer.instant("mark")
+                with tracer.span("explicit", origin="other"):
+                    pass
+        spans = {s.name: s for s in tracer.spans()}
+        assert spans["round"].attributes == {"origin": "site.a"}
+        assert spans["mark"].attributes == {"origin": "site.a"}
+        assert spans["explicit"].attributes == {"origin": "other"}
+        assert spans["local"].attributes == {}
+        assert spans["round"].parent_id == spans["local"].span_id
+
     def test_max_spans_bounds_memory(self):
         tracer = SpanTracer(enabled=True, max_spans=2)
         for _ in range(5):
