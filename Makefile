@@ -2,13 +2,13 @@
 
 PYTHON ?= python
 
-.PHONY: install test e2e-test bench bench-smoke experiments examples metrics-smoke monitor-smoke parallel-smoke scaling-gate profile-smoke workloads-smoke federate-smoke lint check clean
+.PHONY: install test e2e-test bench bench-smoke experiments examples metrics-smoke monitor-smoke profile-smoke workloads-smoke federate-smoke lint check clean
 
 install:
 	$(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 # The end-to-end benchmark's own tests (benchmarks/e2e): they call the
 # public engine API the benchmark drives, so an API break fails here
@@ -17,7 +17,7 @@ e2e-test:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e -q
 
 # Static analysis: the domain-invariant linter (always; includes the
-# interprocedural R9/R10/R11 passes), a strict audit of every
+# interprocedural R9/R11 passes), a strict audit of every
 # `# repro: noqa[...]` suppression (each must carry a reason), plus mypy
 # strict on the kernel packages (when mypy is installed —
 # `pip install -e .[lint]`).  See docs/STATIC_ANALYSIS.md.
@@ -32,7 +32,7 @@ lint:
 	fi
 
 # Umbrella gate: everything CI runs.
-check: lint test e2e-test metrics-smoke monitor-smoke parallel-smoke scaling-gate profile-smoke workloads-smoke federate-smoke
+check: lint test e2e-test metrics-smoke monitor-smoke profile-smoke workloads-smoke federate-smoke
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -81,22 +81,6 @@ monitor-smoke:
 		--audits .monitor-smoke.audits.jsonl --min-audits 1
 	rm -f .monitor-smoke.metrics.json .monitor-smoke.audits.jsonl
 
-# Prove serial-vs-sharded exactness on a seeded stream through the
-# 4-worker shared-memory path (counters bit-identical, query answers
-# equal); exit 1 on any mismatch.  See docs/PERFORMANCE.md.
-parallel-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.parallel selfcheck --workers 4
-
-# "Parallel must win": sharded ingest at >1 worker must beat serial
-# updates/s above the documented batch-size threshold (see
-# docs/PERFORMANCE.md).  Gates the committed ingest.parallel records in
-# BENCH_pr15.json — deterministic, so it holds on any machine.  Run
-# `python -m repro.parallel scaling-gate` with no --bench-json to
-# measure and gate live on this machine instead.
-scaling-gate:
-	PYTHONPATH=src $(PYTHON) -m repro.parallel scaling-gate \
-		--bench-json benchmarks/results/BENCH_pr15.json
-
 # Continuous-profiling selfcheck: run a sampled+recorded workload, prove
 # span attribution, exporter round trips (collapsed/speedscope/JSONL),
 # the telemetry ring's byte bound + aging conservation, and the live
@@ -118,7 +102,7 @@ profile-smoke:
 		.profile-smoke.collapsed
 
 # Adversarial-workload accuracy gate: prove corpus determinism and
-# serial==sharded audit equality, then run the audited smoke corpus and
+# audit coverage, then run the audited smoke corpus and
 # gate realized error / CI coverage / residual verdicts / drift alerts
 # against the committed baseline.  Every number is seed-deterministic,
 # so the full tolerance gate holds across machines.  See

@@ -27,7 +27,6 @@ Package map (details in DESIGN.md):
 * :mod:`repro.hashing` — k-wise independent hash/sign families;
 * :mod:`repro.streams` — stream model, generators, query engine, multi-join;
 * :mod:`repro.baselines` — exact / sampling / bifocal / partitioned AGMS;
-* :mod:`repro.parallel` — sharded parallel ingestion with exact merge;
 * :mod:`repro.workloads` — adversarial workload corpus + accuracy gate;
 * :mod:`repro.eval` — the paper's evaluation methodology and experiments.
 """
@@ -61,7 +60,6 @@ from .sketches import (
     TopKSketch,
 )
 from .hashing import BulkHashCache
-from .parallel import ParallelStreamEngine, ShardedIngestor
 from .streams import (
     FrequencyVector,
     StreamEngine,
@@ -93,11 +91,9 @@ __all__ = [
     "HashSketchSchema",
     "IncompatibleSketchError",
     "JoinEstimateBreakdown",
-    "ParallelStreamEngine",
     "QueryError",
     "ReproError",
     "SerializationError",
-    "ShardedIngestor",
     "SketchParameters",
     "SkimResult",
     "SkimmedSketch",

@@ -18,12 +18,13 @@ dependency-free (stdlib ``ast``) rule engine, a CLI, and eleven rules:
 * **R8** — estimator entry points audited by the monitor plane;
 * **R9** — counter mutations flow through the sanctioned linear
   primitives (interprocedural, over the project call graph);
-* **R10** — worker-plane code never writes coordinator/module state
-  outside the flush/merge seam (interprocedural);
 * **R11** — numpy dtypes propagated through locals/calls/returns prove
-  the int64-values / float64-counters invariants (interprocedural).
+  the int64-values / float64-counters invariants (interprocedural);
+* **R12** — profiler and flight-recorder hooks guarded by their own
+  ``enabled`` flag.
 
-R9–R11 are *project-scoped*: they see every analysed file at once
+(R10 and R13 are retired with the code they policed.)  R9 and R11 are
+*project-scoped*: they see every analysed file at once
 through :mod:`repro.analysis.flow`'s call graph instead of one file at
 a time.
 
@@ -32,7 +33,7 @@ Run it::
     PYTHONPATH=src python -m repro.analysis src tests
     PYTHONPATH=src python -m repro.analysis --catalogue
     PYTHONPATH=src python -m repro.analysis --json src
-    PYTHONPATH=src python -m repro.analysis --select R9,R10,R11 src
+    PYTHONPATH=src python -m repro.analysis --select R9,R11 src
     PYTHONPATH=src python -m repro.analysis --sarif out.sarif src
     PYTHONPATH=src python -m repro.analysis --graph-out graph.json src
     PYTHONPATH=src python -m repro.analysis suppressions src --strict

@@ -1,13 +1,12 @@
 """repro.analysis.flow — whole-program dataflow infrastructure.
 
-Everything the interprocedural rules (R9 linearity-contract, R10
-concurrency-discipline, R11 kernel-dtype propagation) share:
+Everything the interprocedural rules (R9 linearity-contract, R11
+kernel-dtype propagation) share:
 
 * :mod:`.callgraph` — a project-wide call graph over ``src/repro``:
   module-level name resolution (imports, aliases, relative imports) plus
-  method dispatch via a class-hierarchy approximation, with reachability
-  and shortest-call-path queries so findings can name the offending call
-  path;
+  method dispatch via a class-hierarchy approximation, with a
+  shortest-call-path query so findings can name the offending call path;
 * :mod:`.project` — :class:`ProjectContext`, the multi-file analogue of
   :class:`~repro.analysis.context.FileContext` handed to project-scoped
   rules;

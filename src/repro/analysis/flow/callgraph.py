@@ -14,11 +14,10 @@ interprocedural rules rather than precision:
   known class method named ``m`` (classic CHA over-approximation).
 * **Callable references as call edges** — a known function passed as an
   argument (``executor.submit(shard.update_bulk, ...)``) is treated as
-  called: deferred execution must not hide a mutation from R9/R10.
+  called: deferred execution must not hide a mutation from R9.
 
-Queries: :meth:`CallGraph.reachable_from` (forward closure) and
-:meth:`CallGraph.call_path_to` (shortest caller chain, used by the rules
-to name the offending call path in finding messages).
+Query: :meth:`CallGraph.call_path_to` (shortest caller chain, used by the
+rules to name the offending call path in finding messages).
 """
 
 from __future__ import annotations
@@ -327,18 +326,6 @@ class CallGraph:
                 self.reverse.setdefault(callee, set()).add(fn.qualname)
 
     # -- queries ---------------------------------------------------------------
-
-    def reachable_from(self, roots: Iterable[str]) -> set[str]:
-        """Forward transitive closure over call edges, roots included."""
-        seen: set[str] = set()
-        queue = deque(q for q in roots if q in self.functions)
-        while queue:
-            current = queue.popleft()
-            if current in seen:
-                continue
-            seen.add(current)
-            queue.extend(self.edges.get(current, ()))
-        return seen
 
     def call_path_to(self, target: str, stop: frozenset[str] = frozenset()) -> list[str]:
         """Shortest caller chain ending at ``target`` (entry point first).

@@ -29,8 +29,8 @@ class Rule:
 
     ``scope`` selects the execution model: ``"file"`` rules see one
     :class:`FileContext` at a time via :meth:`check`; ``"project"`` rules
-    (the interprocedural passes R9–R11) see every file of the run at once
-    via :meth:`check_project` and may follow calls across modules.
+    (the interprocedural passes R9 and R11) see every file of the run at
+    once via :meth:`check_project` and may follow calls across modules.
     Suppressions work identically for both — a finding is matched against
     the ``# repro: noqa`` comments of the file it lands in.
     """

@@ -10,7 +10,6 @@ from . import (  # noqa: F401  (imported for their registration side effect)
     r5_errors,
     r6_rng,
     r9_linearity,
-    r10_concurrency,
     r11_dtypeflow,
 )
 
@@ -22,6 +21,5 @@ __all__ = [
     "r5_errors",
     "r6_rng",
     "r9_linearity",
-    "r10_concurrency",
     "r11_dtypeflow",
 ]

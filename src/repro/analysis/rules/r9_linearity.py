@@ -23,9 +23,6 @@ SANCTIONED = frozenset(
         "_apply_point_masses",
         "merge_sketch_state",
         "subtract_frequencies",
-        # Storage rebind for the shared-memory seam: moves the counters
-        # between buffers bit-for-bit, never changes their values.
-        "attach_counters",
     }
 )
 

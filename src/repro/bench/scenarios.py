@@ -180,66 +180,6 @@ def _run_update_dyadic(params: dict[str, Any]) -> tuple[float, dict[str, Any]]:
     }
 
 
-def _run_ingest_parallel(params: dict[str, Any]) -> tuple[float, dict[str, Any]]:
-    """Shared runner for the ingest.parallel worker-count series."""
-    import numpy as np
-
-    from ..parallel import ShardedIngestor
-    from ..sketches import HashSketchSchema
-
-    values = _update_stream(params)
-    batches = np.array_split(values, max(1, params["n"] // params["batch"]))
-    schema = HashSketchSchema(
-        params["width"], params["depth"], params["domain"], seed=params["seed"]
-    )
-    with ShardedIngestor(schema, workers=params["workers"]) as ingestor:
-        start = time.perf_counter()
-        for batch in batches:
-            ingestor.ingest(batch)
-        merged = ingestor.merged()
-        elapsed = time.perf_counter() - start
-        return elapsed, {
-            "updates": params["n"],
-            "sketch_bytes": merged.size_in_counters() * _BYTES_PER_COUNTER,
-        }
-
-
-def _ingest_parallel_suites(workers: int) -> dict[str, dict[str, Any]]:
-    """Suite params for one worker count of the ingest.parallel series."""
-    return {
-        "smoke": {
-            "n": 50_000,
-            "batch": 8_192,
-            "domain": 1 << 12,
-            "width": 256,
-            "depth": 7,
-            "seed": 7,
-            "workers": workers,
-        },
-        "full": {
-            "n": 500_000,
-            "batch": 8_192,
-            "domain": 1 << 16,
-            "width": 1024,
-            "depth": 9,
-            "seed": 7,
-            "workers": workers,
-        },
-    }
-
-
-for _workers in (1, 2, 4):
-    _register(
-        "ingest.parallel",
-        "ShardedIngestor batch ingest + exact merge at "
-        f"{_workers} worker(s): inline serial at 1, the shared-memory "
-        "plane above (records are keyed by the workers param; the "
-        "workers=1 record is the serial reference the scaling gate "
-        "compares against)",
-        _ingest_parallel_suites(_workers),
-    )(_run_ingest_parallel)
-
-
 @_register(
     "update.agms",
     "Basic AGMS update_bulk throughput at matched counter budget (the "

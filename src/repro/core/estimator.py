@@ -191,24 +191,16 @@ class SkimmedSketch(StreamSynopsis):
     def seed_words(self) -> int:
         return self._inner.seed_words()
 
-    # -- external counter storage (shared-memory seam) --------------------------
+    # -- read access for exactness checks ---------------------------------------
 
     def counters_view(self) -> list[np.ndarray]:
-        """Writable views of the wrapped sketch's counter blocks."""
+        """Read-only views of the wrapped sketch's counter blocks; see
+        :meth:`HashSketch.counters_view`."""
         return self._inner.counters_view()
-
-    def attach_counters(self, buffers: list[np.ndarray]) -> None:
-        """Re-home the wrapped sketch's counters; see
-        :meth:`HashSketch.attach_counters`."""
-        self._inner.attach_counters(buffers)
 
     def tracked_masses(self) -> list[float]:
         """Tracked ``sum |weight|`` per wrapped counter block."""
         return self._inner.tracked_masses()
-
-    def set_tracked_masses(self, masses: list[float]) -> None:
-        """Install tracked masses captured by :meth:`tracked_masses`."""
-        self._inner.set_tracked_masses(masses)
 
     # -- queries ------------------------------------------------------------------
 

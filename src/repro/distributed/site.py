@@ -13,11 +13,6 @@ messages when a reporting round closes.  Two reporting modes:
   deltas.  Smaller rounds, but a lost report loses data — the classic
   trade-off, both exact under linearity when delivery holds.
 
-A site can additionally shard its *local* ingestion across workers
-(``parallel_workers`` > 1): each stream's sketch is then wrapped in a
-:class:`~repro.parallel.ShardedIngestor` and merged exactly when a round
-closes.  Reports are bit-identical to serial ingestion either way.
-
 Telemetry is attributed where it is recorded: :meth:`SketchSite.observe`,
 :meth:`~SketchSite.observe_bulk` and :meth:`~SketchSite.close_round` run
 inside ``METRICS.scope(origin)`` and ``TRACER.scope(origin)`` with origin
@@ -34,7 +29,6 @@ from contextlib import nullcontext
 from ..core.estimator import SkimmedSketchSchema
 from ..errors import ParameterError, QueryError
 from ..obs import METRICS as _METRICS
-from ..parallel import ShardedIngestor
 from ..trace import TRACER as _TRACER
 from .protocol import SketchReport, TraceContext, site_origin
 
@@ -57,9 +51,6 @@ class SketchSite:
         Stream names this site observes.
     mode:
         ``"cumulative"`` or ``"delta"`` (see module docstring).
-    parallel_workers:
-        Shard the site's local ingestion across this many worker
-        processes (default 1 = plain serial sketches, no workers).
 
     The site's telemetry origin is ``origin`` (``site.<name>``).
     """
@@ -70,7 +61,6 @@ class SketchSite:
         schema: SkimmedSketchSchema,
         streams: list[str],
         mode: str = "cumulative",
-        parallel_workers: int = 1,
     ):
         if mode not in REPORT_MODES:
             raise ParameterError(f"mode must be one of {REPORT_MODES}, got {mode!r}")
@@ -78,22 +68,11 @@ class SketchSite:
             raise ParameterError("a site must observe at least one stream")
         if len(set(streams)) != len(streams):
             raise ParameterError(f"duplicate stream names in {streams}")
-        if parallel_workers < 1:
-            raise ParameterError(
-                f"parallel_workers must be >= 1, got {parallel_workers}"
-            )
         self.name = name
         self.origin = site_origin(name)
         self.schema = schema
         self.mode = mode
-        self.parallel_workers = parallel_workers
         self._sketches = {stream: schema.create_sketch() for stream in streams}
-        self._ingestors: dict[str, ShardedIngestor] | None = None
-        if parallel_workers > 1:
-            self._ingestors = {
-                stream: ShardedIngestor(schema, workers=parallel_workers)
-                for stream in streams
-            }
         self._round = 0
 
     @property
@@ -113,14 +92,6 @@ class SketchSite:
                 f"site {self.name!r} does not observe stream {stream!r}"
             )
         with _METRICS.scope(self.origin), _TRACER.scope(self.origin):
-            if self._ingestors is not None:
-                import numpy as np
-
-                self._ingestors[stream].ingest(
-                    np.asarray([value], dtype=np.int64),
-                    np.asarray([weight], dtype=np.float64),
-                )
-                return
             self._sketches[stream].update(value, weight)
 
     def observe_bulk(self, stream: str, values, weights=None) -> None:
@@ -130,9 +101,6 @@ class SketchSite:
                 f"site {self.name!r} does not observe stream {stream!r}"
             )
         with _METRICS.scope(self.origin), _TRACER.scope(self.origin):
-            if self._ingestors is not None:
-                self._ingestors[stream].ingest(values, weights)
-                return
             self._sketches[stream].update_bulk(values, weights)
 
     def close_round(
@@ -149,9 +117,6 @@ class SketchSite:
         """
         with _METRICS.scope(self.origin), _TRACER.scope(self.origin):
             self._round += 1
-            if self._ingestors is not None:
-                for stream, ingestor in self._ingestors.items():
-                    self._sketches[stream] = ingestor.merged()
             context_doc = trace_context.as_dict() if trace_context is not None else None
             with _TRACER.span(
                 "dist.round", site=self.name, round=self._round, mode=self.mode
@@ -170,9 +135,6 @@ class SketchSite:
                     self._sketches = {
                         stream: self.schema.create_sketch() for stream in self._sketches
                     }
-                    if self._ingestors is not None:
-                        for ingestor in self._ingestors.values():
-                            ingestor.reset()
                 if sp is not None:
                     sp.set(
                         reports=len(reports),
@@ -188,21 +150,8 @@ class SketchSite:
                 )
             return reports
 
-    def close(self) -> None:
-        """Stop parallel-ingest worker processes, if any (idempotent)."""
-        if self._ingestors is not None:
-            for ingestor in self._ingestors.values():
-                ingestor.close()
-
-    def __enter__(self) -> "SketchSite":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     def __repr__(self) -> str:
         return (
             f"SketchSite(name={self.name!r}, streams={self.streams}, "
-            f"mode={self.mode!r}, round={self._round}, "
-            f"parallel_workers={self.parallel_workers})"
+            f"mode={self.mode!r}, round={self._round})"
         )

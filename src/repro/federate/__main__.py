@@ -221,8 +221,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             summaries.append(coordinator.receive_all(batch))
         estimate = coordinator.est_join_size("R", "S")
     finally:
-        for site in sites:
-            site.close()
         obs.disable()
         trace.disable()
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..errors import IncompatibleSketchError, ParameterError
 from ..hashing import FourWiseSignFamily
-from .base import StreamSynopsis, finite_mass
+from .base import StreamSynopsis, finite_mass, require_integer_values
 
 if TYPE_CHECKING:  # type-only: repro.streams imports repro.sketches at runtime
     from ..streams.model import FrequencyVector
@@ -166,6 +166,7 @@ class AGMSSketch(StreamSynopsis):
 
     def update(self, value: int, weight: float = 1.0) -> None:
         """O(averaging * median): every atomic sketch is touched (paper §2.2)."""
+        require_integer_values(value)
         self._check_value(value)
         mass = finite_mass(abs(weight))
         signs = self._schema.signs.signs(value)[:, 0]
@@ -173,6 +174,7 @@ class AGMSSketch(StreamSynopsis):
         self._absolute_mass += mass
 
     def update_bulk(self, values: np.ndarray, weights: np.ndarray | None = None) -> None:
+        require_integer_values(values)
         values = np.asarray(values, dtype=np.int64)
         if values.size == 0:
             return
@@ -202,20 +204,20 @@ class AGMSSketch(StreamSynopsis):
         """Ingest a pre-coalesced batch: distinct ``values``, summed ``masses``.
 
         Mirrors :meth:`HashSketch.update_coalesced` for callers that
-        coalesce once and feed many sketches (the shared-memory shard
-        workers).  ``observed_mass`` defaults to ``sum(|masses|)``;
-        passing the original batch's ``sum(|weight|)`` keeps
-        :attr:`absolute_mass` identical to element-wise ingestion.
+        coalesce once and feed many sketches.  ``observed_mass`` defaults
+        to ``sum(|masses|)``; passing the original batch's
+        ``sum(|weight|)`` keeps :attr:`absolute_mass` identical to
+        element-wise ingestion, even for a batch that cancels to nothing.
         Records no metrics or spans — the caller owns instrumentation.
         """
+        require_integer_values(values)
         values = np.asarray(values, dtype=np.int64)
         masses = np.asarray(masses, dtype=np.float64)
         if masses.shape != values.shape:
             raise ParameterError("masses must have the same shape as values")
-        if values.size == 0:
-            return
-        self._check_value(int(values.min()))
-        self._check_value(int(values.max()))
+        if values.size:
+            self._check_value(int(values.min()))
+            self._check_value(int(values.max()))
         flat = self._atomic.reshape(-1)
         chunk = max(1, _BULK_CHUNK_ELEMENTS // self._schema.signs.count)
         for start in range(0, values.size, chunk):
@@ -305,44 +307,16 @@ class AGMSSketch(StreamSynopsis):
         result._absolute_mass = self._absolute_mass
         return result
 
-    # -- external counter storage (shared-memory seam) --------------------------
+    # -- read access for exactness checks ---------------------------------------
 
     def counters_view(self) -> list[np.ndarray]:
-        """Writable view of the raw atomic-sketch block (a single entry)."""
-        return [self._atomic]
-
-    def attach_counters(self, buffers: list[np.ndarray]) -> None:
-        """Re-home the atomic sketches into a caller-provided buffer.
-
-        See :meth:`HashSketch.attach_counters`: copies current state in
-        and rebinds, preserving the projection bit-for-bit.
-        """
-        if len(buffers) != 1:
-            raise ParameterError(
-                f"AGMSSketch.attach_counters takes exactly 1 buffer, "
-                f"got {len(buffers)}"
-            )
-        buffer = buffers[0]
-        if buffer.shape != self._atomic.shape or buffer.dtype != np.float64:
-            raise ParameterError(
-                f"attach_counters needs a float64 buffer of shape "
-                f"{self._atomic.shape}, got {buffer.dtype} {buffer.shape}"
-            )
-        buffer[...] = self._atomic
-        self._atomic = buffer
+        """Read-only view of the atomic-sketch block (a single entry); see
+        :meth:`HashSketch.counters_view`."""
+        return [self.atomic_sketches]
 
     def tracked_masses(self) -> list[float]:
         """Tracked ``sum |weight|`` per counter block (a single entry)."""
         return [self._absolute_mass]
-
-    def set_tracked_masses(self, masses: list[float]) -> None:
-        """Install the tracked mass captured by :meth:`tracked_masses`."""
-        if len(masses) != 1:
-            raise ParameterError(
-                f"AGMSSketch.set_tracked_masses takes exactly 1 mass, "
-                f"got {len(masses)}"
-            )
-        self._absolute_mass = float(masses[0])
 
     # -- internals ---------------------------------------------------------------
 

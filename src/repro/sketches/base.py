@@ -15,7 +15,7 @@ import math
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
-from ..errors import ParameterError
+from ..errors import DomainError, ParameterError
 
 if TYPE_CHECKING:  # type-only: repro.streams imports repro.sketches at runtime
     from ..streams.model import FrequencyVector, Update
@@ -32,6 +32,18 @@ def finite_mass(mass: float) -> float:
     if not math.isfinite(mass):
         raise ParameterError(f"weights must be finite, got sum(|w|) = {mass}")
     return mass
+
+
+def require_integer_values(values: object) -> None:
+    """Reject domain values (a scalar or a batch) without an integer dtype.
+
+    The ingest paths cast values to ``int64``, which would silently
+    truncate floats (1.5 -> 1) and read bools as 0/1.  An empty batch
+    passes whatever its dtype, since ``np.asarray([])`` is float64.
+    """
+    array = np.asarray(values)  # repro: noqa[R1] -- reads the caller's dtype before the int64 cast
+    if array.size and array.dtype.kind not in "iu":
+        raise DomainError(f"values must be integers, got dtype {array.dtype}")
 
 
 class StreamSynopsis(abc.ABC):

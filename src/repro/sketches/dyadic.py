@@ -30,7 +30,7 @@ from ..errors import IncompatibleSketchError, ParameterError
 from ..hashing.bulk import BulkHashCache
 from ..obs import METRICS as _METRICS
 from ..trace import TRACER as _TRACER
-from .base import StreamSynopsis, finite_mass
+from .base import StreamSynopsis, finite_mass, require_integer_values
 from .hash_sketch import HashSketch, HashSketchSchema
 
 if TYPE_CHECKING:  # type-only: repro.streams imports repro.sketches at runtime
@@ -167,6 +167,7 @@ class DyadicHashSketch(StreamSynopsis):
 
     def update(self, value: int, weight: float = 1.0) -> None:
         """O(depth * log|D|): one counter per table per level."""
+        require_integer_values(value)
         for level, sketch in enumerate(self._levels):
             sketch.update(value >> level, weight)
 
@@ -179,6 +180,7 @@ class DyadicHashSketch(StreamSynopsis):
         over at most ``min(k, domain >> level)`` distinct ids instead of
         re-hashing all ``n`` raw elements ``num_levels`` times.
         """
+        require_integer_values(values)
         values = np.asarray(values, dtype=np.int64)
         if values.size == 0:
             return
@@ -216,16 +218,14 @@ class DyadicHashSketch(StreamSynopsis):
         is ``sum(|weight|)`` over the original batch (default:
         ``sum(|masses|)``), keeping :attr:`absolute_mass` identical to
         element-wise ingestion when coalescing cancelled opposite-signed
-        weights.  Records no metrics or spans — the caller owns
-        instrumentation (the shared-memory shard workers use this to
-        apply a whole accumulated stream prefix at flush time).
+        weights, even down to an empty batch.  Records no metrics or
+        spans — the caller owns instrumentation.
         """
+        require_integer_values(values)
         values = np.asarray(values, dtype=np.int64)
         masses = np.asarray(masses, dtype=np.float64)
         if masses.shape != values.shape:
             raise ParameterError("masses must have the same shape as values")
-        if values.size == 0:
-            return
         cache = BulkHashCache(values, masses)
         observed = (
             cache.total_absolute_mass if observed_mass is None
@@ -354,45 +354,20 @@ class DyadicHashSketch(StreamSynopsis):
         result._levels = [s.copy() for s in self._levels]
         return result
 
-    # -- external counter storage (shared-memory seam) --------------------------
+    # -- read access for exactness checks ---------------------------------------
 
     def counters_view(self) -> list[np.ndarray]:
-        """Writable views of every level's counter block, level order."""
+        """Read-only views of every level's counter block, level order; see
+        :meth:`HashSketch.counters_view`."""
         return [
             block for sketch in self._levels for block in sketch.counters_view()
         ]
-
-    def attach_counters(self, buffers: list[np.ndarray]) -> None:
-        """Re-home every level's counters into caller-provided buffers.
-
-        ``buffers`` must match :meth:`counters_view` in count and shapes
-        (one block per level); see :meth:`HashSketch.attach_counters`.
-        """
-        if len(buffers) != len(self._levels):
-            raise ParameterError(
-                f"DyadicHashSketch.attach_counters takes "
-                f"{len(self._levels)} buffers (one per level), "
-                f"got {len(buffers)}"
-            )
-        for sketch, buffer in zip(self._levels, buffers):
-            sketch.attach_counters([buffer])
 
     def tracked_masses(self) -> list[float]:
         """Tracked ``sum |weight|`` per counter block (one per level)."""
         return [
             mass for sketch in self._levels for mass in sketch.tracked_masses()
         ]
-
-    def set_tracked_masses(self, masses: list[float]) -> None:
-        """Install per-level tracked masses from :meth:`tracked_masses`."""
-        if len(masses) != len(self._levels):
-            raise ParameterError(
-                f"DyadicHashSketch.set_tracked_masses takes "
-                f"{len(self._levels)} masses (one per level), "
-                f"got {len(masses)}"
-            )
-        for sketch, mass in zip(self._levels, masses):
-            sketch.set_tracked_masses([mass])
 
     def _check_compatible(self, other: "DyadicHashSketch") -> None:
         if not isinstance(other, DyadicHashSketch):

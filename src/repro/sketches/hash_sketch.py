@@ -40,7 +40,7 @@ from ..hashing import FourWiseSignFamily, PairwiseBucketHash
 from ..hashing.bulk import coalesce_updates
 from ..obs import METRICS as _METRICS
 from ..trace import TRACER as _TRACER
-from .base import StreamSynopsis, finite_mass
+from .base import StreamSynopsis, finite_mass, require_integer_values
 
 if TYPE_CHECKING:  # type-only: repro.streams imports repro.sketches at runtime
     from ..streams.model import FrequencyVector
@@ -234,6 +234,7 @@ class HashSketch(StreamSynopsis):
 
     def update(self, value: int, weight: float = 1.0) -> None:
         """O(depth): exactly one counter per table is touched (paper §4.1)."""
+        require_integer_values(value)
         self._check_value(value)
         mass = finite_mass(abs(weight))
         buckets = self._schema.buckets.buckets(value)[:, 0]
@@ -250,6 +251,7 @@ class HashSketch(StreamSynopsis):
             _TRACER.instant("sketch.update", tables=self._schema.depth)
 
     def update_bulk(self, values: np.ndarray, weights: np.ndarray | None = None) -> None:
+        require_integer_values(values)
         values = np.asarray(values, dtype=np.int64)
         if values.size == 0:
             return
@@ -396,76 +398,42 @@ class HashSketch(StreamSynopsis):
         """Ingest a pre-coalesced batch: distinct ``values``, summed ``masses``.
 
         Kernel entry point for callers that coalesce one batch and feed
-        many sketches (dyadic hierarchies, parallel shard workers) —
-        typically via :class:`repro.hashing.BulkHashCache`.
-        ``observed_mass`` is ``sum(|weight|)`` over the *original* batch
-        (default: ``sum(|masses|)``); passing it keeps
-        :attr:`absolute_mass` identical to element-wise ingestion even
-        when coalescing cancels opposite-signed weights.  Records no
-        metrics or spans — the caller owns instrumentation.
+        many sketches (dyadic hierarchies) — typically via
+        :class:`repro.hashing.BulkHashCache`.  ``observed_mass`` is
+        ``sum(|weight|)`` over the *original* batch (default:
+        ``sum(|masses|)``); passing it keeps :attr:`absolute_mass`
+        identical to element-wise ingestion even when coalescing cancels
+        opposite-signed weights — down to a batch that cancels to nothing.
+        Records no metrics or spans — the caller owns instrumentation.
         """
+        require_integer_values(values)
         values = np.asarray(values, dtype=np.int64)
         masses = np.asarray(masses, dtype=np.float64)
         if masses.shape != values.shape:
             raise ParameterError("masses must have the same shape as values")
-        if values.size == 0:
-            return
-        self._check_value(int(values.min()))
-        self._check_value(int(values.max()))
-        self._apply_point_masses(values, masses, coalesced=True)
+        if values.size:
+            self._check_value(int(values.min()))
+            self._check_value(int(values.max()))
+            self._apply_point_masses(values, masses, coalesced=True)
         self._absolute_mass += (
             float(np.abs(masses).sum()) if observed_mass is None
             else float(observed_mass)
         )
 
-    # -- external counter storage (shared-memory seam) --------------------------
+    # -- read access for exactness checks ---------------------------------------
 
     def counters_view(self) -> list[np.ndarray]:
-        """Writable views of the raw counter blocks backing this sketch.
+        """Read-only views of the counter blocks (a single entry).
 
-        The shared-memory ingest plane uses this to size segments and to
-        sum shard counters without copying.  Counter *mutations* must
-        still flow through the sanctioned linear primitives (rule R9);
-        this seam only exposes the storage.
+        With :meth:`tracked_masses`, this gives every sketch kind one
+        shape for bit-for-bit exactness checks: merged against serial
+        sketches, or a program against a replay.
         """
-        return [self._counters]
-
-    def attach_counters(self, buffers: list[np.ndarray]) -> None:
-        """Re-home the counters into caller-provided float64 buffers.
-
-        Copies the current counter state into ``buffers`` and rebinds the
-        sketch's storage to them, so the sketch can live inside e.g. a
-        ``multiprocessing.shared_memory`` segment.  Every update/merge
-        primitive mutates in place afterwards; the projection itself is
-        unchanged, so linearity and all estimates are preserved
-        bit-for-bit.
-        """
-        if len(buffers) != 1:
-            raise ParameterError(
-                f"HashSketch.attach_counters takes exactly 1 buffer, "
-                f"got {len(buffers)}"
-            )
-        buffer = buffers[0]
-        if buffer.shape != self._counters.shape or buffer.dtype != np.float64:
-            raise ParameterError(
-                f"attach_counters needs a float64 buffer of shape "
-                f"{self._counters.shape}, got {buffer.dtype} {buffer.shape}"
-            )
-        buffer[...] = self._counters
-        self._counters = buffer
+        return [self.counters]
 
     def tracked_masses(self) -> list[float]:
         """Tracked ``sum |weight|`` per counter block (a single entry)."""
         return [self._absolute_mass]
-
-    def set_tracked_masses(self, masses: list[float]) -> None:
-        """Install tracked masses captured by :meth:`tracked_masses`."""
-        if len(masses) != 1:
-            raise ParameterError(
-                f"HashSketch.set_tracked_masses takes exactly 1 mass, "
-                f"got {len(masses)}"
-            )
-        self._absolute_mass = float(masses[0])
 
     # -- internals -------------------------------------------------------------------
 

@@ -195,7 +195,7 @@ def sketch_spec(sketch: AnySketch) -> dict[str, Any]:
     """Schema-only construction recipe for a sketch: parameters, no counters.
 
     A spec is tiny and JSON-safe, which makes it the right thing to ship
-    to worker processes: the worker rebuilds an *empty* join-compatible
+    to another process: the receiver rebuilds an *empty* join-compatible
     sketch via :func:`sketch_from_spec` (seeded randomness makes the hash
     families identical) and accumulates locally — only counter state ever
     travels back.

@@ -29,6 +29,7 @@ from ..obs import METRICS as _METRICS
 from ..profile import PROFILER as _PROFILER, RECORDER as _RECORDER
 from ..trace import TRACER as _TRACER
 from ..sketches.agms import AGMSSchema, AGMSSketch
+from ..sketches.base import require_integer_values
 from ..sketches.hash_sketch import HashSketch, HashSketchSchema
 from ..streams.model import Update
 from .multijoin import MultiJoinSchema, RelationSketch, est_multi_join_count
@@ -177,6 +178,7 @@ class StreamEngine:
     def process(self, stream: str, value: int, weight: float = 1.0) -> None:
         """Feed one stream element through predicate filtering into the synopsis."""
         registered = self._lookup(stream)
+        require_integer_values(value)
         registered.elements_seen += 1
         if not registered.predicate.accepts(value):
             registered.elements_dropped += 1
@@ -189,7 +191,7 @@ class StreamEngine:
         with _TRACER.span(
             "engine.ingest", stream=stream, elements=1
         ) if _TRACER.enabled else nullcontext():
-            self._ingest_one(registered, value, weight)
+            registered.synopsis.update(value, weight)
         if _AUDIT.enabled and self._shadow is not None:
             self._shadow.observe(stream, value, weight)
         if _METRICS.enabled:
@@ -237,6 +239,7 @@ class StreamEngine:
     ) -> None:
         """Vectorised batch ingestion (predicate applied per element)."""
         registered = self._lookup(stream)
+        require_integer_values(values)
         values = np.asarray(values, dtype=np.int64)
         registered.elements_seen += int(values.size)
         keep = registered.predicate.accepts_bulk(values)
@@ -264,36 +267,13 @@ class StreamEngine:
             elements=int(values.size),
             kept=kept,
         ) if _TRACER.enabled else nullcontext():
-            self._ingest_bulk(registered, kept_values, kept_weights)
+            registered.synopsis.update_bulk(kept_values, kept_weights)
         if _AUDIT.enabled and self._shadow is not None:
             self._shadow.observe_bulk(
                 stream,
                 kept_values.tolist(),
                 None if kept_weights is None else kept_weights.tolist(),
             )
-
-    # -- ingestion hooks (override points for parallel engines) -----------------
-
-    def _ingest_one(
-        self, registered: _RegisteredStream, value: int, weight: float
-    ) -> None:
-        """Fold one filtered element into the stream's synopsis."""
-        registered.synopsis.update(value, weight)
-
-    def _ingest_bulk(
-        self,
-        registered: _RegisteredStream,
-        values: np.ndarray,
-        weights: np.ndarray | None,
-    ) -> None:
-        """Fold a filtered batch into the stream's synopsis.
-
-        :class:`~repro.parallel.ParallelStreamEngine` overrides this (and
-        :meth:`_ingest_one`) to route batches through sharded workers;
-        everything else — predicates, metrics, tracing, shadow audits,
-        query answering — is inherited unchanged.
-        """
-        registered.synopsis.update_bulk(values, weights)
 
     def stream_stats(self, stream: str) -> tuple[int, int]:
         """``(elements_seen, elements_dropped_by_predicate)`` for a stream."""

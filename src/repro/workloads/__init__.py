@@ -17,7 +17,7 @@ document per run::
 CI-coverage rate, residual-contract verdict rate, or drift-alert count
 regresses past tolerance — every number is seed-deterministic, so the
 gate holds across machines.  ``selfcheck`` proves corpus determinism and
-serial == sharded audit equality in-process.
+audit coverage in-process.
 
 Design contract (adapted from :mod:`repro.bench`): no module in this
 package imports numpy or the engines at module level — they load lazily

@@ -16,8 +16,8 @@ List the corpus families::
 
     python -m repro.workloads list
 
-Prove the corpus/harness invariants end-to-end (determinism, serial ==
-sharded answers, audit coverage)::
+Prove the corpus/harness invariants end-to-end (determinism, audit
+coverage)::
 
     python -m repro.workloads selfcheck
 """
@@ -85,13 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"hash-family seed (default: {DEFAULT_ENGINE_SEED})",
     )
     run.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="run through ParallelStreamEngine with this many shards "
-        "(default: serial StreamEngine)",
-    )
-    run.add_argument(
         "--json-out",
         metavar="PATH",
         help="write the ACCURACY document here; '<rev>' expands to the "
@@ -123,15 +116,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list corpus families and suites")
 
-    selfcheck = sub.add_parser(
+    sub.add_parser(
         "selfcheck",
-        help="prove corpus determinism and serial==sharded audit equality",
-    )
-    selfcheck.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="shard count for the parallel leg (default: 2)",
+        help="prove corpus determinism and audit coverage",
     )
     return parser
 
@@ -145,7 +132,7 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_selfcheck(workers: int) -> int:
+def _cmd_selfcheck() -> int:
     """Exercise the full corpus + harness contract; print PASS/FAIL lines."""
     failures = 0
 
@@ -171,29 +158,20 @@ def _cmd_selfcheck(workers: int) -> int:
             first.fingerprint() != other.fingerprint(),
         )
 
-    # One adversarial family through both engines: every query's
-    # estimate, exact, and realized error must agree bit-for-bit.
-    instance = build_workload("delete_churn", seed=0)
-    serial = run_workload(instance)
-    instance = build_workload("delete_churn", seed=0)
-    sharded = run_workload(instance, workers=workers)
-    check(
-        f"delete_churn: serial == sharded({workers}) audited record",
-        serial == sharded,
-    )
+    record = run_workload(build_workload("delete_churn", seed=0))
     check(
         "delete_churn: every query audited with exact ground truth",
-        all("exact" in q and "covered" in q for q in serial["queries"]),
-        f"{len(serial['queries'])} queries",
+        all("exact" in q and "covered" in q for q in record["queries"]),
+        f"{len(record['queries'])} queries",
     )
     check(
         "delete_churn: realized errors finite",
         all(
             q["realized_relative_error"] == q["realized_relative_error"]
             and q["realized_relative_error"] != float("inf")
-            for q in serial["queries"]
+            for q in record["queries"]
         ),
-        f"max={serial['max_realized_relative_error']:.4f}",
+        f"max={record['max_realized_relative_error']:.4f}",
     )
     if failures:
         print(f"selfcheck FAILED ({failures} checks)")
@@ -214,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_list()
 
     if args.command == "selfcheck":
-        return _cmd_selfcheck(args.workers)
+        return _cmd_selfcheck()
 
     if args.command == "run":
         try:
@@ -225,7 +203,6 @@ def main(argv: list[str] | None = None) -> int:
                 width=args.width,
                 depth=args.depth,
                 engine_seed=args.engine_seed,
-                workers=args.workers,
                 progress=progress,
             )
         except ValueError as exc:

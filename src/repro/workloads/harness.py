@@ -1,8 +1,7 @@
 """Accuracy-regression harness: run corpus workloads under full audit.
 
 For each :class:`~repro.workloads.corpus.WorkloadInstance` the harness
-builds a skimmed-sketch :class:`~repro.streams.engine.StreamEngine`
-(optionally the sharded :class:`~repro.parallel.ParallelStreamEngine`),
+builds a skimmed-sketch :class:`~repro.streams.engine.StreamEngine`,
 attaches the ``repro.monitor`` shadow-exact auditor at ``sample_rate =
 1.0`` (an exact mirror — every realized error is measured against the
 true post-predicate join size, not an estimate of it), replays the
@@ -46,15 +45,8 @@ def run_workload(
     width: int = DEFAULT_WIDTH,
     depth: int = DEFAULT_DEPTH,
     engine_seed: int = DEFAULT_ENGINE_SEED,
-    workers: int | None = None,
 ) -> dict[str, Any]:
-    """Run one workload fully audited; return its ACCURACY record.
-
-    ``workers=None`` uses the serial :class:`StreamEngine`; an integer
-    runs the same workload through :class:`ParallelStreamEngine` with
-    that many shards (answers are bit-identical by linearity — the
-    selfcheck CLI proves it).
-    """
+    """Run one workload fully audited; return its ACCURACY record."""
     # Imported lazily so ``python -m repro.workloads list`` works without
     # numpy (mirroring the repro.bench scenario contract).
     from ..core.config import SketchParameters
@@ -63,25 +55,12 @@ def run_workload(
     from ..streams.engine import StreamEngine
     from ..streams.query import JoinCountQuery, SelfJoinQuery
 
-    parameters = SketchParameters(width=width, depth=depth)
-    if workers is None:
-        engine: StreamEngine = StreamEngine(
-            instance.domain_size, parameters, synopsis="skimmed", seed=engine_seed
-        )
-        closer: Callable[[], None] = lambda: None
-    else:
-        from ..parallel import ParallelStreamEngine
-
-        parallel_engine = ParallelStreamEngine(
-            instance.domain_size,
-            parameters,
-            synopsis="skimmed",
-            seed=engine_seed,
-            workers=workers,
-        )
-        engine = parallel_engine
-        closer = parallel_engine.close
-
+    engine = StreamEngine(
+        instance.domain_size,
+        SketchParameters(width=width, depth=depth),
+        synopsis="skimmed",
+        seed=engine_seed,
+    )
     shadow = ShadowAuditor(sample_rate=1.0, seed=0)
     engine.attach_shadow(shadow)
     for name, predicate in instance.streams.items():
@@ -131,7 +110,6 @@ def run_workload(
         if not was_enabled:
             AUDIT.disable()
         AUDIT.reset()
-        closer()
 
     errors = [row["realized_relative_error"] for row in query_rows]
     return {
@@ -157,7 +135,6 @@ def run_suite(
     width: int = DEFAULT_WIDTH,
     depth: int = DEFAULT_DEPTH,
     engine_seed: int = DEFAULT_ENGINE_SEED,
-    workers: int | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> dict[str, Any]:
     """Run every corpus family in ``suite``; return an ACCURACY document."""
@@ -178,7 +155,6 @@ def run_suite(
                 width=width,
                 depth=depth,
                 engine_seed=engine_seed,
-                workers=workers,
             )
         )
     return validate_accuracy(
@@ -193,7 +169,6 @@ def run_suite(
                 "depth": depth,
                 "seed": engine_seed,
                 "delta": AUDIT.delta,
-                "workers": workers,
             },
             "records": records,
         }

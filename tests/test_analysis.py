@@ -31,7 +31,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "analysis_fixtures"
 RULE_IDS = [
     "R1",
-    "R10",
     "R11",
     "R12",
     "R2",
@@ -55,7 +54,6 @@ FIXTURE_MAP = {
     "R7": ("src/repro/streams/bad_r7.py", 2, "src/repro/streams/good_r7.py"),
     "R8": ("src/repro/streams/bad_r8.py", 2, "src/repro/streams/good_r8.py"),
     "R9": ("src/repro/sketches/bad_r9.py", 2, "src/repro/sketches/good_r9.py"),
-    "R10": ("src/repro/parallel/bad_r10.py", 3, "src/repro/parallel/good_r10.py"),
     "R11": ("src/repro/sketches/bad_r11.py", 3, "src/repro/sketches/good_r11.py"),
     "R12": ("src/repro/streams/bad_r12.py", 2, "src/repro/streams/good_r12.py"),
 }

@@ -1,11 +1,11 @@
 """Tests for ``repro.analysis.flow`` and the interprocedural passes.
 
 Covers: call-graph name resolution (imports, relative imports, package
-re-exports, CHA method dispatch), reachability and call-path queries,
-the dtype lattice (hypothesis-checked algebraic laws) and abstract
-interpreter, R9/R10/R11 finding messages naming the offending call
-path, SARIF 2.1.0 export, and the suppressions audit (including the
-tokenize-based docstring-example exclusion and ``--strict`` gating).
+re-exports, CHA method dispatch), call-path queries, the dtype lattice
+(hypothesis-checked algebraic laws) and abstract interpreter, R9/R11
+finding messages naming the offending call path, SARIF 2.1.0 export,
+and the suppressions audit (including the tokenize-based
+docstring-example exclusion and ``--strict`` gating).
 """
 
 from __future__ import annotations
@@ -179,12 +179,6 @@ class TestCallGraphResolution:
             ),
         )
         graph = project.graph
-        reach = graph.reachable_from(["repro.alpha.mod.entry"])
-        assert reach == {
-            "repro.alpha.mod.entry",
-            "repro.alpha.mod.middle",
-            "repro.alpha.mod.leaf",
-        }
         assert graph.call_path_to("repro.alpha.mod.leaf") == [
             "repro.alpha.mod.entry",
             "repro.alpha.mod.middle",
@@ -288,14 +282,6 @@ class TestInterproceduralRuleMessages:
             for m in messages
         )
 
-    def test_r10_names_the_strategy_seed(self):
-        report = analyze_paths([str(FIXTURES / "src/repro/parallel/bad_r10.py")])
-        messages = [f.message for f in report.findings if f.rule == "R10"]
-        assert any(
-            "_EagerStrategy.ingest -> repro.parallel.bad_r10._record" in m
-            for m in messages
-        )
-
     def test_r11_names_the_dtype_origin(self):
         report = analyze_paths([str(FIXTURES / "src/repro/sketches/bad_r11.py")])
         messages = [f.message for f in report.findings if f.rule == "R11"]
@@ -327,7 +313,7 @@ class TestSarifExport:
         assert "sarif-2.1.0" in sarif["$schema"]
         run = sarif["runs"][0]
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"R1", "R9", "R10", "R11"} <= rule_ids
+        assert {"R1", "R9", "R11"} <= rule_ids
         assert len(run["results"]) == len(report.findings) == 3
         for result in run["results"]:
             assert result["ruleId"] == "R1"
@@ -431,7 +417,7 @@ class TestInterproceduralRepoIsClean:
                 str(REPO_ROOT / "examples"),
                 str(REPO_ROOT / "benchmarks"),
             ],
-            select=["R9", "R10", "R11"],
+            select=["R9", "R11"],
         )
         assert report.findings == [], "\n".join(
             f.render() for f in report.findings

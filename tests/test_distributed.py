@@ -76,32 +76,6 @@ class TestSketchSite:
         latest = site.close_round()[0].open_sketch()
         assert latest.absolute_mass == 2.0
 
-    def test_parallel_ingest_reports_match_serial_site(self):
-        rng = np.random.default_rng(8)
-        values = rng.integers(0, DOMAIN, size=4000, dtype=np.int64)
-        serial = SketchSite("edge1", make_schema(), ["f"])
-        serial.observe_bulk("f", values)
-        with SketchSite(
-            "edge1", make_schema(), ["f"], parallel_workers=3
-        ) as sharded:
-            sharded.observe("f", int(values[0]))
-            sharded.observe_bulk("f", values[1:])
-            report = sharded.close_round()[0]
-        reference = serial.close_round()[0]
-        assert report.payload == reference.payload
-
-    def test_parallel_delta_mode_resets_ingestors(self):
-        with SketchSite(
-            "edge1", make_schema(), ["f"], mode="delta", parallel_workers=2
-        ) as site:
-            site.observe("f", 3, 5.0)
-            assert site.close_round()[0].open_sketch().absolute_mass == 5.0
-            assert site.close_round()[0].open_sketch().absolute_mass == 0.0
-
-    def test_parallel_parameters_validated(self):
-        with pytest.raises(ValueError):
-            SketchSite("s", make_schema(), ["f"], parallel_workers=0)
-
 
 class TestCoordinator:
     def test_merged_estimate_matches_centralised(self):

@@ -161,3 +161,94 @@ class TestNonFiniteWeights:
         assert after.keys() == before.keys()
         for key, value in before.items():
             assert np.array_equal(after[key], value), key
+
+
+class TestNonIntegerValues:
+    """Float and bool values are rejected before any counter moves.
+
+    The ingest paths cast values to int64: unchecked, 1.5 and 2.7 would
+    be ingested as 1 and 2, and True/False as 1/0.
+    """
+
+    SCHEMAS = TestNonFiniteWeights.SCHEMAS
+    BAD = {
+        "float": (3.9, np.asarray([1.5, 2.7])),
+        "bool": (True, np.asarray([True, False, True])),
+    }
+
+    @staticmethod
+    def _assert_unchanged(sketch, before, mass):
+        from repro.sketches.serialize import sketch_state
+
+        after = sketch_state(sketch)
+        assert sketch.absolute_mass == mass
+        assert after.keys() == before.keys()
+        for key, value in before.items():
+            assert np.array_equal(after[key], value), key
+
+    @pytest.mark.parametrize("path", ["update", "update_bulk"])
+    @pytest.mark.parametrize("dtype", sorted(BAD))
+    @pytest.mark.parametrize("kind", sorted(SCHEMAS))
+    def test_rejected_and_nothing_changes(self, kind, dtype, path):
+        from repro.errors import DomainError
+        from repro.sketches.serialize import sketch_state
+
+        sketch = self.SCHEMAS[kind]().create_sketch()
+        sketch.update_bulk(np.arange(0, 256, 3, dtype=np.int64))
+        before, mass = sketch_state(sketch), sketch.absolute_mass
+        scalar, batch = self.BAD[dtype]
+        with pytest.raises(DomainError):
+            if path == "update":
+                sketch.update(scalar)
+            else:
+                sketch.update_bulk(batch)
+        self._assert_unchanged(sketch, before, mass)
+
+    @pytest.mark.parametrize("path", ["process", "process_bulk"])
+    @pytest.mark.parametrize("dtype", sorted(BAD))
+    def test_engine_rejects_and_nothing_changes(self, dtype, path):
+        from repro.core.config import SketchParameters
+        from repro.errors import DomainError
+        from repro.sketches.serialize import sketch_state
+        from repro.streams.engine import StreamEngine
+
+        engine = StreamEngine(256, SketchParameters(width=64, depth=5), seed=1)
+        engine.register_stream("f")
+        engine.process_bulk("f", np.arange(0, 256, 3, dtype=np.int64))
+        sketch = engine.synopsis_for("f")
+        before, mass = sketch_state(sketch), sketch.absolute_mass
+        stats = engine.stream_stats("f")
+        scalar, batch = self.BAD[dtype]
+        with pytest.raises(DomainError):
+            if path == "process":
+                engine.process("f", scalar)
+            else:
+                engine.process_bulk("f", batch)
+        self._assert_unchanged(sketch, before, mass)
+        assert engine.stream_stats("f") == stats
+
+    @pytest.mark.parametrize("kind", sorted(SCHEMAS))
+    def test_empty_batch_of_any_dtype_is_a_no_op(self, kind):
+        sketch = self.SCHEMAS[kind]().create_sketch()
+        sketch.update_bulk(np.asarray([]))
+        sketch.update_bulk(np.asarray([], dtype=np.bool_))
+        assert sketch.absolute_mass == 0.0
+
+
+class TestCancelledCoalescedBatch:
+    """``update_coalesced`` keeps the observed mass of a batch that
+    coalesced to nothing, as element-wise ingestion of it would."""
+
+    @pytest.mark.parametrize("kind", sorted(TestNonFiniteWeights.SCHEMAS))
+    def test_observed_mass_survives_full_cancellation(self, kind):
+        schema = TestNonFiniteWeights.SCHEMAS[kind]()
+        coalesced, elementwise = schema.create_sketch(), schema.create_sketch()
+        for value, weight in [(3, 1.0), (3, -1.0), (5, 1.0), (5, -1.0)]:
+            elementwise.update(value, weight)
+        coalesced.update_coalesced([], [], observed_mass=4.0)
+        assert elementwise.absolute_mass == 4.0
+        assert coalesced.tracked_masses() == elementwise.tracked_masses()
+        for ours, theirs in zip(
+            coalesced.counters_view(), elementwise.counters_view()
+        ):
+            assert np.array_equal(ours, theirs)

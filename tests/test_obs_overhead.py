@@ -169,27 +169,6 @@ def test_enabled_update_bulk_overhead_is_batch_level(rng):
     )
 
 
-def test_shm_worker_telemetry_rides_the_flush_ack(rng):
-    """``drain_worker_telemetry`` must report worker vitals from the
-    shared-memory workers even though no counter state crosses the
-    queues: the stats ride the flush barrier's ack tuple alongside the
-    tracked masses."""
-    from repro.parallel import ShardedIngestor
-
-    schema = HashSketchSchema(width=128, depth=5, domain_size=1 << 10, seed=1)
-    n = 4_000
-    values = rng.integers(0, 1 << 10, size=n).astype(np.int64)
-    with ShardedIngestor(schema, workers=2) as ingestor:
-        for chunk in np.array_split(values, 4):
-            ingestor.ingest(chunk)
-        ingestor.merged()  # the flush that carries the stats
-        telemetry = dict(ingestor.drain_worker_telemetry())
-        assert ingestor.drain_worker_telemetry() == []  # drained
-    assert set(telemetry) == {0, 1}
-    assert sum(stats["worker.elements"] for stats in telemetry.values()) == float(n)
-    assert all(stats["worker.batches"] >= 1.0 for stats in telemetry.values())
-
-
 def test_disabled_telemetry_site_close_round_stays_free(rng):
     """With every singleton off, a site's round close — both telemetry
     scopes entered — must cost what building the same reports from bare

@@ -324,13 +324,6 @@ class TestHarness:
         again = run_workload(small_workload("delete_churn"), width=64, depth=5)
         assert first == again
 
-    def test_serial_and_sharded_records_match(self):
-        serial = run_workload(small_workload("skew_drift"), width=64, depth=5)
-        sharded = run_workload(
-            small_workload("skew_drift"), width=64, depth=5, workers=2
-        )
-        assert serial == sharded
-
     def test_zero_exact_join_raises(self):
         instance = WorkloadInstance(
             name="disjoint",
