@@ -6,24 +6,22 @@ Section 4.3), sign families must be four-wise independent, per-element
 update cost must stay ``O(depth)`` — which in this repo means vectorised
 numpy kernels with explicit dtypes, never Python-level per-element
 loops.  This package makes those conventions machine-checked: a
-dependency-free (stdlib ``ast``) rule engine, a CLI, and eleven rules:
+dependency-free (stdlib ``ast``) rule engine, a CLI, and eight rules:
 
 * **R1** — explicit ``dtype`` in kernel array construction;
 * **R2** — no per-element Python loops in kernel hot paths;
-* **R3** — ``_METRICS`` recording guarded by the ``enabled`` flag;
+* **R3** — ``_METRICS``/``_TRACER``/``_AUDIT`` recording guarded by
+  that singleton's own ``enabled`` flag;
 * **R4** — sketch randomness constructed via ``*Schema`` objects only;
 * **R5** — library errors derive from ``repro.errors``;
 * **R6** — RNGs constructed with explicit seeds;
-* **R7** — ``_TRACER`` span recording guarded by the ``enabled`` flag;
-* **R8** — estimator entry points audited by the monitor plane;
 * **R9** — counter mutations flow through the sanctioned linear
   primitives (interprocedural, over the project call graph);
 * **R11** — numpy dtypes propagated through locals/calls/returns prove
-  the int64-values / float64-counters invariants (interprocedural);
-* **R12** — profiler and flight-recorder hooks guarded by their own
-  ``enabled`` flag.
+  the int64-values / float64-counters invariants (interprocedural).
 
-(R10 and R13 are retired with the code they policed.)  R9 and R11 are
+(R7 and R8 are folded into R3; R10, R12 and R13 are retired with the
+code they policed.)  R9 and R11 are
 *project-scoped*: they see every analysed file at once
 through :mod:`repro.analysis.flow`'s call graph instead of one file at
 a time.

@@ -69,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--timeseries-out",
         metavar="PATH",
         help="run the suite under the repro.profile flight recorder "
-        "and write the telemetry frames here as JSONL",
+        "(and repro.obs metrics, which its frames read) and write the "
+        "telemetry frames here as JSONL",
     )
 
     compare = sub.add_parser(
@@ -120,6 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         profiling = bool(args.profile_out or args.timeseries_out)
         if profiling:
+            from ..obs import METRICS
             from ..profile import (
                 PROFILER,
                 RECORDER,
@@ -131,6 +133,9 @@ def main(argv: list[str] | None = None) -> int:
                 PROFILER.reset()
                 PROFILER.start()
             if args.timeseries_out:
+                # The recorder's frames are METRICS counter deltas.
+                METRICS.reset()
+                METRICS.enable()
                 RECORDER.reset()
                 RECORDER.start()
         try:
@@ -143,6 +148,8 @@ def main(argv: list[str] | None = None) -> int:
             if profiling:
                 PROFILER.stop()
                 RECORDER.stop()
+                if args.timeseries_out:
+                    METRICS.disable()
         if profiling:
             try:
                 if args.profile_out:

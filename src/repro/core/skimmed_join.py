@@ -36,7 +36,6 @@ from ..errors import IncompatibleSketchError, ParameterError
 from ..monitor import AUDIT as _AUDIT
 from ..monitor.audit import QueryAudit, confidence_halfwidth
 from ..obs import METRICS as _METRICS
-from ..profile import PROFILER as _PROFILER, RECORDER as _RECORDER
 from ..trace import TRACER as _TRACER
 from ..sketches.dyadic import DyadicHashSketch
 from ..sketches.hash_sketch import HashSketch
@@ -183,8 +182,6 @@ def est_skim_join_size_from_parts(
     # skimmed sketches.
     sj_f_dense = float(np.dot(f_skim.dense_frequencies, f_skim.dense_frequencies))
     sj_g_dense = float(np.dot(g_skim.dense_frequencies, g_skim.dense_frequencies))
-    if _PROFILER.enabled:
-        _PROFILER.mark("estimate.join")
     sj_f_res = max(f_skimmed.est_self_join_size(), 0.0)
     sj_g_res = max(g_skimmed.est_self_join_size(), 0.0)
     width = f_skimmed.width
@@ -207,8 +204,6 @@ def est_skim_join_size_from_parts(
         sparse_sparse = f_skimmed.est_join_size(g_skimmed)
     if _METRICS.enabled:
         _METRICS.count("estimate.joins")
-    if _RECORDER.enabled:
-        _RECORDER.pulse("estimate.joins")
     breakdown = JoinEstimateBreakdown(
         dense_dense=dense_dense,
         dense_sparse=dense_sparse,

@@ -24,7 +24,6 @@ from ..errors import IncompatibleSketchError, QueryError
 from ..federate import export_telemetry
 from ..monitor import AUDIT as _AUDIT
 from ..obs import METRICS as _METRICS
-from ..profile import PROFILER as _PROFILER, RECORDER as _RECORDER
 from ..trace import TRACER as _TRACER
 from .protocol import (
     ProtocolError,
@@ -120,10 +119,6 @@ class SketchCoordinator:
         size = report.size_in_bytes()
         self._bytes_received += size
         self._reports_merged += 1
-        if _PROFILER.enabled:
-            _PROFILER.mark("dist.receive")
-        if _RECORDER.enabled:
-            _RECORDER.pulse("ship.bytes", size)
         if span is not None:
             span.set(bytes=size)
         if _METRICS.enabled:

@@ -26,8 +26,10 @@ with ``python -m repro.trace convert``); ``--audit-out PATH`` enables the
 :mod:`repro.profile` sampling profiler for the run and writes the stack
 samples as JSONL (inspect with ``python -m repro.profile top``);
 ``--timeseries-out PATH`` starts the flight recorder and writes the
-telemetry frames as JSONL — both are served by ``python -m repro.monitor
-serve --profile ... --timeseries ...`` and its ``/dashboard`` page.  The
+telemetry frames as JSONL; frames hold what :mod:`repro.obs` records, so
+it turns the metrics registry on for the run too.  Both are served by
+``python -m repro.monitor serve --profile ... --timeseries ...`` and its
+``/dashboard`` page.  The
 ``smoke`` experiment additionally runs a shadow-audited engine workload
 while audits are on, so the JSONL contains realized-error verdicts too.
 See docs/OBSERVABILITY.md and DESIGN.md for the catalogue and experiment
@@ -267,8 +269,9 @@ def main(argv: list[str] | None = None) -> int:
         "--timeseries-out",
         metavar="PATH",
         default=None,
-        help="start the repro.profile flight recorder and write the "
-        "telemetry frames to PATH as JSONL",
+        help="start the repro.profile flight recorder (and repro.obs "
+        "metrics, which its frames read) and write the telemetry frames "
+        "to PATH as JSONL",
     )
     args = parser.parse_args(argv)
 
@@ -297,7 +300,9 @@ def main(argv: list[str] | None = None) -> int:
                     pass
             except OSError as exc:
                 parser.error(f"cannot write {flag} path: {exc}")
-    if args.metrics_out:
+    # The recorder's frames are METRICS counter deltas.
+    record_metrics = bool(args.metrics_out or args.timeseries_out)
+    if record_metrics:
         METRICS.reset()
         METRICS.enable()
     if args.trace_out:
@@ -349,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"{args.timeseries_out}]"
             )
     finally:
-        if args.metrics_out:
+        if record_metrics:
             METRICS.disable()
         if args.trace_out:
             TRACER.disable()

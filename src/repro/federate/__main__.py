@@ -186,7 +186,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     import numpy as np
 
-    from .. import obs, trace
     from ..core.estimator import SkimmedSketchSchema
     from ..distributed import SketchCoordinator, SketchSite
     from ..obs import METRICS, write_snapshot
@@ -201,10 +200,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         SketchSite(f"edge-{i}", schema, streams=["R", "S"])
         for i in range(args.sites)
     ]
-    obs.enable()
-    trace.enable()
     METRICS.reset()
+    METRICS.enable()
     TRACER.reset()
+    TRACER.enable()
     try:
         summaries = []
         for round_index in range(args.rounds):
@@ -221,8 +220,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             summaries.append(coordinator.receive_all(batch))
         estimate = coordinator.est_join_size("R", "S")
     finally:
-        obs.disable()
-        trace.disable()
+        METRICS.disable()
+        TRACER.disable()
 
     metrics_path = os.path.join(args.out_dir, "metrics.json")
     write_snapshot(metrics_path, METRICS.snapshot())

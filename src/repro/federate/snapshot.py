@@ -23,22 +23,20 @@ Wire schema (version 1)::
       "histograms": {name: {"count", "sum", "min", "max", "samples"}},
       "spans": [span records],           # bounded batch, most recent last
       "spans_dropped": 0,
-      "pulses": {name: total},           # flight-recorder pulses
     }
 
 An export holds **cumulative totals** since the scope was first used.
-Merging sums counters and pulses, so merge exports of *distinct* origins
-(a fleet view); two exports of the same origin would count it twice.
-Gauges carry write timestamps so last-write-wins stays well-defined
-across processes; histograms carry exact count/sum plus a bounded,
-evenly strided reservoir excerpt (the one approximate section — it
-affects quantile estimates, never counts or sums).  Exports leave
-``pulses`` empty: flight-recorder pulses, like audits, stay
-process-wide.
+Merging sums counters, so merge exports of *distinct* origins (a fleet
+view); two exports of the same origin would count it twice.  Gauges
+carry write timestamps so last-write-wins stays well-defined across
+processes; histograms carry exact count/sum plus a bounded, evenly
+strided reservoir excerpt (the one approximate section — it affects
+quantile estimates, never counts or sums).  Readers ignore extra
+top-level keys, so envelopes from older writers still validate.
 
 :func:`merge_telemetry` is pure snapshot x snapshot -> snapshot (what
 ``python -m repro.federate merge`` uses); it is commutative, and
-associative on counters and pulses.
+associative on counters.
 
 Imports are stdlib-only, the same contract as every other
 observability package.
@@ -78,7 +76,6 @@ def empty_telemetry(origin: str, seq: int = 0) -> dict[str, Any]:
         "histograms": {},
         "spans": [],
         "spans_dropped": 0,
-        "pulses": {},
     }
 
 
@@ -108,15 +105,14 @@ def validate_telemetry(snapshot: Any) -> dict[str, Any]:
     seq = snapshot.get("seq")
     if not isinstance(seq, int) or seq < 0:
         raise ValueError(f"'seq' must be a non-negative int, got {seq!r}")
-    for section in ("counters", "pulses"):
-        values = snapshot.get(section)
-        if not isinstance(values, dict):
-            raise ValueError(f"section {section!r} missing or not a dict")
-        for name, value in values.items():
-            if not isinstance(name, str) or not name:
-                raise ValueError(f"bad metric name {name!r} in {section}")
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{section}[{name!r}] is not numeric: {value!r}")
+    counters = snapshot.get("counters")
+    if not isinstance(counters, dict):
+        raise ValueError("section 'counters' missing or not a dict")
+    for name, value in counters.items():
+        if not isinstance(name, str) or not name:
+            raise ValueError(f"bad metric name {name!r} in counters")
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValueError(f"counters[{name!r}] is not numeric: {value!r}")
     gauges = snapshot.get("gauges")
     if not isinstance(gauges, dict):
         raise ValueError("section 'gauges' missing or not a dict")
@@ -293,7 +289,7 @@ def merge_telemetry(
 ) -> dict[str, Any]:
     """Merge two validated snapshots into one (pure; inputs untouched).
 
-    Counters and pulses **sum** — commutative and associative, so
+    Counters **sum** — commutative and associative, so
     exports of distinct origins fold in any order (``python -m
     repro.federate selfcheck`` proves it, the hypothesis suite fuzzes
     it).  Gauges take the last write by timestamp;
@@ -320,7 +316,6 @@ def merge_telemetry(
         ),
         "spans": _merge_spans(a, b),
         "spans_dropped": a["spans_dropped"] + b["spans_dropped"],
-        "pulses": _merge_numeric(a["pulses"], b["pulses"]),
     }
 
 
@@ -337,14 +332,13 @@ def merge_all_telemetry(snapshots: Iterable[Mapping[str, Any]]) -> dict[str, Any
 
 def telemetry_to_metrics(snapshot: Mapping[str, Any]) -> dict[str, Any]:
     """Project a telemetry snapshot onto the version-1 metrics-snapshot
-    shape (counters include pulses; histogram states become summaries).
+    shape (histogram states become summaries).
 
     This is what the federated ``/metrics`` exposition renders per
     origin, so a telemetry file is scrapeable exactly like a
     ``--metrics-out`` file.
     """
     snapshot = validate_telemetry(dict(snapshot))
-    counters = _merge_numeric(snapshot["counters"], snapshot["pulses"])
     histograms: dict[str, dict[str, float]] = {}
     for name, state in snapshot["histograms"].items():
         count = state["count"]
@@ -370,7 +364,7 @@ def telemetry_to_metrics(snapshot: Mapping[str, Any]) -> dict[str, Any]:
         }
     return {
         "version": 1,
-        "counters": {n: float(v) for n, v in counters.items()},
+        "counters": {n: float(v) for n, v in snapshot["counters"].items()},
         "gauges": {n: float(pair[0]) for n, pair in snapshot["gauges"].items()},
         "histograms": histograms,
     }

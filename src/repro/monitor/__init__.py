@@ -17,7 +17,7 @@ that guarantee *observable* at runtime:
 Like ``repro.obs`` and ``repro.trace``, auditing is **off by default**:
 :data:`AUDIT` starts disabled and every instrumentation hook in the
 estimator / engine / coordinator sits behind one ``if _AUDIT.enabled:``
-branch (enforced repo-wide by linter rule R8).  The package imports only
+branch (enforced repo-wide by linter rule R3).  The package imports only
 the standard library.
 """
 

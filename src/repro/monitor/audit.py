@@ -16,7 +16,7 @@ guarantee observable per query:
 * :class:`AuditLog` — the process-wide sink (``repro.monitor.AUDIT``):
   a bounded in-memory ring plus an optional streaming JSONL sink, **off
   by default** behind a single ``enabled`` attribute exactly like
-  ``repro.obs.METRICS`` and ``repro.trace.TRACER`` (the R8 linter rule
+  ``repro.obs.METRICS`` and ``repro.trace.TRACER`` (the R3 linter rule
   keeps every hook lexically guarded).
 
 Like its sibling observability packages, this module imports **only the
@@ -246,7 +246,7 @@ class AuditLog:
 
     The process-wide instance is ``repro.monitor.AUDIT``; instrumentation
     hooks in the estimator / engine / coordinator guard every recording
-    call with a plain ``if _AUDIT.enabled:`` branch (linter rule R8), so
+    call with a plain ``if _AUDIT.enabled:`` branch (linter rule R3), so
     disabled auditing costs one attribute read per *query* — audits
     never touch the per-element path.
 

@@ -189,9 +189,8 @@ def _frame_value(
     """First matching series value in a telemetry frame, or ``None``.
 
     Counter keys win over gauge keys; ``as_rate`` divides the counter
-    delta by the window length.  Keys are alternatives (live-pulse vs
-    full-metrics names for the same quantity), not additive — summing
-    them would double-count when both channels are on.
+    delta by the window length.  Keys are alternatives, tried in order,
+    not additive.
     """
     counts = frame.get("counts", {})
     for key in counts_keys:
@@ -212,7 +211,7 @@ _SERIES: list[tuple[str, str, tuple[str, ...], tuple[str, ...], bool]] = [
     (
         "Ingest throughput",
         " el/s",
-        ("engine.elements.seen", "ingest.elements"),
+        ("engine.elements.seen",),
         (),
         True,
     ),
@@ -220,14 +219,14 @@ _SERIES: list[tuple[str, str, tuple[str, ...], tuple[str, ...], bool]] = [
         "Realized estimate error",
         "",
         (),
-        ("monitor.audit.realized_error", "audit.realized_error"),
+        ("monitor.audit.realized_error",),
         False,
     ),
     (
         "Audit CI coverage",
         "",
         (),
-        ("audit.coverage", "monitor.audit.ci_coverage", "monitor.shadow.coverage"),
+        ("audit.coverage", "monitor.shadow.coverage"),
         False,
     ),
 ]

@@ -51,31 +51,6 @@ from .registry import Counter, Gauge, Histogram, MetricsRegistry, Timer
 METRICS = MetricsRegistry(enabled=False)
 
 
-def enable() -> None:
-    """Turn on recording into the global registry."""
-    METRICS.enable()
-
-
-def disable() -> None:
-    """Turn off recording into the global registry (values are kept)."""
-    METRICS.disable()
-
-
-def is_enabled() -> bool:
-    """Whether the global registry is currently recording."""
-    return METRICS.enabled
-
-
-def snapshot() -> dict:
-    """JSON-ready dump of the global registry."""
-    return METRICS.snapshot()
-
-
-def reset() -> None:
-    """Clear all metrics in the global registry."""
-    METRICS.reset()
-
-
 @contextmanager
 def capturing(fresh: bool = True) -> Iterator[MetricsRegistry]:
     """Enable the global registry within a ``with`` block.
@@ -103,13 +78,8 @@ __all__ = [
     "SNAPSHOT_VERSION",
     "Timer",
     "capturing",
-    "disable",
     "diff_snapshots",
-    "enable",
-    "is_enabled",
     "render_diff",
-    "reset",
-    "snapshot",
     "snapshot_from_json",
     "snapshot_to_json",
     "snapshot_to_prometheus",

@@ -5,20 +5,22 @@ off-by-default contract:
 
 * :data:`PROFILER` (:class:`SamplingProfiler`) — a daemon thread walking
   ``sys._current_frames()`` at a configurable Hz into a bounded sample
-  ring, stamping each sample with the innermost active ``repro.trace``
-  span and the hot paths' coarse activity marker.  Exporters:
-  collapsed stacks (flamegraph input), speedscope JSON, samples JSONL,
-  and a ``top``-style aggregate report.
+  ring, stamping each thread's sample with the innermost ``repro.trace``
+  span that thread holds open.  Exporters: collapsed stacks (flamegraph
+  input), speedscope JSON, samples JSONL, and a ``top``-style aggregate
+  report.
 * :data:`RECORDER` (:class:`FlightRecorder`) — periodic windows diffing
-  ``repro.obs`` counter totals (plus hot-path pulses and the audit
-  ring's coverage/alert state) into a :class:`TelemetryRing` with
-  Hokusai-style aging: old windows merge to coarser resolution so the
-  ring holds hours of telemetry in a configured byte budget.
+  ``repro.obs`` counter totals (plus the audit ring's coverage/alert
+  state) into a :class:`TelemetryRing` with Hokusai-style aging: old
+  windows merge to coarser resolution so the ring holds hours of
+  telemetry in a configured byte budget.
 
 Typical use::
 
+    from repro.obs import METRICS
     from repro.profile import PROFILER, RECORDER
 
+    METRICS.enable()                 # frames hold what METRICS records
     PROFILER.start(hz=97)
     RECORDER.start(interval=1.0)
     ...                              # run the workload
@@ -31,10 +33,10 @@ run.prof.jsonl --timeseries-out run.ts.jsonl``, then ``python -m
 repro.profile top run.prof.jsonl`` / ``python -m repro.monitor serve
 --profile run.prof.jsonl`` (the ``/dashboard`` page renders both).
 
-Both instruments cost the hot paths one guarded attribute read while
-disabled (``tests/test_obs_overhead.py`` budgets it; linter rule R12
-enforces the guard shape).  The package imports **only the standard
-library** — no numpy — like obs/trace/monitor.
+Both instruments are pure readers: no hot path calls them, and no
+hot-path module imports this package.  They read what ``METRICS``,
+``TRACER`` and ``AUDIT`` already record.  The package imports **only
+the standard library** — no numpy — like obs/trace/monitor.
 """
 
 from __future__ import annotations
@@ -76,34 +78,11 @@ from .sampler import (
     StackSample,
 )
 
-#: The process-wide sampling profiler every built-in hook marks into.
+#: The process-wide sampling profiler.
 PROFILER = SamplingProfiler(enabled=False)
 
-#: The process-wide flight recorder every built-in hook pulses into.
+#: The process-wide flight recorder.
 RECORDER = FlightRecorder(enabled=False)
-
-
-def enable() -> None:
-    """Turn on both instruments (sampling threads not started)."""
-    PROFILER.enable()
-    RECORDER.enable()
-
-
-def disable() -> None:
-    """Turn off both instruments (retained data kept)."""
-    PROFILER.disable()
-    RECORDER.disable()
-
-
-def is_enabled() -> bool:
-    """Whether either instrument is currently recording."""
-    return PROFILER.enabled or RECORDER.enabled
-
-
-def reset() -> None:
-    """Drop all samples and frames in both instruments (flags kept)."""
-    PROFILER.reset()
-    RECORDER.reset()
 
 
 __all__ = [
@@ -124,9 +103,6 @@ __all__ = [
     "TelemetryFrame",
     "TelemetryRing",
     "aggregate_samples",
-    "disable",
-    "enable",
-    "is_enabled",
     "parse_collapsed",
     "profile_from_jsonl",
     "profile_to_collapsed",
@@ -135,7 +111,6 @@ __all__ = [
     "read_profile_jsonl",
     "read_timeseries_jsonl",
     "render_top",
-    "reset",
     "timeseries_from_jsonl",
     "timeseries_to_jsonl",
     "validate_profile",

@@ -6,8 +6,9 @@ converted and inspected in another:
 
 * **JSONL** — line 1 is a header ``{"version": 1, "kind":
   "repro.profile", "hz": h, "dropped": n}``; every following line is one
-  sample ``{"t", "thread", "frames", "span", "activity", "weight"}``
-  with frames outermost-first.  Greppable and append-friendly.
+  sample ``{"t", "thread", "frames", "span", "weight"}`` with frames
+  outermost-first.  Greppable and append-friendly.  Readers ignore
+  extra sample keys, such as the activity marker older files carry.
 * **Collapsed stacks** (Brendan Gregg) — one line per distinct stack,
   ``frame;frame;frame count``, the input format of every flamegraph
   tool.  :func:`parse_collapsed` inverts it (to aggregate counts), which
@@ -16,7 +17,7 @@ converted and inspected in another:
   one profile per sampled thread, weights in seconds.
 
 ``aggregate_samples`` is the shared ``top``-style reducer: per-frame
-self/total seconds plus per-span and per-activity attribution tables.
+self/total seconds plus a per-span attribution table.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Any, Iterable
 #: Profile schema version emitted by :meth:`SamplingProfiler.snapshot`.
 PROFILE_VERSION = 1
 
-_SAMPLE_FIELDS = ("t", "thread", "frames", "span", "activity", "weight")
+_SAMPLE_FIELDS = ("t", "thread", "frames", "span", "weight")
 
 
 # -- JSONL -----------------------------------------------------------------
@@ -109,9 +110,8 @@ def validate_profile(snapshot: Any) -> dict[str, Any]:
             raise ValueError(
                 f"samples[{index}]['frames'] must be a non-empty list of strings"
             )
-        for field in ("span", "activity"):
-            if sample[field] is not None and not isinstance(sample[field], str):
-                raise ValueError(f"samples[{index}][{field!r}] must be null or str")
+        if sample["span"] is not None and not isinstance(sample["span"], str):
+            raise ValueError(f"samples[{index}]['span'] must be null or str")
         weight = sample["weight"]
         if not isinstance(weight, (int, float)) or weight < 0:
             raise ValueError(f"samples[{index}]['weight'] must be non-negative")
@@ -282,17 +282,16 @@ def validate_speedscope(document: Any) -> dict[str, Any]:
 def aggregate_samples(snapshot: dict[str, Any]) -> dict[str, Any]:
     """``top``-style reduction of a validated profile snapshot.
 
-    Returns ``{"seconds", "samples", "frames", "spans", "activities"}``:
-    per-frame rows carry ``self`` (leaf) and ``total`` (anywhere on
-    stack) seconds; span/activity tables attribute sample time to the
-    innermost tracer span / coarse activity marker active at sample
-    time (``None`` keys rendered as ``"-"``).
+    Returns ``{"seconds", "samples", "frames", "spans"}``: per-frame
+    rows carry ``self`` (leaf) and ``total`` (anywhere on stack)
+    seconds; the span table attributes sample time to the innermost
+    tracer span the sampled thread held open (``None`` keys rendered
+    as ``"-"``).
     """
     validate_profile(snapshot)
     self_seconds: dict[str, float] = {}
     total_seconds: dict[str, float] = {}
     spans: dict[str, float] = {}
-    activities: dict[str, float] = {}
     grand_total = 0.0
     for sample in snapshot["samples"]:
         weight = float(sample["weight"])
@@ -304,8 +303,6 @@ def aggregate_samples(snapshot: dict[str, Any]) -> dict[str, Any]:
             total_seconds[frame] = total_seconds.get(frame, 0.0) + weight
         span = sample["span"] or "-"
         spans[span] = spans.get(span, 0.0) + weight
-        activity = sample["activity"] or "-"
-        activities[activity] = activities.get(activity, 0.0) + weight
     frames_out = [
         {
             "frame": frame,
@@ -320,7 +317,6 @@ def aggregate_samples(snapshot: dict[str, Any]) -> dict[str, Any]:
         "samples": len(snapshot["samples"]),
         "frames": frames_out,
         "spans": dict(sorted(spans.items(), key=lambda kv: -kv[1])),
-        "activities": dict(sorted(activities.items(), key=lambda kv: -kv[1])),
     }
 
 

@@ -4,10 +4,12 @@ A metrics snapshot is a point-in-time total; it cannot show *how*
 throughput, shipped bytes, estimate coverage, or drift evolved over a
 stream's lifetime.  The :class:`FlightRecorder` closes that gap: a
 periodic ``tick()`` (manual or from a daemon thread) diffs the
-``repro.obs`` counter totals since the previous tick, drains the
-hot-path :meth:`FlightRecorder.pulse` accumulators, reads the
-``repro.monitor`` audit ring's coverage/alert state, and folds it all
-into one :class:`TelemetryFrame` — a timestamped window of deltas.
+``repro.obs`` counter totals since the previous tick, reads the
+registry's gauges and the ``repro.monitor`` audit ring's coverage/alert
+state, and folds it all into one :class:`TelemetryFrame` — a
+timestamped window of deltas.  The recorder is a pure reader: frames
+hold what ``METRICS`` records, so they carry counts only while the
+registry is on (``--timeseries-out`` turns it on for the run).
 
 Frames land in a :class:`TelemetryRing` with **Hokusai-style aging**
 (PAPERS.md): the ring is tiered, and when a tier fills, its two oldest
@@ -18,10 +20,8 @@ the same aged-resolution idea Hokusai applies to sketch time-series,
 applied here to the telemetry about the sketches.
 
 Contract matches the rest of the observability plane: one process-wide
-instance (``repro.profile.RECORDER``), **off by default**, hot paths
-call only :meth:`FlightRecorder.pulse` behind an ``enabled`` guard
-(linter rule R12, budgeted in ``tests/test_obs_overhead.py``), and the
-module imports nothing outside the standard library.
+instance (``repro.profile.RECORDER``), **off by default**, no hot-path
+hook, and the module imports nothing outside the standard library.
 """
 
 from __future__ import annotations
@@ -294,19 +294,16 @@ class FlightRecorder:
         RECORDER.stop()
         snapshot = RECORDER.snapshot()
 
-    Hot paths publish deltas with :meth:`pulse` — one dict accumulate —
-    so throughput/bytes series exist even when the full metrics registry
-    is off; each built-in call site is guarded by
-    ``if _RECORDER.enabled:`` (rule R12).  ``tick()`` additionally diffs
-    ``repro.obs`` counter totals and reads the audit ring, then pushes
-    the assembled frame into the aging ring.
+    ``tick()`` diffs ``repro.obs`` counter totals and reads the audit
+    ring, then pushes the assembled frame into the aging ring.  The
+    recorder never touches the registry's switch: enable ``METRICS``
+    for the frames to carry counts.
     """
 
     __slots__ = (
         "enabled",
         "interval",
         "ring",
-        "_pulses",
         "_last_counters",
         "_last_tick",
         "_thread",
@@ -329,7 +326,6 @@ class FlightRecorder:
         self.ring = TelemetryRing(
             tier_capacity=tier_capacity, tiers=tiers, max_bytes=max_bytes
         )
-        self._pulses: dict[str, float] = {}
         self._last_counters: dict[str, float] = {}
         self._last_tick = 0.0
         self._thread: threading.Thread | None = None
@@ -347,49 +343,34 @@ class FlightRecorder:
         self.enabled = False
 
     def reset(self) -> None:
-        """Drop every frame and pulse, restart the epoch (flag kept)."""
+        """Drop every frame, restart the epoch (flag kept)."""
         self.ring.clear()
-        self._pulses.clear()
         self._last_counters.clear()
         self._epoch = time.perf_counter()
         self._last_tick = 0.0
-
-    # -- hot-path hook -----------------------------------------------------
-
-    def pulse(self, name: str, amount: float = 1.0) -> None:
-        """Accumulate a delta for the current window (no-op while disabled).
-
-        This is the only recorder method hot paths call; it must stay
-        one dict accumulate.  Call sites guard it with
-        ``if _RECORDER.enabled:`` (linter rule R12).
-        """
-        if self.enabled:
-            self._pulses[name] = self._pulses.get(name, 0.0) + amount
 
     # -- ticking -----------------------------------------------------------
 
     def tick(self) -> TelemetryFrame | None:
         """Close the current window into one frame (``None`` while disabled).
 
-        The frame's ``counts`` combine the drained pulses with deltas of
-        every ``repro.obs`` counter since the previous tick; ``gauges``
-        take the registry's current gauge values plus the audit ring's
-        coverage rate and cumulative alert count.
+        The frame's ``counts`` are the deltas of every ``repro.obs``
+        counter since the previous tick; ``gauges`` take the registry's
+        current gauge values plus the audit ring's coverage rate and
+        cumulative alert count.
         """
         if not self.enabled:
             return None
         now = time.perf_counter() - self._epoch
-        counts = self._pulses
-        self._pulses = {}
-
         metric_counters = _read_racy(
             lambda: {n: c.value for n, c in _METRICS._counters.items()},
             self._last_counters,
         )
+        counts: dict[str, float] = {}
         for name, total in metric_counters.items():
             delta = total - self._last_counters.get(name, 0.0)
             if delta:
-                counts[name] = counts.get(name, 0.0) + delta
+                counts[name] = delta
         self._last_counters = metric_counters
 
         gauges = _read_racy(

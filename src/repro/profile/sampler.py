@@ -8,22 +8,18 @@ production technique — statistical stack sampling: a daemon thread wakes
 ring.  No tracing hooks, no per-bytecode cost — the profiled code runs
 unmodified, and the profiler's own thread is excluded from its samples.
 
-Two attribution channels ride on every sample:
-
-* **span** — when :data:`repro.trace.TRACER` is enabled, the sample is
-  stamped with the innermost active span name (``engine.ingest``,
-  ``skim.dense``, ``estimate.term`` …), linking wall-clock back to the
-  paper's query phases;
-* **activity** — hot paths additionally publish a coarse marker via
-  :meth:`SamplingProfiler.mark` (one guarded attribute write, linter
-  rule R12), so attribution survives even with the tracer off.
+The profiler is a pure reader: no hot path calls it.  Besides the stack
+frames, which already name the code, each sample carries one
+attribution: when :data:`repro.trace.TRACER` is enabled, the innermost
+span the *sampled thread* holds open (``engine.ingest``, ``skim.dense``,
+``estimate.term`` …), linking wall-clock back to the paper's query
+phases.  Threads with no open span of their own get ``None``.
 
 The design contract matches ``repro.obs`` / ``repro.trace`` /
 ``repro.monitor``: one process-wide instance (``repro.profile.PROFILER``),
-**off by default**, every hot-path hook guarded by a single ``enabled``
-attribute read (budgeted in ``tests/test_obs_overhead.py``), bounded
-memory (``max_samples`` ring + ``dropped`` counter), and **no
-third-party imports** — the package loads without numpy.
+**off by default**, bounded memory (``max_samples`` ring + ``dropped``
+counter), and **no third-party imports** — the package loads without
+numpy.
 """
 
 from __future__ import annotations
@@ -60,7 +56,7 @@ class StackSample:
     represents (``1 / hz``), so aggregations sum to approximate seconds.
     """
 
-    __slots__ = ("timestamp", "thread_id", "frames", "span", "activity", "weight")
+    __slots__ = ("timestamp", "thread_id", "frames", "span", "weight")
 
     def __init__(
         self,
@@ -68,14 +64,12 @@ class StackSample:
         thread_id: int,
         frames: tuple[str, ...],
         span: str | None,
-        activity: str | None,
         weight: float,
     ) -> None:
         self.timestamp = timestamp
         self.thread_id = thread_id
         self.frames = frames
         self.span = span
-        self.activity = activity
         self.weight = weight
 
     def as_dict(self) -> dict[str, Any]:
@@ -85,7 +79,6 @@ class StackSample:
             "thread": self.thread_id,
             "frames": list(self.frames),
             "span": self.span,
-            "activity": self.activity,
             "weight": self.weight,
         }
 
@@ -126,11 +119,6 @@ class SamplingProfiler:
     ``sample_once()`` takes exactly one synchronous snapshot of the
     *other* threads plus the caller's own stack — the deterministic
     entry the tests and ``selfcheck`` drive directly.
-
-    Hot paths publish coarse attribution with :meth:`mark`; the call is
-    a no-op while disabled and every built-in call site is additionally
-    guarded by ``if _PROFILER.enabled:`` (rule R12), so the disabled
-    cost is one attribute read and one branch per site.
     """
 
     __slots__ = (
@@ -138,7 +126,6 @@ class SamplingProfiler:
         "hz",
         "max_samples",
         "dropped",
-        "activity",
         "_samples",
         "_thread",
         "_stop_event",
@@ -159,7 +146,6 @@ class SamplingProfiler:
         self.hz = float(hz)
         self.max_samples = max_samples
         self.dropped = 0
-        self.activity: str | None = None
         self._samples: list[StackSample] = []
         self._thread: threading.Thread | None = None
         self._stop_event = threading.Event()
@@ -179,20 +165,7 @@ class SamplingProfiler:
         """Drop every sample, restart the epoch (enabled flag kept)."""
         self._samples.clear()
         self.dropped = 0
-        self.activity = None
         self._epoch = time.perf_counter()
-
-    # -- hot-path hook -----------------------------------------------------
-
-    def mark(self, activity: str) -> None:
-        """Publish the coarse activity marker (no-op while disabled).
-
-        This is the only profiler method hot paths call; it must stay a
-        single attribute write.  Call sites guard it with
-        ``if _PROFILER.enabled:`` (linter rule R12).
-        """
-        if self.enabled:
-            self.activity = activity
 
     # -- sampling ----------------------------------------------------------
 
@@ -210,8 +183,7 @@ class SamplingProfiler:
 
     def _collect(self, exclude_thread: int | None) -> int:
         now = time.perf_counter() - self._epoch
-        span = _TRACER.current_span_name() if _TRACER.enabled else None
-        activity = self.activity
+        spans = _TRACER.open_span_names() if _TRACER.enabled else {}
         weight = 1.0 / self.hz
         recorded = 0
         for thread_id, frame in sys._current_frames().items():  # noqa: SLF001
@@ -221,7 +193,7 @@ class SamplingProfiler:
             if not frames:
                 continue
             self._keep(
-                StackSample(now, thread_id, frames, span, activity, weight)
+                StackSample(now, thread_id, frames, spans.get(thread_id), weight)
             )
             recorded += 1
         return recorded

@@ -26,7 +26,6 @@ from ..errors import ParameterError, QueryError
 from ..monitor import AUDIT as _AUDIT
 from ..monitor.shadow import ShadowAuditor
 from ..obs import METRICS as _METRICS
-from ..profile import PROFILER as _PROFILER, RECORDER as _RECORDER
 from ..trace import TRACER as _TRACER
 from ..sketches.agms import AGMSSchema, AGMSSketch
 from ..sketches.base import require_integer_values
@@ -186,8 +185,6 @@ class StreamEngine:
                 _METRICS.count("engine.elements.seen")
                 _METRICS.count("engine.elements.dropped")
             return
-        if _PROFILER.enabled:
-            _PROFILER.mark("engine.ingest")
         with _TRACER.span(
             "engine.ingest", stream=stream, elements=1
         ) if _TRACER.enabled else nullcontext():
@@ -197,8 +194,6 @@ class StreamEngine:
         if _METRICS.enabled:
             _METRICS.count("engine.elements.seen")
             _METRICS.count(f"engine.stream.{stream}.elements")
-        if _RECORDER.enabled:
-            _RECORDER.pulse("ingest.elements")
 
     def process_many(
         self, stream: str, updates: Iterable[Update], chunk_size: int = 4096
@@ -251,10 +246,6 @@ class StreamEngine:
             _METRICS.count(f"engine.stream.{stream}.elements", kept)
         if not kept:
             return
-        if _PROFILER.enabled:
-            _PROFILER.mark("engine.ingest")
-        if _RECORDER.enabled:
-            _RECORDER.pulse("ingest.elements", kept)
         if kept == values.size:
             kept_values = values
             kept_weights = None if weights is None else np.asarray(weights)
@@ -358,10 +349,6 @@ class StreamEngine:
         if _METRICS.enabled:
             _METRICS.count("engine.queries")
             _METRICS.count(f"engine.queries.{type(query).__name__}")
-        if _PROFILER.enabled:
-            _PROFILER.mark("engine.answer")
-        if _RECORDER.enabled:
-            _RECORDER.pulse("queries")
         with _METRICS.timer(
             "engine.answer.seconds"
         ) if _METRICS.enabled else nullcontext():

@@ -13,12 +13,12 @@ contract as ``repro.obs`` (see ``tests/test_trace_overhead.py``).
 
 Typical use::
 
-    from repro import trace
+    from repro.trace import TRACER, write_trace_jsonl
 
-    trace.enable()
+    TRACER.enable()
     engine.answer(query)            # spans accumulate
-    trace.write_trace_jsonl("q.trace.jsonl", trace.snapshot())
-    trace.disable()
+    write_trace_jsonl("q.trace.jsonl", TRACER.snapshot())
+    TRACER.disable()
 
 then inspect with the CLI (``python -m repro.trace summarize
 q.trace.jsonl``) or convert for the Perfetto UI (``python -m
@@ -37,7 +37,7 @@ that.  The span catalogue the library emits is documented in
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Iterator
 
 from .export import (
     TRACE_VERSION,
@@ -56,31 +56,6 @@ from .tracer import DEFAULT_MAX_SPANS, Span, SpanTracer
 
 #: The process-wide tracer every built-in instrumentation hook records to.
 TRACER = SpanTracer(enabled=False)
-
-
-def enable() -> None:
-    """Turn on span recording into the global tracer."""
-    TRACER.enable()
-
-
-def disable() -> None:
-    """Turn off span recording (finished spans are kept)."""
-    TRACER.disable()
-
-
-def is_enabled() -> bool:
-    """Whether the global tracer is currently recording."""
-    return TRACER.enabled
-
-
-def snapshot() -> dict[str, Any]:
-    """JSON-ready dump of the global tracer's finished spans."""
-    return TRACER.snapshot()
-
-
-def reset() -> None:
-    """Drop all finished spans in the global tracer."""
-    TRACER.reset()
 
 
 @contextmanager
@@ -108,13 +83,8 @@ __all__ = [
     "TRACER",
     "TRACE_VERSION",
     "capturing",
-    "disable",
-    "enable",
-    "is_enabled",
     "read_trace_jsonl",
     "render_summary",
-    "reset",
-    "snapshot",
     "summarize_trace",
     "trace_from_jsonl",
     "trace_origins",

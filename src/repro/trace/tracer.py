@@ -21,8 +21,10 @@ The design contract is the same as :class:`repro.obs.MetricsRegistry`:
 
 Span nesting uses an explicit stack on the tracer (not thread-locals):
 context is propagated by the call structure itself, which is exact for
-the single-threaded query path the library implements.  Like the
-metrics registry, the tracer is not thread-synchronised.
+the single-threaded query path the library implements.  Each span
+remembers the thread that opened it, so a sampler on another thread can
+tell whose span is open.  Like the metrics registry, the tracer is not
+thread-synchronised.
 
 Spans can be attributed to an *origin* (a distributed site sharing the
 process) with a context-local scope: inside ``with TRACER.scope(o):``
@@ -32,6 +34,7 @@ exporter keys its per-origin lanes on.
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -48,9 +51,13 @@ class Span:
     ``start`` / ``end`` are ``time.perf_counter()`` readings relative to
     the tracer's epoch (the moment of its last ``reset()``), so exported
     timestamps start near zero and survive JSON round-trips exactly.
+    ``thread_id`` is the opening thread's ident for spans (``None`` for
+    instants); it is process-local, so :meth:`as_dict` leaves it out.
     """
 
-    __slots__ = ("name", "span_id", "parent_id", "start", "end", "attributes")
+    __slots__ = (
+        "name", "span_id", "parent_id", "start", "end", "attributes", "thread_id"
+    )
 
     def __init__(
         self,
@@ -66,6 +73,7 @@ class Span:
         self.start = start
         self.end = start
         self.attributes = attributes
+        self.thread_id: int | None = None
 
     @property
     def duration(self) -> float:
@@ -195,6 +203,7 @@ class SpanTracer:
             time.perf_counter() - self._epoch,
             self._attribute(attributes),
         )
+        span.thread_id = threading.get_ident()
         self._next_id += 1
         self._stack.append(span)
         try:
@@ -226,20 +235,19 @@ class SpanTracer:
 
     # -- reading -----------------------------------------------------------
 
-    def current_span_name(self) -> str | None:
-        """Name of the innermost *open* span (``None`` outside any span).
+    def open_span_names(self) -> dict[int, str]:
+        """Innermost *open* span name per opening thread id.
 
         Unlike every other reader this one is also called from a foreign
-        thread — the ``repro.profile`` sampler attributes each stack
-        sample to the span active at sampling time.  The read is
-        best-effort: the stack may mutate underneath it, so it grabs the
-        tail through one indexing op and swallows the race instead of
+        thread — the ``repro.profile`` sampler attributes each thread's
+        stack sample to that thread's own open span.  The read is
+        best-effort: it copies the stack in one C-level op instead of
         locking the hot path.
         """
-        try:
-            return self._stack[-1].name
-        except IndexError:
-            return None
+        names: dict[int, str] = {}
+        for span in reversed(self._stack[:]):
+            names.setdefault(span.thread_id, span.name)
+        return names
 
     def spans(self) -> list[Span]:
         """Finished spans in completion order (children before parents)."""

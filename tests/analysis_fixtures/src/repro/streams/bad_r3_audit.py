@@ -1,0 +1,10 @@
+"""R3 fixture (audit): audits recorded without the enabled-flag guard."""
+
+from ..monitor import AUDIT as _AUDIT
+
+
+def answer(engine, query, audit):
+    estimate = engine.answer(query)
+    _AUDIT.record(audit)  # R3: no guard
+    _AUDIT.annotate_last(estimate=estimate)  # R3: still unguarded
+    return estimate

@@ -18,3 +18,9 @@ def record_batch(count):
         return
     _METRICS.count("engine.batches")
     _METRICS.count("engine.elements.seen", count)
+
+
+def shutdown():
+    # Administrative methods need no guard: they run once, off hot paths.
+    _METRICS.disable()
+    _METRICS.reset()

@@ -10,6 +10,7 @@ a meta-test asserting the shipped repository lints clean.
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,30 +33,41 @@ FIXTURES = Path(__file__).resolve().parent / "analysis_fixtures"
 RULE_IDS = [
     "R1",
     "R11",
-    "R12",
     "R2",
     "R3",
     "R4",
     "R5",
     "R6",
-    "R7",
-    "R8",
     "R9",
 ]
 
-#: rule id -> (bad fixture, expected finding count, good fixture)
+#: fixture id -> (rule id, bad fixture, expected finding count, good fixture)
 FIXTURE_MAP = {
-    "R1": ("src/repro/sketches/bad_r1.py", 3, "src/repro/sketches/good_r1.py"),
-    "R2": ("src/repro/sketches/bad_r2.py", 4, "src/repro/sketches/good_r2.py"),
-    "R3": ("src/repro/streams/bad_r3.py", 2, "src/repro/streams/good_r3.py"),
-    "R4": ("src/repro/streams/bad_r4.py", 2, "src/repro/streams/good_r4.py"),
-    "R5": ("src/repro/streams/bad_r5.py", 2, "src/repro/streams/good_r5.py"),
-    "R6": ("src/repro/streams/bad_r6.py", 3, "src/repro/streams/good_r6.py"),
-    "R7": ("src/repro/streams/bad_r7.py", 2, "src/repro/streams/good_r7.py"),
-    "R8": ("src/repro/streams/bad_r8.py", 2, "src/repro/streams/good_r8.py"),
-    "R9": ("src/repro/sketches/bad_r9.py", 2, "src/repro/sketches/good_r9.py"),
-    "R11": ("src/repro/sketches/bad_r11.py", 3, "src/repro/sketches/good_r11.py"),
-    "R12": ("src/repro/streams/bad_r12.py", 2, "src/repro/streams/good_r12.py"),
+    "R1": ("R1", "src/repro/sketches/bad_r1.py", 3, "src/repro/sketches/good_r1.py"),
+    "R2": ("R2", "src/repro/sketches/bad_r2.py", 4, "src/repro/sketches/good_r2.py"),
+    "R3": ("R3", "src/repro/streams/bad_r3.py", 3, "src/repro/streams/good_r3.py"),
+    "R3-TRACER": (
+        "R3",
+        "src/repro/streams/bad_r3_tracer.py",
+        2,
+        "src/repro/streams/good_r3_tracer.py",
+    ),
+    "R3-AUDIT": (
+        "R3",
+        "src/repro/streams/bad_r3_audit.py",
+        2,
+        "src/repro/streams/good_r3_audit.py",
+    ),
+    "R4": ("R4", "src/repro/streams/bad_r4.py", 2, "src/repro/streams/good_r4.py"),
+    "R5": ("R5", "src/repro/streams/bad_r5.py", 2, "src/repro/streams/good_r5.py"),
+    "R6": ("R6", "src/repro/streams/bad_r6.py", 3, "src/repro/streams/good_r6.py"),
+    "R9": ("R9", "src/repro/sketches/bad_r9.py", 2, "src/repro/sketches/good_r9.py"),
+    "R11": (
+        "R11",
+        "src/repro/sketches/bad_r11.py",
+        3,
+        "src/repro/sketches/good_r11.py",
+    ),
 }
 
 
@@ -81,21 +93,24 @@ class TestRegistry:
 
 
 class TestRulesOnFixtures:
-    @pytest.mark.parametrize("rule_id", RULE_IDS)
-    def test_bad_fixture_fires(self, rule_id):
-        bad, expected, _ = FIXTURE_MAP[rule_id]
+    @pytest.mark.parametrize("fixture_id", sorted(FIXTURE_MAP))
+    def test_bad_fixture_fires(self, fixture_id):
+        rule_id, bad, expected, _ = FIXTURE_MAP[fixture_id]
         report = analyze_paths([str(FIXTURES / bad)])
         assert {f.rule for f in report.findings} == {rule_id}
         assert len(report.findings) == expected
 
-    @pytest.mark.parametrize("rule_id", RULE_IDS)
-    def test_good_fixture_is_clean(self, rule_id):
-        _, _, good = FIXTURE_MAP[rule_id]
+    @pytest.mark.parametrize("fixture_id", sorted(FIXTURE_MAP))
+    def test_good_fixture_is_clean(self, fixture_id):
+        _, _, _, good = FIXTURE_MAP[fixture_id]
         report = analyze_paths([str(FIXTURES / good)])
         assert report.findings == []
 
+    def test_every_rule_has_a_fixture(self):
+        assert sorted({rule for rule, _, _, _ in FIXTURE_MAP.values()}) == RULE_IDS
+
     def test_findings_carry_location(self):
-        bad, _, _ = FIXTURE_MAP["R1"]
+        _, bad, _, _ = FIXTURE_MAP["R1"]
         report = analyze_paths([str(FIXTURES / bad)])
         for finding in report.findings:
             assert finding.line > 0
@@ -194,12 +209,12 @@ class TestClassification:
 
 class TestCLI:
     def test_exit_zero_on_clean_file(self, capsys):
-        _, _, good = FIXTURE_MAP["R1"]
+        _, _, _, good = FIXTURE_MAP["R1"]
         assert main([str(FIXTURES / good)]) == 0
         assert "clean" in capsys.readouterr().err
 
     def test_exit_one_on_findings(self, capsys):
-        bad, expected, _ = FIXTURE_MAP["R5"]
+        _, bad, expected, _ = FIXTURE_MAP["R5"]
         assert main([str(FIXTURES / bad)]) == 1
         out = capsys.readouterr().out
         assert out.count(" R5 ") == expected
@@ -220,17 +235,17 @@ class TestCLI:
         assert exc.value.code == 2
 
     def test_select_restricts_rules(self, capsys):
-        bad, _, _ = FIXTURE_MAP["R1"]
+        _, bad, _, _ = FIXTURE_MAP["R1"]
         assert main(["--select", "R5", str(FIXTURES / bad)]) == 0
 
     def test_catalogue_lists_every_rule(self, capsys):
         assert main(["--catalogue"]) == 0
         out = capsys.readouterr().out
-        for rule_id in RULE_IDS:
-            assert f"{rule_id} — " in out
+        listed = re.findall(r"^(R\d+) — ", out, flags=re.MULTILINE)
+        assert sorted(listed) == RULE_IDS
 
     def test_json_report_schema(self, capsys):
-        bad, expected, _ = FIXTURE_MAP["R3"]
+        _, bad, expected, _ = FIXTURE_MAP["R3"]
         assert main(["--json", str(FIXTURES / bad)]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["version"] == 1
@@ -245,7 +260,7 @@ class TestCLI:
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_module_invocation_exit_one(self):
-        bad, _, _ = FIXTURE_MAP["R2"]
+        _, bad, _, _ = FIXTURE_MAP["R2"]
         proc = run_cli(str(FIXTURES / bad))
         assert proc.returncode == 1
 

@@ -87,6 +87,12 @@ class TestWireSchema:
         assert doc["version"] == TELEMETRY_VERSION
         assert doc["kind"] == TELEMETRY_KIND
 
+    def test_envelope_with_the_retired_pulses_section_validates(self):
+        # Envelopes written before the pulses section was retired.
+        legacy = dict(empty_telemetry("site.a"), pulses={})
+        assert validate_telemetry(legacy) is legacy
+        assert "pulses" not in merge_telemetry(legacy, empty_telemetry("site.b"))
+
     def test_json_round_trip_is_identity(self):
         registry, tracer = fresh_pair()
         with scoped(registry, tracer, "site.a"):
@@ -159,7 +165,7 @@ class TestExport:
         assert doc["gauges"]["level"][0] == 7.0
         assert [s["name"] for s in doc["spans"]] == ["mark", "dist.round"]
         assert {s["attrs"]["origin"] for s in doc["spans"]} == {"site.b"}
-        assert doc["pulses"] == {}
+        assert "pulses" not in doc
 
     def test_export_holds_cumulative_totals(self):
         registry, tracer = fresh_pair()

@@ -654,16 +654,26 @@ class TestFileSourceAndCLI:
 
 class TestImportCost:
     """``repro.monitor`` must stay importable without numpy — it rides in
-    the thinnest serving agent alongside ``repro.obs``."""
+    the thinnest serving agent alongside ``repro.obs`` — and so must the
+    ``repro.profile`` and ``repro.federate`` packages it serves.  Importing
+    each one standalone (its parent directory on ``sys.path``) also runs
+    the ``except ImportError`` fallbacks of their sibling imports."""
 
-    def _package_parent(self) -> str:
-        return str(pathlib.Path(repro.monitor.__file__).parent.parent)
-
-    @pytest.mark.parametrize("module", ["monitor", "monitor.service"])
-    def test_monitor_does_not_import_numpy(self, module):
+    def _import_standalone(self, module: str) -> None:
+        path = str(pathlib.Path(repro.monitor.__file__).parent.parent)
         code = (
             "import sys; sys.path.insert(0, {path!r}); import {module}; "
             "assert 'numpy' not in sys.modules, "
-            "'repro.monitor must not import numpy'"
-        ).format(path=self._package_parent(), module=module)
+            "'{module} must not import numpy'"
+        ).format(path=path, module=module)
         subprocess.run([sys.executable, "-c", code], check=True)
+
+    @pytest.mark.parametrize("module", ["monitor", "monitor.service"])
+    def test_monitor_does_not_import_numpy(self, module):
+        self._import_standalone(module)
+
+    @pytest.mark.parametrize(
+        "module", ["profile", "profile.__main__", "federate", "federate.__main__"]
+    )
+    def test_profile_and_federate_do_not_import_numpy(self, module):
+        self._import_standalone(module)

@@ -325,14 +325,6 @@ class TestGlobalHelpers:
             assert METRICS.counter_value("stale") == 0.0
         assert METRICS.enabled  # previous state restored
 
-    def test_module_level_switch(self):
-        repro.obs.enable()
-        assert repro.obs.is_enabled()
-        repro.obs.disable()
-        assert not repro.obs.is_enabled()
-        repro.obs.reset()
-        assert repro.obs.snapshot()["counters"] == {}
-
 
 class TestExporters:
     def _populated(self) -> MetricsRegistry:

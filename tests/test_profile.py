@@ -1,11 +1,11 @@
 """Tests for ``repro.profile`` — sampling profiler + flight recorder.
 
-Covers: the sampler's hot-path contract (disabled ``mark`` is free,
-samples attribute to the innermost tracer span), the exporters
+Covers: the sampler's attribution (a sample carries the innermost
+tracer span its own thread holds open), the exporters
 (JSONL/collapsed/speedscope round trips, the ``top`` aggregate), the
 telemetry ring's Hokusai-style aging invariants (byte bound, tick
 conservation, chronology), the flight recorder's tick pipeline
-(pulses + obs counter deltas + audit gauges), the monitor's
+(obs counter deltas + audit gauges), the monitor's
 ``/profile``/``/timeseries``/``/dashboard`` endpoints, and a
 concurrent-scrape stress run against a live ingesting engine.
 """
@@ -18,6 +18,7 @@ import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.core.config import SketchParameters
@@ -35,6 +36,7 @@ from repro.profile import (
     profile_to_collapsed,
     profile_to_jsonl,
     profile_to_speedscope,
+    read_timeseries_jsonl,
     render_top,
     validate_profile,
     validate_speedscope,
@@ -47,13 +49,12 @@ from repro.streams.query import JoinCountQuery
 from repro.trace import TRACER
 
 
-def _make_sample(t, frames, span=None, activity=None, weight=0.01, thread=1):
+def _make_sample(t, frames, span=None, weight=0.01, thread=1):
     return {
         "t": t,
         "thread": thread,
         "frames": frames,
         "span": span,
-        "activity": activity,
         "weight": weight,
     }
 
@@ -70,8 +71,8 @@ def _make_snapshot(samples):
 
 SYNTHETIC = _make_snapshot(
     [
-        _make_sample(0.00, ["m:main:1", "m:ingest:2"], activity="engine.ingest"),
-        _make_sample(0.01, ["m:main:1", "m:ingest:2"], activity="engine.ingest"),
+        _make_sample(0.00, ["m:main:1", "m:ingest:2"], span="engine.ingest"),
+        _make_sample(0.01, ["m:main:1", "m:ingest:2"], span="engine.ingest"),
         _make_sample(0.02, ["m:main:1", "m:answer:3"], span="estimate.skim_join"),
         _make_sample(0.03, ["m:main:1", "m:answer:3", "m:skim:4"], span="skim"),
         _make_sample(0.04, ["m:other:9"], thread=2),
@@ -80,17 +81,14 @@ SYNTHETIC = _make_snapshot(
 
 
 class TestSamplingProfiler:
-    def test_disabled_mark_and_sample_are_noops(self):
+    def test_disabled_sample_is_a_noop(self):
         profiler = SamplingProfiler(enabled=False)
-        profiler.mark("engine.ingest")
-        assert profiler.activity is None
         assert profiler.sample_once() == 0
         assert profiler.samples() == []
 
-    def test_sample_once_attributes_span_and_activity(self):
+    def test_sample_once_attributes_span(self):
         profiler = SamplingProfiler(enabled=True)
         TRACER.enable()
-        profiler.mark("engine.answer")
         with TRACER.span("estimate.skim_join"):
             assert profiler.sample_once() >= 1
         ours = [
@@ -99,9 +97,26 @@ class TestSamplingProfiler:
         assert len(ours) == 1
         sample = ours[0]
         assert sample.span == "estimate.skim_join"
-        assert sample.activity == "engine.answer"
+        assert "activity" not in sample.as_dict()
         # The caller's own function is on the recorded stack.
         assert any("test_sample_once_attributes" in f for f in sample.frames)
+
+    def test_span_stamps_only_the_thread_that_opened_it(self):
+        profiler = SamplingProfiler(enabled=True)
+        TRACER.enable()
+        release = threading.Event()
+        idle = threading.Thread(target=release.wait, name="idle-worker")
+        idle.start()
+        try:
+            with TRACER.span("estimate.skim_join"):
+                profiler.sample_once()
+        finally:
+            release.set()
+            idle.join(timeout=5)
+        assert not idle.is_alive()
+        by_thread = {s.thread_id: s.span for s in profiler.samples()}
+        assert by_thread[threading.get_ident()] == "estimate.skim_join"
+        assert by_thread[idle.ident] is None
 
     def test_max_samples_bound_counts_drops(self):
         profiler = SamplingProfiler(enabled=True, max_samples=2)
@@ -137,6 +152,14 @@ class TestProfileExports:
     def test_jsonl_round_trip(self):
         restored = profile_from_jsonl(profile_to_jsonl(SYNTHETIC))
         assert restored == SYNTHETIC
+
+    def test_samples_with_the_retired_activity_key_still_validate(self):
+        # Profiles written before the activity marker was retired.
+        legacy = _make_snapshot(
+            [dict(_make_sample(0.0, ["m:main:1"]), activity="engine.ingest")]
+        )
+        assert profile_from_jsonl(profile_to_jsonl(legacy)) == legacy
+        assert aggregate_samples(legacy)["samples"] == 1
 
     def test_validate_rejects_malformed(self):
         with pytest.raises(ValueError):
@@ -175,7 +198,9 @@ class TestProfileExports:
         assert rows["m:main:1"]["total"] == pytest.approx(0.04)
         assert rows["m:ingest:2"]["self"] == pytest.approx(0.02)
         assert agg["spans"]["estimate.skim_join"] == pytest.approx(0.01)
-        assert agg["activities"]["engine.ingest"] == pytest.approx(0.02)
+        assert agg["spans"]["engine.ingest"] == pytest.approx(0.02)
+        assert agg["spans"]["-"] == pytest.approx(0.01)
+        assert set(agg) == {"seconds", "samples", "frames", "spans"}
         report = render_top(agg, limit=3)
         assert "m:ingest:2" in report
         assert "span attribution" in report
@@ -237,21 +262,20 @@ class TestTelemetryRing:
 
 
 class TestFlightRecorder:
-    def test_disabled_pulse_and_tick_are_noops(self):
+    def test_disabled_tick_is_a_noop(self):
         recorder = FlightRecorder(enabled=False)
-        recorder.pulse("ingest.elements", 10)
+        METRICS.enable()
+        METRICS.count("engine.elements.seen", 10)
         assert recorder.tick() is None
         assert recorder.frames() == []
 
-    def test_tick_combines_pulses_counters_and_audit_state(self):
+    def test_tick_diffs_counters_and_reads_audit_state(self):
         recorder = FlightRecorder(enabled=True)
         METRICS.enable()
         METRICS.count("engine.elements.seen", 500)
-        recorder.pulse("ingest.elements", 500)
         frame = recorder.tick()
         assert frame is not None
-        assert frame.counts["ingest.elements"] == 500.0
-        assert frame.counts["engine.elements.seen"] == 500.0
+        assert frame.counts == {"engine.elements.seen": 500.0}
         assert frame.gauges["audit.alerts"] == 0.0
         # Counters are diffed: an unchanged total contributes no delta.
         second = recorder.tick()
@@ -260,25 +284,52 @@ class TestFlightRecorder:
         third = recorder.tick()
         assert third.counts["engine.elements.seen"] == 7.0
 
+    def test_engine_joins_are_counted_once(self):
+        METRICS.enable()
+        recorder = FlightRecorder(enabled=True)
+        engine = StreamEngine(
+            1 << 8, SketchParameters(width=32, depth=3), synopsis="skimmed", seed=5
+        )
+        for name in ("f", "g"):
+            engine.register_stream(name)
+            engine.process_bulk(name, np.arange(64, dtype=np.int64))
+        for _ in range(3):
+            engine.answer(JoinCountQuery("f", "g"))
+        frame = recorder.tick()
+        assert frame.counts["estimate.joins"] == 3.0
+        assert frame.counts["engine.queries"] == 3.0
+
     def test_stop_closes_final_window(self):
         recorder = FlightRecorder(enabled=False, interval=0.05)
+        METRICS.enable()
         recorder.start()
-        recorder.pulse("queries", 3)
+        METRICS.count("engine.queries", 3)
         recorder.stop()
         assert not recorder.enabled
         frames = recorder.frames()
-        assert sum(f.counts.get("queries", 0.0) for f in frames) == 3.0
+        assert sum(f.counts.get("engine.queries", 0.0) for f in frames) == 3.0
         recorder.stop()  # idempotent
 
     def test_snapshot_round_trips_as_jsonl(self):
         recorder = FlightRecorder(enabled=True)
-        recorder.pulse("queries", 2)
+        METRICS.enable()
+        METRICS.count("engine.queries", 2)
         recorder.tick()
         snapshot = recorder.snapshot()
         validate_timeseries(snapshot)
         restored = timeseries_from_jsonl(timeseries_to_jsonl(snapshot))
         assert restored["kind"] == "repro.timeseries"
         assert len(restored["frames"]) == len(snapshot["frames"])
+        assert restored["frames"][0]["counts"] == {"engine.queries": 2.0}
+
+    def test_eval_timeseries_out_records_counter_deltas(self, tmp_path):
+        from repro.eval.__main__ import main
+
+        path = tmp_path / "smoke.ts.jsonl"
+        assert main(["smoke", "--timeseries-out", str(path)]) == 0
+        frames = read_timeseries_jsonl(str(path))["frames"]
+        assert any(f["counts"].get("skim.passes", 0) > 0 for f in frames)
+        assert not METRICS.enabled  # switched back off after the run
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -307,12 +358,13 @@ class TestMonitorProfileEndpoints:
 
         PROFILER.enable()
         RECORDER.enable()
+        METRICS.enable()
         TRACER.enable()
         with TRACER.span("estimate.skim_join"):
             PROFILER.sample_once()
-        RECORDER.pulse("ingest.elements", 42)
+        METRICS.count("engine.elements.seen", 42)
         RECORDER.tick()
-        RECORDER.pulse("ingest.elements", 17)
+        METRICS.count("engine.elements.seen", 17)
         time.sleep(0.01)  # sparklines need two frames with real width
         RECORDER.tick()
         with MonitorServer(live_source(), port=0) as server:
@@ -326,7 +378,8 @@ class TestMonitorProfileEndpoints:
             assert status == 200
             series = json.loads(body)
             assert series["kind"] == "repro.timeseries"
-            assert series["frames"][0]["counts"]["ingest.elements"] == 42.0
+            assert series["frames"][0]["counts"]["engine.elements.seen"] == 42.0
+            assert series["frames"][1]["counts"]["engine.elements.seen"] == 17.0
 
             status, body, _ = _get(f"{server.url}/dashboard")
             assert status == 200
