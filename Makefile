@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test e2e-test bench bench-smoke experiments examples metrics-smoke monitor-smoke profile-smoke workloads-smoke federate-smoke lint check clean
+.PHONY: install test e2e-test bench bench-smoke experiments examples metrics-smoke monitor-smoke profile-smoke workloads-smoke lint check clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -32,7 +32,7 @@ lint:
 	fi
 
 # Umbrella gate: everything CI runs.
-check: lint test e2e-test metrics-smoke monitor-smoke profile-smoke workloads-smoke federate-smoke
+check: lint test e2e-test metrics-smoke monitor-smoke profile-smoke workloads-smoke
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -115,25 +115,6 @@ workloads-smoke:
 		benchmarks/baselines/ACCURACY_baseline.json .workloads-smoke.json
 	rm -f .workloads-smoke.json
 
-# Per-origin telemetry gate: prove scope isolation, the merge algebra and
-# the wire contracts (selfcheck); run a 3-site distributed round trip in
-# one process, which fails unless every ingested update is attributed to
-# its site's origin (per-origin metrics, one Perfetto trace with a lane per
-# site, per-origin exports); then scrape everything through a federated
-# monitor (origin-labelled /metrics + /topology health).  See the
-# "Federated telemetry" section of docs/OBSERVABILITY.md.
-federate-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.federate selfcheck
-	PYTHONPATH=src $(PYTHON) -m repro.federate run --sites 3 --rounds 2 \
-		--updates 500 --out-dir .federate-smoke
-	PYTHONPATH=src $(PYTHON) -m repro.monitor selfcheck \
-		--metrics .federate-smoke/metrics.json --min-audits 0 \
-		--federate coordinator=.federate-smoke/metrics.json \
-		--federate site.edge-0=.federate-smoke/telemetry.site.edge-0.json \
-		--federate site.edge-1=.federate-smoke/telemetry.site.edge-1.json \
-		--federate site.edge-2=.federate-smoke/telemetry.site.edge-2.json
-	rm -rf .federate-smoke
-
 clean:
-	rm -rf src/repro.egg-info .pytest_cache .hypothesis .benchmarks .federate-smoke
+	rm -rf src/repro.egg-info .pytest_cache .hypothesis .benchmarks
 	find . -name __pycache__ -type d -exec rm -rf {} +

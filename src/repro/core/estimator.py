@@ -226,7 +226,8 @@ class SkimmedSketch(StreamSynopsis):
 
         ``threshold`` overrides *both* streams' skim thresholds (used by
         the threshold-ablation experiment); by default each stream uses its
-        own ``c * N / sqrt(width)``.
+        own ``c * N / sqrt(width)``.  A self-join (``other is self``)
+        skims once and uses the result on both sides.
         """
         self._check_compatible(other)
         with _METRICS.timer(
@@ -241,7 +242,9 @@ class SkimmedSketch(StreamSynopsis):
                 n_g=float(other.absolute_mass),
             ) if _TRACER.enabled else nullcontext():
                 f_skim, f_res = self.skim(threshold)
-                g_skim, g_res = other.skim(threshold)
+                g_skim, g_res = (
+                    (f_skim, f_res) if other is self else other.skim(threshold)
+                )
                 breakdown = est_skim_join_size_from_parts(f_skim, f_res, g_skim, g_res)
         if _AUDIT.enabled:
             _AUDIT.annotate_last(

@@ -314,8 +314,10 @@ def est_skim_join_size(
     Returns
     -------
     A :class:`JoinEstimateBreakdown`; its ``estimate`` attribute is the
-    paper's return value.
+    paper's return value.  A self-join (``sketch_f is sketch_g`` at one
+    threshold) skims once and uses the result on both sides.
     """
+    self_join = sketch_f is sketch_g and threshold_f == threshold_g
     if isinstance(sketch_f, DyadicHashSketch) or isinstance(sketch_g, DyadicHashSketch):
         if not (
             isinstance(sketch_f, DyadicHashSketch)
@@ -325,11 +327,15 @@ def est_skim_join_size(
                 "cannot mix flat and dyadic sketches in one join"
             )
         f_skim, f_res = skim_dense_dyadic(sketch_f, threshold_f)
-        g_skim, g_res = skim_dense_dyadic(sketch_g, threshold_g)
+        g_skim, g_res = (
+            (f_skim, f_res) if self_join else skim_dense_dyadic(sketch_g, threshold_g)
+        )
         return est_skim_join_size_from_parts(
             f_skim, f_res.base_sketch, g_skim, g_res.base_sketch
         )
 
     f_skim, f_skimmed = skim_dense(sketch_f, threshold_f)
-    g_skim, g_skimmed = skim_dense(sketch_g, threshold_g)
+    g_skim, g_skimmed = (
+        (f_skim, f_skimmed) if self_join else skim_dense(sketch_g, threshold_g)
+    )
     return est_skim_join_size_from_parts(f_skim, f_skimmed, g_skim, g_skimmed)

@@ -9,9 +9,11 @@ sketch over all sites' traffic would produce — distribution costs
 using synopses in the paper's network-monitoring setting.
 
 Linearity also means the merged answer hides which site did what; the
-per-site view is telemetry.  :meth:`SketchCoordinator.telemetry_by_origin`
-exports each reporting site's scoped metrics and spans (see
-:mod:`repro.federate`).
+per-site view is telemetry.  Every site records inside its own
+``METRICS.scope`` / ``TRACER.scope`` (origin ``site.<name>``), so the
+process-wide ``METRICS`` snapshot lists each site under ``origins`` and
+its Prometheus exposition labels each site's samples with ``origin=``;
+the trace gives each site its own Perfetto lane.
 """
 
 from __future__ import annotations
@@ -21,17 +23,10 @@ from contextlib import nullcontext
 
 from ..core.estimator import SkimmedSketch, SkimmedSketchSchema
 from ..errors import IncompatibleSketchError, QueryError
-from ..federate import export_telemetry
 from ..monitor import AUDIT as _AUDIT
 from ..obs import METRICS as _METRICS
 from ..trace import TRACER as _TRACER
-from .protocol import (
-    ProtocolError,
-    RoundSummary,
-    SketchReport,
-    TraceContext,
-    site_origin,
-)
+from .protocol import ProtocolError, RoundSummary, SketchReport, TraceContext
 
 
 class SketchCoordinator:
@@ -214,19 +209,6 @@ class SketchCoordinator:
     def communication_stats(self) -> tuple[int, int]:
         """``(reports merged, total bytes received)`` since start."""
         return self._reports_merged, self._bytes_received
-
-    def telemetry_by_origin(self) -> dict[str, dict]:
-        """Cumulative telemetry envelope per reporting site.
-
-        Keys are origins (``site.<name>``) of every site with a merged
-        report; each value is :func:`repro.federate.export_telemetry` of
-        that origin's scopes in the process-wide ``METRICS`` and
-        ``TRACER`` — what the site recorded, and nothing else.
-        """
-        origins = sorted({site_origin(site) for site, _ in self._last_round})
-        return {
-            origin: export_telemetry(origin, _METRICS, _TRACER) for origin in origins
-        }
 
     def __repr__(self) -> str:
         return (

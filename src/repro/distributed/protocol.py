@@ -75,7 +75,7 @@ class SketchReport:
     ``trace_context`` (optional, so senders without one interoperate
     unchanged) echoes the coordinator-minted :class:`TraceContext` wire
     dict.  Reports carry no telemetry: a site's telemetry is attributed
-    where it is recorded (see :mod:`repro.federate`).
+    where it is recorded (see :class:`~repro.distributed.SketchSite`).
     """
 
     site: str

@@ -18,8 +18,7 @@ Telemetry is attributed where it is recorded: :meth:`SketchSite.observe`,
 inside ``METRICS.scope(origin)`` and ``TRACER.scope(origin)`` with origin
 ``site.<name>``.  Every site shares its process with the other sites and
 the coordinator; the scopes keep their counters and spans apart, and
-:meth:`~repro.distributed.SketchCoordinator.telemetry_by_origin` reads
-them back per site.
+``snapshot_to_prometheus`` labels each site's samples ``origin=site.<name>``.
 """
 
 from __future__ import annotations

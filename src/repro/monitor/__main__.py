@@ -64,15 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--prefix", default="repro", help="Prometheus name prefix (default: repro)"
     )
-    serve.add_argument(
-        "--federate",
-        metavar="ORIGIN=PATH_OR_URL",
-        action="append",
-        default=None,
-        help="federate a telemetry/metrics source under this origin "
-        "(repeatable); /metrics becomes an origin-labelled multi-source "
-        "exposition and /topology reports the fleet",
-    )
 
     selfcheck = sub.add_parser(
         "selfcheck",
@@ -90,26 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help="require at least this many served audits (default: 1)",
     )
-    selfcheck.add_argument(
-        "--federate",
-        metavar="ORIGIN=PATH_OR_URL",
-        action="append",
-        default=None,
-        help="also check the federated /metrics exposition (origin labels) "
-        "and the /topology endpoint over these sources (repeatable)",
-    )
     return parser
-
-
-def _build_federation(specs: list[str] | None):
-    """Resolve ``--federate`` specs into a ``FederatedSource`` (or None)."""
-    if not specs:
-        return None
-    try:
-        from ..federate import federation_from_args
-    except ImportError:  # standalone layout: `federate` next to `monitor`
-        from federate import federation_from_args  # type: ignore
-    return federation_from_args(specs)
 
 
 def _get(url: str) -> tuple[int, str]:
@@ -122,11 +94,10 @@ def _selfcheck(args: argparse.Namespace) -> int:
         source = file_source(
             args.metrics, args.audits, args.profile, args.timeseries
         )
-        federation = _build_federation(args.federate)
     except (OSError, ValueError) as exc:
         print(f"error: cannot load inputs: {exc}", file=sys.stderr)
         return 1
-    with MonitorServer(source, port=0, federation=federation) as server:
+    with MonitorServer(source, port=0) as server:
         failures: list[str] = []
 
         status, body = _get(f"{server.url}/metrics")
@@ -140,28 +111,11 @@ def _selfcheck(args: argparse.Namespace) -> int:
                 failures.append(f"/metrics exposition invalid: {exc}")
         if not samples and not failures:
             failures.append("/metrics served no samples")
-        if federation is not None and not failures:
-            for origin in federation.origins:
+        if not failures:
+            for origin in source.metrics_snapshot().get("origins", []):
                 label = f'origin="{origin}"'
                 if not any(label in name for name, _ in samples):
-                    failures.append(
-                        f"/metrics has no samples labelled {label}"
-                    )
-
-        status, body = _get(f"{server.url}/topology")
-        if status != 200 or json.loads(body).get("kind") != "repro.topology":
-            failures.append(f"/topology not a topology document (status {status})")
-        elif federation is not None:
-            origins = json.loads(body).get("origins", {})
-            for origin in federation.origins:
-                row = origins.get(origin)
-                if row is None:
-                    failures.append(f"/topology is missing origin {origin!r}")
-                elif not row.get("ok"):
-                    failures.append(
-                        f"/topology reports origin {origin!r} down: "
-                        f"{row.get('error')}"
-                    )
+                    failures.append(f"/metrics has no samples labelled {label}")
 
         status, body = _get(f"{server.url}/health")
         if status != 200 or json.loads(body).get("status") != "ok":
@@ -225,24 +179,14 @@ def main(argv: list[str] | None = None) -> int:
         source = file_source(
             args.metrics, args.audits, args.profile, args.timeseries
         )
-        federation = _build_federation(args.federate)
     except (OSError, ValueError) as exc:
         print(f"error: cannot load inputs: {exc}", file=sys.stderr)
         return 1
-    server = MonitorServer(
-        source,
-        host=args.host,
-        port=args.port,
-        prefix=args.prefix,
-        federation=federation,
-    )
+    server = MonitorServer(source, host=args.host, port=args.port, prefix=args.prefix)
     server.start()
-    federated = (
-        f", federating {len(federation.origins)} origins" if federation else ""
-    )
     print(
         f"serving on {server.url} (endpoints: /metrics /health /audits "
-        f"/snapshot /profile /timeseries /topology /dashboard{federated})"
+        f"/snapshot /profile /timeseries /dashboard)"
     )
     try:
         while True:

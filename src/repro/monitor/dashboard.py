@@ -257,46 +257,8 @@ def _aggregate_profile(profile: dict[str, Any]) -> dict[str, Any] | None:
         return None  # malformed snapshot: render the rest of the page
 
 
-def _origin_rows(federation: Any) -> str:
-    """Per-origin fleet table from a ``FederatedSource`` topology.
-
-    One row per configured origin — reachable or not (a dead site is
-    exactly what an operator needs to see) — with last-report age,
-    rounds, reports and report bytes.
-    """
-    topology = federation.topology()
-    parts = [
-        "<table><caption>Federated origins</caption>",
-        "<thead><tr><th>origin</th><th>source</th><th>status</th>"
-        "<th>age s</th><th>rounds</th><th>reports</th><th>bytes</th>"
-        "</tr></thead><tbody>",
-    ]
-    for origin, row in sorted(topology.get("origins", {}).items()):
-        if row.get("ok"):
-            status = "&#9679; up"
-        else:
-            error = html.escape(str(row.get("error") or "unreachable"))
-            status = f'&#9888; <span title="{error}">down</span>'
-        age = row.get("age_seconds")
-        parts.append(
-            f'<tr><td class="frame">{html.escape(origin)}</td>'
-            f'<td class="frame">{html.escape(str(row.get("target", "")))}</td>'
-            f"<td>{status}</td>"
-            f"<td>{'-' if age is None else _fmt(float(age))}</td>"
-            f"<td>{_fmt(float(row.get('rounds', 0)))}</td>"
-            f"<td>{_fmt(float(row.get('reports', 0)))}</td>"
-            f"<td>{_fmt(float(row.get('bytes', 0)))}</td></tr>"
-        )
-    parts.append("</tbody></table>")
-    return "".join(parts)
-
-
-def render_dashboard(source: Any, federation: Any = None) -> str:
-    """Render the full dashboard HTML for a ``MonitorSource``.
-
-    ``federation`` (a :class:`repro.federate.FederatedSource`, optional)
-    adds a per-origin fleet table above the telemetry sections.
-    """
+def render_dashboard(source: Any) -> str:
+    """Render the full dashboard HTML for a ``MonitorSource``."""
     metrics = source.metrics_snapshot()
     audits = source.audit_snapshot()
     profile = source.profile_snapshot()
@@ -347,12 +309,6 @@ def render_dashboard(source: Any, federation: Any = None) -> str:
             f'<p class="now">{now}</p>{_sparkline(points, unit)}</div>'
         )
     parts.append("</div>")
-
-    # Fleet view (only when serving with --federate).
-    if federation is not None:
-        parts.append('<div class="section">')
-        parts.append(_origin_rows(federation))
-        parts.append("</div>")
 
     # Hottest frames (profile top).
     aggregate = _aggregate_profile(profile)

@@ -7,7 +7,8 @@ experiment into something scrapeable like a production service:
   the existing ``repro.obs`` exporter, with monitor-level gauges
   (``monitor.audits.recorded``, ``monitor.audits.retained``,
   ``monitor.drift.alerts``, ``monitor.audit.last_realized_error``, …)
-  merged in;
+  merged in; metrics a distributed site recorded in its scope carry an
+  ``origin="site.<name>"`` label;
 * ``/health`` — liveness JSON (status, audit/alert counts);
 * ``/audits`` — the most recent :class:`QueryAudit` records as JSON
   (``?n=`` limits the count; any other query parameter is a 400);
@@ -231,6 +232,8 @@ def merged_metrics_snapshot(source: MonitorSource) -> dict[str, Any]:
         "gauges": dict(snapshot.get("gauges", {})),
         "histograms": dict(snapshot.get("histograms", {})),
     }
+    if "origins" in snapshot:
+        merged["origins"] = list(snapshot["origins"])
     records = audits.get("audits", [])
     merged["gauges"]["monitor.audits.recorded"] = float(audits.get("recorded", 0))
     merged["gauges"]["monitor.audits.retained"] = float(len(records))
@@ -288,32 +291,18 @@ class _MonitorHandler(BaseHTTPRequestHandler):
     server_version = "repro-monitor/1"
     source: MonitorSource  # attached by MonitorServer
     prefix = "repro"
-    # Optional repro.federate.FederatedSource (attached by MonitorServer):
-    # /metrics becomes the origin-labelled federated exposition and
-    # /topology reports the fleet.  Typed loosely so this module keeps
-    # loading standalone without the federate package on sys.path.
-    federation: Any = None
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         """Dispatch ``/metrics``, ``/health``, ``/audits``, ``/snapshot``,
-        ``/profile``, ``/timeseries``, ``/topology``, ``/dashboard``."""
+        ``/profile``, ``/timeseries``, ``/dashboard``."""
         url = urlparse(self.path)
         source = _stable_source(self.source)
         try:
             if url.path == "/metrics":
-                if self.federation is not None:
-                    body = self.federation.prometheus(prefix=self.prefix)
-                else:
-                    body = snapshot_to_prometheus(
-                        merged_metrics_snapshot(source), prefix=self.prefix
-                    )
+                body = snapshot_to_prometheus(
+                    merged_metrics_snapshot(source), prefix=self.prefix
+                )
                 self._reply(200, body, "text/plain; version=0.0.4; charset=utf-8")
-            elif url.path == "/topology":
-                if self.federation is not None:
-                    payload = self.federation.topology()
-                else:
-                    payload = {"version": 1, "kind": "repro.topology", "origins": {}}
-                self._reply(200, json.dumps(payload), "application/json")
             elif url.path == "/health":
                 audits = source.audit_snapshot()
                 payload = {
@@ -361,9 +350,7 @@ class _MonitorHandler(BaseHTTPRequestHandler):
                 from .dashboard import render_dashboard
 
                 self._reply(
-                    200,
-                    render_dashboard(source, federation=self.federation),
-                    "text/html; charset=utf-8",
+                    200, render_dashboard(source), "text/html; charset=utf-8"
                 )
             else:
                 self._reply(404, f"no such endpoint: {url.path}\n", "text/plain")
@@ -401,12 +388,11 @@ class MonitorServer:
         host: str = "127.0.0.1",
         port: int = 0,
         prefix: str = "repro",
-        federation: Any = None,
     ) -> None:
         handler = type(
             "_BoundMonitorHandler",
             (_MonitorHandler,),
-            {"source": source, "prefix": prefix, "federation": federation},
+            {"source": source, "prefix": prefix},
         )
         self._httpd = ThreadingHTTPServer((host, port), handler)
         self._thread: threading.Thread | None = None

@@ -8,7 +8,10 @@ Two wire formats:
 * **Prometheus text exposition** — counters as ``*_total``, gauges
   verbatim, histograms as summaries (``_count`` / ``_sum`` plus
   ``quantile`` samples), all under a configurable name prefix with
-  metric names sanitised to ``[a-zA-Z0-9_]``.
+  metric names sanitised to ``[a-zA-Z0-9_]``.  A metric recorded inside
+  ``METRICS.scope(origin)`` (named ``<origin>.<name>``, with ``origin``
+  listed in the snapshot's ``origins``) renders in ``name``'s family
+  with an ``origin="<origin>"`` label.
 
 Both exporters operate on the *snapshot* (plain dicts), not on the
 registry, so a snapshot can be captured in-process and exported later —
@@ -74,6 +77,15 @@ def validate_snapshot(snapshot: Any, _restore_nonfinite: bool = False) -> dict:
         if not isinstance(snapshot.get(section), dict):
             raise ValueError(f"snapshot section {section!r} missing or not a dict")
     out: dict = {"version": SNAPSHOT_VERSION, "counters": {}, "gauges": {}, "histograms": {}}
+    if "origins" in snapshot:
+        origins = snapshot["origins"]
+        if not isinstance(origins, list) or not all(
+            isinstance(origin, str) and origin for origin in origins
+        ):
+            raise ValueError(
+                f"'origins' must be a list of non-empty strings, got {origins!r}"
+            )
+        out["origins"] = list(origins)
     for section in ("counters", "gauges"):
         for name, value in snapshot[section].items():
             if not isinstance(name, str) or not name:
@@ -124,44 +136,71 @@ def _prom_value(value: float) -> str:
     return repr(float(value))
 
 
+def _escape_label(value: str) -> str:
+    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
+def _labels(*pairs: str) -> str:
+    inner = ",".join(pair for pair in pairs if pair)
+    return f"{{{inner}}}" if inner else ""
+
+
 def snapshot_to_prometheus(snapshot: dict, prefix: str = "repro") -> str:
     """Render a snapshot in the Prometheus text exposition format.
 
-    Raises ``ValueError`` if two metric names sanitise to the same
-    exposition family (e.g. ``a.b`` and ``a_b``) — silently emitting a
-    duplicated ``# TYPE`` family is invalid exposition text.
+    A metric named ``<origin>.<name>`` with ``origin`` in the snapshot's
+    ``origins`` renders in ``name``'s family, labelled
+    ``origin="<origin>"``; the longest matching origin wins.  Each family
+    is declared by one ``# TYPE`` line followed by all of its samples.
+
+    Raises ``ValueError`` if two metric names (e.g. ``a.b`` and ``a_b``),
+    or two metric types, land in the same exposition family — silently
+    emitting a duplicated ``# TYPE`` family is invalid exposition text.
     """
     validate_snapshot(snapshot)
-    lines: list[str] = []
-    families: dict[str, str] = {}
+    origins = sorted(snapshot.get("origins", ()), key=len, reverse=True)
+    # family -> (type, bare metric name, sample lines), in first-seen order.
+    families: dict[str, tuple[str, str, list[str]]] = {}
 
-    def _family(full: str, source: str) -> str:
-        if full in families:
+    def _family(suffix: str, kind: str, name: str) -> tuple[str, str, list[str]]:
+        label = ""
+        for origin in origins:
+            if name.startswith(origin + "."):
+                name = name[len(origin) + 1 :]
+                label = f'origin="{_escape_label(origin)}"'
+                break
+        full = f"{prefix}_{_prom_name(name)}{suffix}"
+        held = families.setdefault(full, (kind, name, []))
+        if held[:2] != (kind, name):
             raise ValueError(
-                f"metric names {families[full]!r} and {source!r} both "
-                f"sanitise to exposition family {full!r}"
+                f"metric names {held[1]!r} ({held[0]}) and {name!r} ({kind}) "
+                f"both sanitise to exposition family {full!r}"
             )
-        families[full] = source
-        return full
+        return full, label, held[2]
 
     for name, value in snapshot["counters"].items():
-        full = _family(f"{prefix}_{_prom_name(name)}_total", name)
-        lines.append(f"# TYPE {full} counter")
-        lines.append(f"{full} {_prom_value(_definite(value))}")
+        full, label, samples = _family("_total", "counter", name)
+        samples.append(f"{full}{_labels(label)} {_prom_value(_definite(value))}")
     for name, value in snapshot["gauges"].items():
-        full = _family(f"{prefix}_{_prom_name(name)}", name)
-        lines.append(f"# TYPE {full} gauge")
-        lines.append(f"{full} {_prom_value(_definite(value))}")
+        full, label, samples = _family("", "gauge", name)
+        samples.append(f"{full}{_labels(label)} {_prom_value(_definite(value))}")
     for name, summary in snapshot["histograms"].items():
-        full = _family(f"{prefix}_{_prom_name(name)}", name)
-        lines.append(f"# TYPE {full} summary")
+        full, label, samples = _family("", "summary", name)
         for quantile, field in (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99")):
-            lines.append(
-                f'{full}{{quantile="{quantile}"}} '
-                f"{_prom_value(_definite(summary[field]))}"
+            labels = _labels(label, f'quantile="{quantile}"')
+            samples.append(
+                f"{full}{labels} {_prom_value(_definite(summary[field]))}"
             )
-        lines.append(f"{full}_sum {_prom_value(_definite(summary['sum']))}")
-        lines.append(f"{full}_count {int(_definite(summary['count']))}")
+        samples.append(
+            f"{full}_sum{_labels(label)} {_prom_value(_definite(summary['sum']))}"
+        )
+        samples.append(
+            f"{full}_count{_labels(label)} {int(_definite(summary['count']))}"
+        )
+    lines: list[str] = []
+    for full, (kind, _, samples) in families.items():
+        lines.append(f"# TYPE {full} {kind}")
+        lines.extend(samples)
     return "\n".join(lines) + "\n"
 
 

@@ -20,6 +20,10 @@ the process) with a context-local scope::
     with METRICS.scope("site.edge-0"):
         METRICS.count("dist.rounds.closed")   # -> site.edge-0.dist.rounds.closed
 
+The snapshot lists every origin recorded under, which is how the
+Prometheus exporter renders ``site.edge-0.dist.rounds.closed`` as
+``dist_rounds_closed_total{origin="site.edge-0"}``.
+
 Design constraints (enforced by the test suite):
 
 * **no third-party imports** — ``repro.obs`` must be importable without
@@ -37,7 +41,7 @@ import time
 import zlib
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Callable, Iterator
+from typing import Callable, Iterator
 
 #: Reservoir size for histogram percentile estimation.
 DEFAULT_RESERVOIR_SIZE = 2048
@@ -60,10 +64,8 @@ class Counter:
 class Gauge:
     """A last-written-wins scalar (thresholds, round numbers, sizes).
 
-    Each write stamps ``ts`` with the wall-clock time so last-write-wins
-    stays well-defined when telemetry exports from several *processes*
-    are merged (``repro.federate.merge_telemetry``): wall-clock
-    timestamps are the only ordering comparable across processes.
+    Each write stamps ``ts`` with the wall-clock time; ``ts == 0`` marks
+    a gauge that was never set (``MetricsRegistry.gauge_max`` reads it).
     """
 
     __slots__ = ("name", "value", "ts")
@@ -86,7 +88,7 @@ class Histogram:
     percentiles from a reservoir.  Reservoir replacement uses an internal
     xorshift generator (seeded from a CRC-32 of the metric name, which —
     unlike ``hash()`` — does not vary with ``PYTHONHASHSEED``) instead of
-    the global ``random`` state, so recordings are deterministic across
+    the global ``random`` state, so snapshots are reproducible across
     processes and the registry never perturbs user-level randomness.
     """
 
@@ -138,27 +140,6 @@ class Histogram:
         ordered = sorted(self._samples)
         rank = max(0, min(len(ordered) - 1, round(p / 100.0 * (len(ordered) - 1))))
         return ordered[rank]
-
-    def state(self, max_samples: int | None = None) -> dict[str, Any]:
-        """Reservoir-carrying dump for cross-process merging.
-
-        Unlike :meth:`summary` (quantiles only, not mergeable) the state
-        keeps raw reservoir samples, which is what a telemetry export
-        (``repro.federate``) carries.  ``max_samples`` bounds the shipped
-        reservoir with an even stride across the sorted samples,
-        preserving the spread.
-        """
-        samples = sorted(self._samples)
-        if max_samples is not None and len(samples) > max_samples:
-            step = len(samples) / max_samples
-            samples = [samples[int(i * step)] for i in range(max_samples)]
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min if self.count else 0.0,
-            "max": self.max if self.count else 0.0,
-            "samples": samples,
-        }
 
     def summary(self) -> dict[str, float]:
         """JSON-ready summary: count/sum/min/max/mean and p50/p95/p99."""
@@ -250,6 +231,7 @@ class MetricsRegistry:
         "reservoir_size",
         "_lock",
         "_scope",
+        "_origins",
     )
 
     def __init__(self, enabled: bool = False, reservoir_size: int = DEFAULT_RESERVOIR_SIZE):
@@ -262,6 +244,7 @@ class MetricsRegistry:
         self._scope: ContextVar[str | None] = ContextVar(
             "repro.obs.scope", default=None
         )
+        self._origins: set[str] = set()
 
     # -- switch ------------------------------------------------------------
 
@@ -294,8 +277,13 @@ class MetricsRegistry:
             self._scope.reset(token)
 
     def _scoped(self, name: str) -> str:
+        # Called only once a recording method has passed its ``enabled``
+        # check, so a disabled registry lists no origin.
         origin = self._scope.get()
-        return name if origin is None else f"{origin}.{name}"
+        if origin is None:
+            return name
+        self._origins.add(origin)
+        return f"{origin}.{name}"
 
     # -- recording ---------------------------------------------------------
 
@@ -376,8 +364,12 @@ class MetricsRegistry:
         )
 
     def snapshot(self) -> dict:
-        """JSON-ready dump of every metric (readable even while disabled)."""
-        return {
+        """JSON-ready dump of every metric (readable even while disabled).
+
+        ``origins`` (sorted) is present only when something was recorded
+        inside a :meth:`scope`; those metrics are named ``<origin>.<name>``.
+        """
+        snapshot: dict = {
             "version": 1,
             "counters": {n: c.value for n, c in sorted(self._counters.items())},
             "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
@@ -385,12 +377,16 @@ class MetricsRegistry:
                 n: h.summary() for n, h in sorted(self._histograms.items())
             },
         }
+        if self._origins:
+            snapshot["origins"] = sorted(self._origins)
+        return snapshot
 
     def reset(self) -> None:
-        """Drop every metric (the enabled flag is left as-is)."""
+        """Drop every metric and origin (the enabled flag is left as-is)."""
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
+        self._origins.clear()
 
     def __repr__(self) -> str:
         return (

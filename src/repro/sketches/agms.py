@@ -215,6 +215,9 @@ class AGMSSketch(StreamSynopsis):
         masses = np.asarray(masses, dtype=np.float64)
         if masses.shape != values.shape:
             raise ParameterError("masses must have the same shape as values")
+        mass = finite_mass(float(np.abs(masses).sum()))
+        if observed_mass is not None:
+            mass = finite_mass(float(observed_mass))
         if values.size:
             self._check_value(int(values.min()))
             self._check_value(int(values.max()))
@@ -224,10 +227,7 @@ class AGMSSketch(StreamSynopsis):
             stop = start + chunk
             signs = self._schema.signs.signs(values[start:stop])
             flat += signs @ masses[start:stop]
-        self._absolute_mass += (
-            float(np.abs(masses).sum()) if observed_mass is None
-            else float(observed_mass)
-        )
+        self._absolute_mass += mass
 
     def ingest_frequency_vector(self, frequencies: "FrequencyVector") -> None:
         """Absorb a whole frequency vector.

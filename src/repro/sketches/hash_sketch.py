@@ -411,14 +411,14 @@ class HashSketch(StreamSynopsis):
         masses = np.asarray(masses, dtype=np.float64)
         if masses.shape != values.shape:
             raise ParameterError("masses must have the same shape as values")
+        mass = finite_mass(float(np.abs(masses).sum()))
+        if observed_mass is not None:
+            mass = finite_mass(float(observed_mass))
         if values.size:
             self._check_value(int(values.min()))
             self._check_value(int(values.max()))
             self._apply_point_masses(values, masses, coalesced=True)
-        self._absolute_mass += (
-            float(np.abs(masses).sum()) if observed_mass is None
-            else float(observed_mass)
-        )
+        self._absolute_mass += mass
 
     # -- read access for exactness checks ---------------------------------------
 

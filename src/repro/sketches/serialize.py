@@ -15,8 +15,9 @@ families identical), counters are restored verbatim.
 
 from __future__ import annotations
 
+import operator
 from pathlib import Path
-from typing import Any, BinaryIO, Union
+from typing import Any, BinaryIO, Callable, Union
 
 import numpy as np
 
@@ -36,6 +37,7 @@ _KIND_SKIMMED = "skimmed"
 
 #: Every sketch kind the persistence layer round-trips.
 AnySketch = Union[HashSketch, AGMSSketch, DyadicHashSketch, SkimmedSketch]
+AnySchema = Union[HashSketchSchema, AGMSSchema, DyadicSketchSchema, SkimmedSketchSchema]
 
 
 class SerializationError(ReproError):
@@ -228,50 +230,80 @@ def sketch_spec(sketch: AnySketch) -> dict[str, Any]:
     raise SerializationError(f"cannot spec {type(sketch).__name__}")
 
 
-def sketch_from_spec(spec: dict[str, Any]) -> AnySketch:
-    """Build a fresh *empty* sketch from :func:`sketch_spec` output."""
-    version = int(spec.get("version", -1))
-    if version != FORMAT_VERSION:
-        raise SerializationError(f"unsupported spec version {version}")
-    kind = str(spec.get("kind", ""))
+def _spec_field(spec: dict[str, Any], name: str, cast: Callable[[Any], Any]) -> Any:
+    """``cast(spec[name])``, or a :class:`SerializationError` naming the field."""
+    try:
+        return cast(spec[name])
+    except KeyError as exc:
+        raise SerializationError(f"spec has no {name!r} field") from exc
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(
+            f"spec field {name!r} is malformed: {spec[name]!r}"
+        ) from exc
+
+
+def _schema_from_spec(spec: dict[str, Any], kind: str) -> AnySchema:
+    def field(name: str, cast: Callable[[Any], Any] = operator.index) -> Any:
+        return _spec_field(spec, name, cast)
+
     if kind == _KIND_HASH:
         return HashSketchSchema(
-            int(spec["width"]),
-            int(spec["depth"]),
-            int(spec["domain_size"]),
-            seed=int(spec["seed"]),
-        ).create_sketch()
+            field("width"), field("depth"), field("domain_size"), seed=field("seed")
+        )
     if kind == _KIND_AGMS:
         return AGMSSchema(
-            int(spec["averaging"]),
-            int(spec["median"]),
-            int(spec["domain_size"]),
-            seed=int(spec["seed"]),
-        ).create_sketch()
+            field("averaging"),
+            field("median"),
+            field("domain_size"),
+            seed=field("seed"),
+        )
     if kind == _KIND_DYADIC:
         schema = DyadicSketchSchema(
-            int(spec["width"]),
-            int(spec["depth"]),
-            int(spec["domain_size"]),
-            seed=int(spec["seed"]),
-            coarse_cutoff=int(spec["coarse_cutoff"]),
+            field("width"),
+            field("depth"),
+            field("domain_size"),
+            seed=field("seed"),
+            coarse_cutoff=field("coarse_cutoff"),
         )
-        if schema.num_levels != int(spec["num_levels"]):
+        num_levels = field("num_levels")
+        if schema.num_levels != num_levels:
             raise SerializationError(
-                f"spec has {spec['num_levels']} levels, schema rebuilds "
-                f"{schema.num_levels}"
+                f"spec has {num_levels} levels, schema rebuilds {schema.num_levels}"
             )
-        return schema.create_sketch()
+        return schema
     if kind == _KIND_SKIMMED:
+        inner_kind = field("inner_kind", str)
+        if inner_kind not in (_KIND_HASH, _KIND_DYADIC):
+            raise SerializationError(f"spec has unknown inner_kind {inner_kind!r}")
         return SkimmedSketchSchema(
-            int(spec["width"]),
-            int(spec["depth"]),
-            int(spec["domain_size"]),
-            seed=int(spec["seed"]),
-            dyadic=str(spec["inner_kind"]) == _KIND_DYADIC,
-            threshold_multiplier=float(spec["threshold_multiplier"]),
-        ).create_sketch()
+            field("width"),
+            field("depth"),
+            field("domain_size"),
+            seed=field("seed"),
+            dyadic=inner_kind == _KIND_DYADIC,
+            threshold_multiplier=field("threshold_multiplier", float),
+        )
     raise SerializationError(f"unknown sketch kind {kind!r}")
+
+
+def sketch_from_spec(spec: dict[str, Any]) -> AnySketch:
+    """Build a fresh *empty* sketch from :func:`sketch_spec` output.
+
+    Raises :class:`SerializationError`, and nothing else, when ``spec`` is
+    not a dict, lacks a field or holds a mistyped one, or describes a
+    schema that cannot be built.
+    """
+    if not isinstance(spec, dict):
+        raise SerializationError(f"spec must be a dict, got {type(spec).__name__}")
+    version = _spec_field(spec, "version", operator.index)
+    if version != FORMAT_VERSION:
+        raise SerializationError(f"unsupported spec version {version}")
+    kind = _spec_field(spec, "kind", str)
+    try:
+        schema = _schema_from_spec(spec, kind)
+    except ValueError as exc:  # ParameterError, or numpy rejecting the seed
+        raise SerializationError(f"spec describes no valid {kind} schema: {exc}") from exc
+    return schema.create_sketch()
 
 
 def merge_sketch_state(sketch: AnySketch, state: dict[str, Any]) -> AnySketch:

@@ -1,4 +1,6 @@
-"""Tests for distributed sketch collection (sites -> coordinator)."""
+"""Tests for distributed sketch collection (sites -> coordinator), and
+for per-origin telemetry when every site shares the coordinator's
+process."""
 
 from __future__ import annotations
 
@@ -13,7 +15,10 @@ from repro.distributed import (
     SketchSite,
 )
 from repro.errors import IncompatibleSketchError, QueryError
+from repro.obs import METRICS
 from repro.streams.generators import shifted_zipf_pair
+from repro.trace import TRACER
+from repro.trace.export import trace_origins, trace_to_chrome
 
 DOMAIN = 1 << 11
 
@@ -226,4 +231,177 @@ class TestTraceContext:
         )
         coordinator = SketchCoordinator(schema)
         summary = coordinator.receive_all([legacy])
+        assert summary.reports_merged == 1
+
+
+def origin_counters(snapshot: dict, origin: str) -> dict[str, float]:
+    """The counters ``origin``'s scope recorded, under their bare names."""
+    prefix = f"{origin}."
+    return {
+        name[len(prefix) :]: value
+        for name, value in snapshot["counters"].items()
+        if name.startswith(prefix)
+    }
+
+
+class TestPerOriginTelemetry:
+    """Sites record inside their own ``METRICS``/``TRACER`` scopes, so the
+    process-wide singletons keep each site's telemetry apart."""
+
+    def test_sites_sharing_a_process_keep_their_own_telemetry(self, rng):
+        """Two sites in one process, no singleton reset between them: only
+        site a ingests, then both close one round."""
+        schema = make_schema()
+        site_a = SketchSite("a", schema, streams=["R"])
+        site_b = SketchSite("b", schema, streams=["R"])
+        coordinator = SketchCoordinator(schema)
+        METRICS.enable()
+        TRACER.enable()
+        site_a.observe_bulk("R", rng.integers(0, DOMAIN, size=100, dtype="int64"))
+        context = coordinator.mint_trace_context()
+        coordinator.receive_all(
+            site_a.close_round(context) + site_b.close_round(context)
+        )
+
+        snapshot = METRICS.snapshot()
+        b = origin_counters(snapshot, "site.b")
+        assert b["dist.rounds.closed"] == 1.0
+        assert b["dist.reports.sent"] == 1.0
+        assert not any(name.startswith("sketch.update.") for name in b)
+        assert "dist.bytes.received" not in b
+        assert origin_counters(snapshot, "site.a")["sketch.update.elements"] == 100.0
+        assert "sketch.update.elements" not in snapshot["counters"]
+
+        rounds = TRACER.find("dist.round")
+        assert sorted(s.attributes["origin"] for s in rounds) == ["site.a", "site.b"]
+        assert len(TRACER.find("sketch.update_bulk")) == 1
+
+    def _run_fleet(self, rng, rounds=2, sites=3, updates=200):
+        """Every site and the coordinator share this process and its
+        singletons; the sites' scopes keep their telemetry apart."""
+        schema = make_schema()
+        fleet = [
+            SketchSite(f"edge-{i}", schema, streams=["R", "S"]) for i in range(sites)
+        ]
+        coordinator = SketchCoordinator(schema)
+        METRICS.enable()
+        TRACER.enable()
+        contexts = []
+        for _ in range(rounds):
+            context = coordinator.mint_trace_context()
+            contexts.append(context)
+            batch = []
+            for site in fleet:
+                for stream in ("R", "S"):
+                    site.observe_bulk(
+                        stream,
+                        rng.integers(0, DOMAIN, size=updates, dtype="int64"),
+                    )
+                batch.extend(site.close_round(context))
+            coordinator.receive_all(batch)
+        return fleet, coordinator, contexts
+
+    def test_every_ingested_update_is_attributed_to_its_site(self, rng):
+        fleet, _, _ = self._run_fleet(rng, rounds=2, sites=3, updates=500)
+        snapshot = METRICS.snapshot()
+        origins = [site.origin for site in fleet]
+        assert snapshot["origins"] == origins == [f"site.edge-{i}" for i in range(3)]
+        ingested = len(fleet) * 2 * 2 * 500
+        attributed = sum(
+            origin_counters(snapshot, origin)["sketch.update.elements"]
+            for origin in origins
+        )
+        assert attributed == ingested == 6000
+        assert METRICS.counter_value("sketch.update.elements") == 0.0
+        # One Perfetto trace: the local lane plus one lane per site.
+        chrome = trace_to_chrome(TRACER.snapshot())
+        pids = {
+            event["pid"]
+            for event in chrome["traceEvents"]
+            if event.get("ph") in ("X", "i")
+        }
+        assert len(pids) == 4
+
+    def test_coordinator_metrics_carry_per_origin_counters(self, rng):
+        self._run_fleet(rng)
+        snapshot = METRICS.snapshot()
+        for i in range(3):
+            assert (
+                snapshot["counters"][f"site.edge-{i}.dist.rounds.closed"] == 2.0
+            )
+            assert (
+                snapshot["counters"][f"site.edge-{i}.dist.reports.sent"] == 4.0
+            )
+        # The coordinator's own counters coexist, unprefixed.
+        assert snapshot["counters"]["dist.reports.received"] == 12.0
+
+    def test_single_stitched_trace_with_per_site_lanes(self, rng):
+        self._run_fleet(rng)
+        snapshot = TRACER.snapshot()
+        origins = trace_origins(snapshot)
+        assert origins == [f"site.edge-{i}" for i in range(3)]
+        chrome = trace_to_chrome(snapshot)
+        events = chrome["traceEvents"]
+        lanes = {
+            e["args"]["name"]: e["pid"]
+            for e in events
+            if e["ph"] == "M" and e["name"] == "process_name"
+        }
+        assert len({lanes[f"repro origin: site.edge-{i}"] for i in range(3)}) == 3
+        # Site round spans sit in their own lanes, outside the
+        # coordinator's merge rounds, and share a merge round's trace_id.
+        merge_rounds = TRACER.find("dist.merge_round")
+        site_rounds = TRACER.find("dist.round")
+        assert len(merge_rounds) == 2 and len(site_rounds) == 6
+        assert all("origin" not in s.attributes for s in merge_rounds)
+        merge_ids = {s.attributes["trace_id"] for s in merge_rounds}
+        for span in site_rounds:
+            assert span.parent_id is None
+            assert span.attributes["trace_id"] in merge_ids
+
+    def test_trace_context_propagates_to_reports_and_spans(self, rng):
+        fleet, coordinator, contexts = self._run_fleet(rng, rounds=1)
+        assert contexts[0].trace_id == "fleet-round-000001"
+        site_rounds = TRACER.find("dist.round")
+        assert all(
+            s.attributes["trace_id"] == contexts[0].trace_id for s in site_rounds
+        )
+        merge_round = TRACER.find("dist.merge_round")[0]
+        assert merge_round.attributes["trace_id"] == contexts[0].trace_id
+
+    def test_telemetry_accumulates_per_origin(self, rng):
+        self._run_fleet(rng)
+        snapshot = METRICS.snapshot()
+        origins = [f"site.edge-{i}" for i in range(3)]
+        assert snapshot["origins"] == origins
+        for origin in origins:
+            counters = origin_counters(snapshot, origin)
+            assert counters["dist.rounds.closed"] == 2.0
+            assert counters["sketch.update.elements"] == 800.0
+            assert any(s.attributes.get("origin") == origin for s in TRACER.spans())
+
+    def test_estimates_unaffected_by_telemetry(self, rng):
+        _, coordinator, _ = self._run_fleet(rng)
+        assert coordinator.est_self_join_size("R") > 0
+
+    def test_disabled_singletons_record_nothing(self, rng):
+        schema = make_schema()
+        site = SketchSite("edge-0", schema, streams=["R"])
+        site.observe_bulk("R", rng.integers(0, DOMAIN, size=100, dtype="int64"))
+        coordinator = SketchCoordinator(schema)
+        coordinator.receive_all(site.close_round())
+        snapshot = METRICS.snapshot()
+        assert snapshot["counters"] == {}
+        assert "origins" not in snapshot
+        assert TRACER.spans() == []
+
+    def test_plain_reports_still_interoperate(self, rng):
+        """Senders without a trace context still merge."""
+        schema = make_schema()
+        site = SketchSite("edge-0", schema, streams=["R"])
+        site.observe_bulk("R", rng.integers(0, DOMAIN, size=100, dtype="int64"))
+        reports = site.close_round()
+        assert all(r.trace_context is None for r in reports)
+        coordinator = SketchCoordinator(schema)
+        summary = coordinator.receive_all(reports)
         assert summary.reports_merged == 1

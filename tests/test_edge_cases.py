@@ -138,7 +138,9 @@ class TestNonFiniteWeights:
 
         return sketch_state(sketch)
 
-    @pytest.mark.parametrize("path", ["update", "update_bulk"])
+    @pytest.mark.parametrize(
+        "path", ["update", "update_bulk", "update_coalesced", "observed_mass"]
+    )
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("kind", sorted(SCHEMAS))
     def test_rejected_and_nothing_changes(self, kind, bad, path):
@@ -148,13 +150,17 @@ class TestNonFiniteWeights:
         sketch.update_bulk(np.arange(0, 256, 3, dtype=np.int64))
         before = self._state(sketch)
         mass = sketch.absolute_mass
+        values = np.asarray([1, 2, 3], dtype=np.int64)
         with pytest.raises(ParameterError):
             if path == "update":
                 sketch.update(7, bad)
+            elif path == "update_bulk":
+                sketch.update_bulk(values, np.asarray([1.0, bad, 1.0]))
+            elif path == "update_coalesced":
+                sketch.update_coalesced(values, np.asarray([1.0, bad, 1.0]))
             else:
-                sketch.update_bulk(
-                    np.asarray([1, 2, 3], dtype=np.int64),
-                    np.asarray([1.0, bad, 1.0]),
+                sketch.update_coalesced(
+                    values, np.asarray([1.0, 1.0, 1.0]), observed_mass=bad
                 )
         after = self._state(sketch)
         assert sketch.absolute_mass == mass

@@ -580,6 +580,38 @@ class TestMonitorServer:
             status, _ = _get(f"{server.url}/nope")
             assert status == 404
 
+    def test_serves_a_fleet_snapshot_with_origin_labels(self, tmp_path):
+        """Three sites share this process; the snapshot their coordinator's
+        registry writes serves one ``origin``-labelled sample per site."""
+        from repro.core.estimator import SkimmedSketchSchema
+        from repro.distributed import SketchCoordinator, SketchSite
+        from repro.monitor.__main__ import main
+
+        domain = 1 << 10
+        schema = SkimmedSketchSchema(64, 5, domain, seed=0)
+        fleet = [SketchSite(f"edge-{i}", schema, streams=["R"]) for i in range(3)]
+        coordinator = SketchCoordinator(schema)
+        rng = np.random.default_rng(7)
+        METRICS.enable()
+        for site in fleet:
+            site.observe_bulk("R", rng.integers(0, domain, size=50, dtype=np.int64))
+        coordinator.receive_all([r for site in fleet for r in site.close_round()])
+        path = tmp_path / "fleet.json"
+        write_snapshot(str(path), METRICS.snapshot())
+
+        with MonitorServer(file_source(str(path)), port=0) as server:
+            status, body = _get(f"{server.url}/metrics")
+            assert status == 200
+            samples = dict(parse_prometheus(body))
+            for i in range(3):
+                labelled = f'{{origin="site.edge-{i}"}}'
+                assert samples[f"repro_sketch_update_elements_total{labelled}"] == 50.0
+                assert samples[f"repro_dist_rounds_closed_total{labelled}"] == 1.0
+            assert samples["repro_dist_reports_received_total"] == 3.0
+            removed = "topology"  # the per-site view is the labelled /metrics
+            assert _get(f"{server.url}/{removed}")[0] == 404
+        assert main(["selfcheck", "--metrics", str(path), "--min-audits", "0"]) == 0
+
     def test_live_source_serves_process_registries(self):
         AUDIT.enable()
         AUDIT.record(_make_audit())
@@ -644,6 +676,18 @@ class TestFileSourceAndCLI:
         assert main(["selfcheck", "--metrics", metrics, "--min-audits", "1"]) == 1
         assert "selfcheck FAILED" in capsys.readouterr().err
 
+    def test_selfcheck_fails_when_an_origin_has_no_samples(self, tmp_path, capsys):
+        from repro.monitor.__main__ import main
+
+        reg = MetricsRegistry(enabled=True)
+        with reg.scope("site.a"):
+            reg.count("engine.queries")
+        snapshot = dict(reg.snapshot(), origins=["site.a", "site.gone"])
+        metrics = tmp_path / "metrics.json"
+        write_snapshot(str(metrics), snapshot)
+        assert main(["selfcheck", "--metrics", str(metrics), "--min-audits", "0"]) == 1
+        assert 'no samples labelled origin="site.gone"' in capsys.readouterr().err
+
     def test_selfcheck_fails_on_unreadable_inputs(self, tmp_path, capsys):
         from repro.monitor.__main__ import main
 
@@ -655,9 +699,9 @@ class TestFileSourceAndCLI:
 class TestImportCost:
     """``repro.monitor`` must stay importable without numpy — it rides in
     the thinnest serving agent alongside ``repro.obs`` — and so must the
-    ``repro.profile`` and ``repro.federate`` packages it serves.  Importing
-    each one standalone (its parent directory on ``sys.path``) also runs
-    the ``except ImportError`` fallbacks of their sibling imports."""
+    ``repro.profile`` package it serves.  Importing each one standalone
+    (its parent directory on ``sys.path``) also runs the
+    ``except ImportError`` fallbacks of their sibling imports."""
 
     def _import_standalone(self, module: str) -> None:
         path = str(pathlib.Path(repro.monitor.__file__).parent.parent)
@@ -672,8 +716,6 @@ class TestImportCost:
     def test_monitor_does_not_import_numpy(self, module):
         self._import_standalone(module)
 
-    @pytest.mark.parametrize(
-        "module", ["profile", "profile.__main__", "federate", "federate.__main__"]
-    )
-    def test_profile_and_federate_do_not_import_numpy(self, module):
+    @pytest.mark.parametrize("module", ["profile", "profile.__main__"])
+    def test_profile_does_not_import_numpy(self, module):
         self._import_standalone(module)

@@ -104,14 +104,14 @@ class TestHistogram:
         assert a.summary() == b.summary()
 
     def test_reservoir_is_stable_across_hash_seeds(self):
-        """Exports from different processes get merged, so a reservoir
+        """Snapshots are reproducible across processes, so a reservoir
         must not depend on the interpreter's string-hash seed."""
         code = (
-            "import json, sys; sys.path.insert(0, {path!r}); "
+            "import sys; sys.path.insert(0, {path!r}); "
             "from obs.registry import Histogram; "
             "h = Histogram('engine.answer.seconds'); "
             "[h.record(float(i)) for i in range(10_000)]; "
-            "print(json.dumps(h.state()))"
+            "print(sorted(h._samples))"
         ).format(path=str(pathlib.Path(repro.obs.__file__).parent.parent))
         states = [
             subprocess.run(
@@ -301,6 +301,24 @@ class TestScope:
             registry.count("x")
             registry.observe("h", 1.0)
         assert list(registry.metric_names()) == []
+        assert "origins" not in registry.snapshot()
+
+    def test_snapshot_lists_origins_only_when_scoped(self):
+        registry = MetricsRegistry(enabled=True)
+        registry.count("x")
+        assert list(registry.snapshot()) == [
+            "version",
+            "counters",
+            "gauges",
+            "histograms",
+        ]
+        with registry.scope("site.b"):
+            registry.gauge("level", 1.0)
+        with registry.scope("site.a"):
+            registry.observe("lat", 0.5)
+        assert registry.snapshot()["origins"] == ["site.a", "site.b"]
+        registry.reset()
+        assert "origins" not in registry.snapshot()
 
     def test_empty_origin_rejected(self):
         with pytest.raises(ValueError):
@@ -358,6 +376,15 @@ class TestExporters:
         snap = reg.snapshot()
         assert snapshot_from_json(snapshot_to_json(snap)) == snap
 
+    def test_json_round_trip_keeps_origins(self):
+        reg = self._populated()
+        with reg.scope("site.edge-0"):
+            reg.count("sketch.update.elements", 7)
+            reg.observe("skim.seconds", 0.5)
+        snap = reg.snapshot()
+        assert snap["origins"] == ["site.edge-0"]
+        assert snapshot_from_json(snapshot_to_json(snap)) == snap
+
     def test_json_round_trip_with_nonfinite_gauge(self):
         reg = MetricsRegistry(enabled=True)
         reg.gauge("skim.threshold", float("inf"))
@@ -384,6 +411,23 @@ class TestExporters:
             name = metric.split("{")[0]
             assert all(c.isalnum() or c == "_" for c in name), line
 
+    def test_prometheus_text_is_pinned(self):
+        """The exact exposition of an unscoped snapshot."""
+        assert snapshot_to_prometheus(self._populated().snapshot()) == (
+            "# TYPE repro_sketch_update_elements_total counter\n"
+            "repro_sketch_update_elements_total 100.0\n"
+            "# TYPE repro_skim_passes_total counter\n"
+            "repro_skim_passes_total 2.0\n"
+            "# TYPE repro_skim_threshold gauge\n"
+            "repro_skim_threshold 12.5\n"
+            "# TYPE repro_skim_seconds summary\n"
+            'repro_skim_seconds{quantile="0.5"} 0.002\n'
+            'repro_skim_seconds{quantile="0.95"} 0.004\n'
+            'repro_skim_seconds{quantile="0.99"} 0.004\n'
+            "repro_skim_seconds_sum 0.007\n"
+            "repro_skim_seconds_count 3\n"
+        )
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -400,6 +444,20 @@ class TestExporters:
                 "histograms": {"h": {f: -1.5 for f in
                                ("count", "sum", "min", "max", "mean",
                                 "p50", "p95", "p99")}},
+            },
+            {
+                "version": 1,
+                "counters": {},
+                "gauges": {},
+                "histograms": {},
+                "origins": "site.a",
+            },
+            {
+                "version": 1,
+                "counters": {},
+                "gauges": {},
+                "histograms": {},
+                "origins": [""],
             },
         ],
     )
@@ -457,6 +515,48 @@ class TestPrometheusExposition:
         reg.count("a_b", 2)  # sanitises to the same family
         with pytest.raises(ValueError, match="sanitise"):
             snapshot_to_prometheus(reg.snapshot())
+        reg = MetricsRegistry(enabled=True)
+        reg.gauge("lat", 1.0)
+        with reg.scope("site.a"):
+            reg.observe("lat", 0.5)  # a summary in the gauge's family
+        with pytest.raises(ValueError, match="sanitise"):
+            snapshot_to_prometheus(reg.snapshot())
+
+    def test_scoped_metrics_carry_origin_labels(self):
+        reg = MetricsRegistry(enabled=True)
+        reg.count("dist.rounds.closed", 1)
+        for origin, rounds in (("site.a", 2), ("site.b", 3)):
+            with reg.scope(origin):
+                reg.count("dist.rounds.closed", rounds)
+                reg.observe("round.seconds", 0.5)
+        with reg.scope("site.a.x"):  # the longest listed origin wins
+            reg.count("dist.rounds.closed", 4)
+        snap = reg.snapshot()
+        assert snap["origins"] == ["site.a", "site.a.x", "site.b"]
+        summary = [
+            'repro_round_seconds{{origin="{o}",quantile="0.5"}} 0.5',
+            'repro_round_seconds{{origin="{o}",quantile="0.95"}} 0.5',
+            'repro_round_seconds{{origin="{o}",quantile="0.99"}} 0.5',
+            'repro_round_seconds_sum{{origin="{o}"}} 0.5',
+            'repro_round_seconds_count{{origin="{o}"}} 1',
+        ]
+        assert snapshot_to_prometheus(snap).splitlines() == [
+            "# TYPE repro_dist_rounds_closed_total counter",
+            "repro_dist_rounds_closed_total 1.0",
+            'repro_dist_rounds_closed_total{origin="site.a"} 2.0',
+            'repro_dist_rounds_closed_total{origin="site.a.x"} 4.0',
+            'repro_dist_rounds_closed_total{origin="site.b"} 3.0',
+            "# TYPE repro_round_seconds summary",
+            *(line.format(o="site.a") for line in summary),
+            *(line.format(o="site.b") for line in summary),
+        ]
+
+    def test_origin_label_is_escaped(self):
+        reg = MetricsRegistry(enabled=True)
+        with reg.scope('edge "0"\\'):
+            reg.count("x")
+        text = snapshot_to_prometheus(reg.snapshot())
+        assert 'repro_x_total{origin="edge \\"0\\"\\\\"} 1.0' in text
 
     def test_sample_lines_parse_and_round_trip(self):
         snap = self._registry_with_awkward_names().snapshot()

@@ -12,6 +12,10 @@ import pytest
 
 from repro.core.config import SketchParameters
 from repro.core.estimator import SkimmedSketchSchema
+from repro.core.skimmed_join import (
+    est_skim_join_size,
+    est_skim_join_size_from_parts,
+)
 from repro.distributed.coordinator import SketchCoordinator
 from repro.distributed.site import SketchSite
 from repro.eval.diagnostics import sketch_health
@@ -108,6 +112,38 @@ class TestDyadicSkimMetrics:
         assert snap["counters"]["skim.passes.dyadic"] == 2
         assert snap["counters"]["skim.dyadic.probes"] > 0
         assert snap["counters"]["skim.dense_extracted"] >= 2
+
+
+class TestSelfJoinSkim:
+    """A self-join skims its sketch once and uses the skim on both sides."""
+
+    @staticmethod
+    def _skewed(schema, rng):
+        sketch = schema.create_sketch()
+        sketch.update_bulk(np.repeat(np.asarray([3, 11], dtype=np.int64), 500))
+        sketch.update_bulk(rng.integers(0, DOMAIN, size=300))
+        return sketch
+
+    @pytest.mark.parametrize("dyadic", [False, True], ids=["flat", "dyadic"])
+    def test_est_self_join_size_skims_once(self, rng, dyadic):
+        schema = SkimmedSketchSchema(64, 5, DOMAIN, seed=9, dyadic=dyadic)
+        sketch = self._skewed(schema, rng)
+        with capturing(fresh=True) as reg:
+            estimate = sketch.est_self_join_size()
+        snap = reg.snapshot()
+        assert snap["counters"]["skim.passes"] == 1
+        assert snap["histograms"]["skim.seconds"]["count"] == 1
+        reference = est_skim_join_size_from_parts(*sketch.skim(), *sketch.skim())
+        assert estimate == reference.estimate
+
+    def test_est_skim_join_size_skims_a_self_join_once(self, rng):
+        from repro.sketches.hash_sketch import HashSketchSchema
+
+        sketch = self._skewed(HashSketchSchema(64, 5, DOMAIN, seed=9), rng)
+        with capturing(fresh=True) as reg:
+            estimate = est_skim_join_size(sketch, sketch).estimate
+        assert reg.snapshot()["counters"]["skim.passes"] == 1
+        assert estimate == est_skim_join_size(sketch, sketch.copy()).estimate
 
 
 class TestDistributedMetrics:

@@ -119,12 +119,9 @@ class TestSpecHelpers:
         SkimmedSketchSchema(16, 3, DOMAIN, seed=4),
         SkimmedSketchSchema(16, 3, DOMAIN, seed=4, dyadic=True),
     ]
+    KINDS = ["hash", "agms", "dyadic", "skimmed", "skimmed-dyadic"]
 
-    @pytest.mark.parametrize(
-        "schema",
-        SCHEMAS,
-        ids=["hash", "agms", "dyadic", "skimmed", "skimmed-dyadic"],
-    )
+    @pytest.mark.parametrize("schema", SCHEMAS, ids=KINDS)
     def test_spec_round_trip_builds_empty_twin(self, schema):
         original = schema.create_sketch()
         twin = sketch_from_spec(sketch_spec(original))
@@ -169,6 +166,40 @@ class TestSpecHelpers:
             sketch_from_spec({"version": FORMAT_VERSION, "kind": "mystery"})
         with pytest.raises(SerializationError):
             sketch_from_spec({"version": 999, "kind": "hash"})
+
+    SPEC_FIELDS = [
+        pytest.param(schema, field, id=f"{kind}-{field}")
+        for kind, schema in zip(KINDS, SCHEMAS)
+        for field in sketch_spec(schema.create_sketch())
+    ]
+
+    @pytest.mark.parametrize("malform", ["dropped", "garbage"])
+    @pytest.mark.parametrize("schema,field", SPEC_FIELDS)
+    def test_malformed_spec_field_raises_serialization_error(
+        self, schema, field, malform
+    ):
+        spec = sketch_spec(schema.create_sketch())
+        if malform == "dropped":
+            del spec[field]
+        else:
+            spec[field] = "garbage"
+        with pytest.raises(SerializationError, match=field):
+            sketch_from_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ["not", "a", "dict"],
+            {"version": FORMAT_VERSION, "kind": "hash", "width": 0, "depth": 3,
+             "domain_size": DOMAIN, "seed": 4},
+            {"version": FORMAT_VERSION, "kind": "hash", "width": 16, "depth": 3,
+             "domain_size": DOMAIN, "seed": -1},
+        ],
+        ids=["not-a-dict", "zero-width", "negative-seed"],
+    )
+    def test_unbuildable_spec_raises_serialization_error(self, spec):
+        with pytest.raises(SerializationError):
+            sketch_from_spec(spec)
 
 
 class TestErrors:

@@ -20,6 +20,7 @@ from repro.trace import (
     render_summary,
     summarize_trace,
     trace_from_jsonl,
+    trace_origins,
     trace_to_chrome,
     trace_to_jsonl,
     validate_trace,
@@ -196,6 +197,36 @@ class TestWireFormats:
         assert row["mean"] == pytest.approx(row["total"] / 3)
         text = render_summary(rows)
         assert "skim" in text and "count" in text
+
+
+class TestSpanStitching:
+    def test_chrome_export_gives_each_origin_a_lane(self):
+        tracer = SpanTracer(enabled=True)
+        with tracer.span("dist.merge_round"):
+            for origin in ("site.a", "site.b"):
+                with tracer.scope(origin):
+                    with tracer.span("dist.round", site=origin):
+                        with tracer.span("dist.ingest"):
+                            pass
+        snapshot = tracer.snapshot()
+        assert trace_origins(snapshot) == ["site.a", "site.b"]
+        chrome = trace_to_chrome(snapshot)
+        events = chrome["traceEvents"]
+        # Local lane is pid 1 and its process_name metadata leads.
+        assert events[0]["ph"] == "M" and events[0]["pid"] == 1
+        pids = {e["pid"] for e in events}
+        assert pids == {1, 2, 3}
+        by_origin = {
+            e["args"]["name"]: e["pid"]
+            for e in events
+            if e["ph"] == "M" and e["name"] == "process_name"
+        }
+        assert by_origin["repro origin: site.a"] == 2
+        assert by_origin["repro origin: site.b"] == 3
+        # The scoped round spans sit in their origin's lane.
+        for event in events:
+            if event["ph"] == "X" and event["name"] == "dist.round":
+                assert event["pid"] in (2, 3)
 
 
 class TestTraceCLI:
