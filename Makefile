@@ -32,7 +32,7 @@ lint:
 	fi
 
 # Umbrella gate: everything CI runs.
-check: lint test e2e-test metrics-smoke monitor-smoke profile-smoke workloads-smoke
+check: lint test e2e-test bench-smoke metrics-smoke monitor-smoke profile-smoke workloads-smoke
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

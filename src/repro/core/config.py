@@ -52,7 +52,7 @@ class SketchParameters:
             raise ParameterError(f"width must be >= 1, got {self.width}")
         if self.depth < 1:
             raise ParameterError(f"depth must be >= 1, got {self.depth}")
-        if self.threshold_multiplier <= 0:
+        if not self.threshold_multiplier > 0:
             raise ParameterError(
                 f"threshold_multiplier must be positive, got {self.threshold_multiplier}"
             )

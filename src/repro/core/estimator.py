@@ -1,7 +1,7 @@
 """High-level public API: :class:`SkimmedSketch` and its schema.
 
 This is the class a downstream user touches.  It wraps either a flat hash
-sketch (default; domain-scan skimming) or a dyadic hierarchy (for huge
+sketch (default; hot-bucket skimming) or a dyadic hierarchy (for huge
 domains), tracks the stream, and answers join-size / self-join-size /
 point-frequency queries with the skimmed-sketch machinery underneath.
 
@@ -38,7 +38,7 @@ from .skim import (
     SkimResult,
     default_threshold,
     skim_dense,
-    skim_dense_dyadic,
+    skim_dense_dyadic_base,
 )
 from .skimmed_join import JoinEstimateBreakdown, est_skim_join_size_from_parts
 
@@ -63,7 +63,8 @@ class SkimmedSketchSchema:
     dyadic:
         Use the Section 4.2 dyadic hierarchy (skim cost logarithmic in the
         domain, at a ``log2(domain)`` factor more counters) instead of the
-        flat full-domain-scan skim.
+        flat skim (which scans the whole domain when it is too large for
+        lookup tables).
     threshold_multiplier:
         ``c`` in the skim threshold ``theta = c * N / sqrt(width)``.
     """
@@ -77,7 +78,7 @@ class SkimmedSketchSchema:
         dyadic: bool = False,
         threshold_multiplier: float = DEFAULT_THRESHOLD_MULTIPLIER,
     ) -> None:
-        if threshold_multiplier <= 0:
+        if not threshold_multiplier > 0:
             raise ParameterError(
                 f"threshold_multiplier must be positive, got {threshold_multiplier}"
             )
@@ -211,12 +212,12 @@ class SkimmedSketch(StreamSynopsis):
 
     def skim(self, threshold: float | None = None) -> tuple[SkimResult, "HashSketch"]:
         """Run SKIMDENSE on a copy; returns the skim and the *flat* residual
-        level-0 sketch (the object join estimation consumes)."""
+        level-0 sketch (the object join estimation consumes; a dyadic
+        sketch copies and skims only that level)."""
         if threshold is None:
             threshold = self.skim_threshold()
         if self._schema.dyadic:
-            result, residual = skim_dense_dyadic(self._inner, threshold)
-            return result, residual.base_sketch
+            return skim_dense_dyadic_base(self._inner, threshold)
         return skim_dense(self._inner, threshold)
 
     def join_breakdown(

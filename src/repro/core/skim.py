@@ -12,12 +12,23 @@ error of the downstream join estimate (Section 3).
 
 Two implementations are provided:
 
-* :func:`skim_dense` — scans the whole domain with one vectorised
-  estimate pass; cost ``O(|D| * depth)``, exact coverage, right choice for
-  materialisable domains (the paper's experiments use ``|D| = 2**18``);
+* :func:`skim_dense` — the flat sketch.  A value's estimate
+  ``median_i C[i, h_i(v)] * xi_i(v)`` reaches ``theta > 0`` only if at
+  least ``ceil(depth / 2)`` of its terms do, and each such term needs a
+  *hot* bucket, ``|C[i, h_i(v)]| >= theta``.  A table's absolute counter
+  mass is at most ``N``, so it has at most ``N / theta = sqrt(width) / c``
+  hot buckets.  With the schema's lookup tables (materialisable domains,
+  the paper's experiments use ``|D| = 2**18``) the skim walks the inverse
+  table (:meth:`~repro.sketches.hash_sketch.HashSketchSchema.bucket_members`)
+  and takes exact medians only for the values that sit in a hot bucket
+  in enough tables: cost ``O(depth * width)`` plus those buckets'
+  members, and the same result, bit for bit, as estimating every value.
+  Without tables it estimates every value, ``O(|D| * depth)``;
 * :func:`skim_dense_dyadic` — the Section 4.2 optimisation, descending a
   dyadic-interval hierarchy and pruning sub-threshold intervals; cost
   ``O((N/theta) * log|D| * depth)``, the right choice for huge domains.
+  :func:`skim_dense_dyadic_base` runs the same descent but builds only the
+  level-0 residual, which is all a join reads.
 
 The default threshold is ``theta = multiplier * N / sqrt(width)``, the
 shape Theorems 3-5 require (``N`` is the tracked stream size).
@@ -50,6 +61,7 @@ __all__ = [
     "residual_infinity_norm",
     "skim_dense",
     "skim_dense_dyadic",
+    "skim_dense_dyadic_base",
 ]
 
 
@@ -89,7 +101,7 @@ def default_threshold(
     ``N`` is the sketch's tracked absolute update mass.  Returns ``inf``
     for an empty sketch (nothing can be dense).
     """
-    if multiplier <= 0:
+    if not multiplier > 0:
         raise ParameterError(f"multiplier must be positive, got {multiplier}")
     n = sketch.absolute_mass
     if n <= 0:
@@ -160,7 +172,19 @@ def skim_dense(
     *,
     in_place: bool = False,
 ) -> tuple[SkimResult, HashSketch]:
-    """SKIMDENSE over a flat hash sketch (full-domain scan variant).
+    """SKIMDENSE over a flat hash sketch.
+
+    Extracts every domain value whose COUNTSKETCH estimate is
+    ``>= threshold``.  When the schema has (or may build) its lookup
+    tables, only the values that land in a hot bucket
+    (``|C[i, b]| >= threshold``) in at least ``ceil(depth / 2)`` tables
+    are estimated: no other value's median can reach a positive
+    threshold (for even ``depth`` the median averages the two middle
+    terms, which never exceeds the upper one), and a value's estimate
+    depends only on its own terms, so the result equals estimating every
+    value.  Otherwise (``depth * domain_size`` over
+    ``AUTO_PRECOMPUTE_MAX_ENTRIES`` and no explicit ``precompute()``)
+    every value is estimated.
 
     Parameters
     ----------
@@ -180,18 +204,19 @@ def skim_dense(
     """
     if threshold is None:
         threshold = default_threshold(sketch)
-    if threshold <= 0:
+    # ``not > 0`` rejects NaN too; ``inf`` (empty stream) extracts nothing.
+    if not threshold > 0:
         raise ParameterError(f"threshold must be positive, got {threshold}")
 
     target = sketch if in_place else sketch.copy()
     if not np.isfinite(threshold):
         return SkimResult(_Empty().values, _Empty().frequencies, threshold), target
 
-    # Warm the schema's hash/sign lookup tables (small domains) outside the
-    # timed region: the flat full-domain scan is exactly the workload the
-    # ``precompute(domain)`` table cache exists for, and repeated skims
-    # should not re-pay the polynomial evaluation.
-    target.schema.ensure_precomputed()
+    # Build the lookup tables and their inverse (small domains) outside
+    # the timed region, once per schema.
+    tabled = target.schema.ensure_precomputed()
+    if tabled:
+        target.schema.bucket_members()
     with _METRICS.timer("skim.seconds") if _METRICS.enabled else nullcontext():
         with _TRACER.span(
             "skim",
@@ -199,17 +224,43 @@ def skim_dense(
             threshold=float(threshold),
             n=float(sketch.absolute_mass),
         ) if _TRACER.enabled else nullcontext() as sp:
-            estimates = target.all_point_estimates()
+            candidates = (
+                _hot_bucket_candidates(target, threshold)
+                if tabled
+                else np.arange(target.domain_size, dtype=np.int64)
+            )
+            estimates = target.point_estimates(candidates)
             dense_mask = estimates >= threshold
-            dense_values = np.flatnonzero(dense_mask).astype(np.int64)
+            dense_values = candidates[dense_mask]
             dense_frequencies = estimates[dense_mask]
-            if dense_values.size:
-                target.subtract_frequencies(dense_values, dense_frequencies)
+            target.subtract_frequencies(dense_values, dense_frequencies)
             if sp is not None:
-                sp.set(dense=int(dense_values.size))
+                sp.set(dense=int(dense_values.size), probes=int(candidates.size))
     if _METRICS.enabled:
         _record_skim_metrics("flat", threshold, int(dense_values.size))
+        _METRICS.count("skim.flat.probes", int(candidates.size))
     return SkimResult(dense_values, dense_frequencies, float(threshold)), target
+
+
+def _hot_bucket_candidates(sketch: HashSketch, threshold: float) -> np.ndarray:
+    """Values in a hot bucket (``|C[i, b]| >= threshold``) in at least
+    ``ceil(depth / 2)`` tables, ascending ``int64``.
+
+    Walks the schema's inverse bucket table: ``O(depth * width)`` for the
+    hot mask plus the members of the hot buckets.  A value is listed once
+    per table, so its count among the gathered members is the number of
+    tables in which its bucket is hot.
+    """
+    members, offsets = sketch.schema.bucket_members()
+    hot = np.flatnonzero(np.abs(sketch.counters) >= threshold)
+    starts = offsets[hot]
+    lengths = offsets[hot + 1] - starts
+    # Positions of every hot bucket's members, bucket after bucket.
+    positions = np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(
+        starts - (np.cumsum(lengths) - lengths), lengths
+    )
+    values, hits = np.unique(members[positions], return_counts=True)
+    return values[hits >= (sketch.depth + 1) // 2].astype(np.int64)
 
 
 def skim_dense_dyadic(
@@ -224,14 +275,36 @@ def skim_dense_dyadic(
     are found by the pruned top-down descent instead of a domain scan, and
     extraction subtracts at every level so the hierarchy stays consistent.
     """
-    if threshold is None:
-        threshold = default_threshold(sketch.base_sketch)
-    if threshold <= 0:
-        raise ParameterError(f"threshold must be positive, got {threshold}")
-
+    threshold = _dyadic_threshold(sketch, threshold)
     target = sketch if in_place else sketch.copy()
+    return _skim_dyadic(target, threshold, target), target
+
+
+def skim_dense_dyadic_base(
+    sketch: DyadicHashSketch,
+    threshold: float | None = None,
+) -> tuple[SkimResult, HashSketch]:
+    """:func:`skim_dense_dyadic`, keeping only the level-0 residual.
+
+    A join reads the level-0 sketch alone, so this descends ``sketch``
+    itself (the descent only reads) and copies and subtracts at level 0
+    only.  The result and the residual equal ``skim_dense_dyadic``'s
+    result and ``.base_sketch``, bit for bit; ``sketch`` is unchanged.
+    """
+    threshold = _dyadic_threshold(sketch, threshold)
+    residual = sketch.base_sketch.copy()
+    return _skim_dyadic(sketch, threshold, residual), residual
+
+
+def _skim_dyadic(
+    sketch: DyadicHashSketch,
+    threshold: float,
+    target: DyadicHashSketch | HashSketch,
+) -> SkimResult:
+    """Descend ``sketch`` for its dense values and subtract them from
+    ``target`` (the hierarchy itself, or a copy of its level 0)."""
     if not np.isfinite(threshold):
-        return SkimResult(_Empty().values, _Empty().frequencies, threshold), target
+        return SkimResult(_Empty().values, _Empty().frequencies, threshold)
 
     with _METRICS.timer("skim.seconds") if _METRICS.enabled else nullcontext():
         with _TRACER.span(
@@ -240,20 +313,8 @@ def skim_dense_dyadic(
             threshold=float(threshold),
             n=float(sketch.absolute_mass),
         ) if _TRACER.enabled else nullcontext() as sp:
-            dense_values = target.heavy_values(threshold)
-            if dense_values.size == 0:
-                if sp is not None:
-                    sp.set(dense=0)
-                if _METRICS.enabled:
-                    _record_skim_metrics("dyadic", threshold, 0)
-                return (
-                    SkimResult(
-                        _Empty().values, _Empty().frequencies, float(threshold)
-                    ),
-                    target,
-                )
-
-            dense_frequencies = target.base_sketch.point_estimates(dense_values)
+            dense_values = sketch.heavy_values(threshold)
+            dense_frequencies = sketch.base_sketch.point_estimates(dense_values)
             # The descent already filtered on the level-0 estimate, but guard
             # against borderline values whose estimate is non-positive (possible
             # only through median noise on adversarial inputs): extracting a
@@ -261,13 +322,21 @@ def skim_dense_dyadic(
             keep = dense_frequencies >= threshold
             dense_values = dense_values[keep]
             dense_frequencies = dense_frequencies[keep]
-            if dense_values.size:
-                target.subtract_frequencies(dense_values, dense_frequencies)
+            target.subtract_frequencies(dense_values, dense_frequencies)
             if sp is not None:
                 sp.set(dense=int(dense_values.size))
     if _METRICS.enabled:
         _record_skim_metrics("dyadic", threshold, int(dense_values.size))
-    return SkimResult(dense_values, dense_frequencies, float(threshold)), target
+    return SkimResult(dense_values, dense_frequencies, float(threshold))
+
+
+def _dyadic_threshold(sketch: DyadicHashSketch, threshold: float | None) -> float:
+    """``threshold``, defaulted from the level-0 sketch and checked."""
+    if threshold is None:
+        threshold = default_threshold(sketch.base_sketch)
+    if not threshold > 0:
+        raise ParameterError(f"threshold must be positive, got {threshold}")
+    return threshold
 
 
 def _record_skim_metrics(kind: str, threshold: float, dense_count: int) -> None:

@@ -44,7 +44,7 @@ from .skim import (
     SkimResult,
     residual_infinity_norm,
     skim_dense,
-    skim_dense_dyadic,
+    skim_dense_dyadic_base,
 )
 
 
@@ -78,8 +78,7 @@ def est_sub_join_size(
     with _TRACER.span(
         "estimate.median_boost", tables=schema.depth, dense=int(dense_values.size)
     ) if _TRACER.enabled else nullcontext() as sp:
-        buckets = schema.buckets.buckets(dense_values)
-        signs = schema.signs.signs(dense_values)
+        buckets, signs = schema.bulk_tables(dense_values)
         table_index = np.arange(schema.depth)[:, None]
         per_table = (sketch.counters[table_index, buckets] * signs) @ dense_frequencies
         estimate = float(np.median(per_table))
@@ -299,9 +298,11 @@ def est_skim_join_size(
 ) -> JoinEstimateBreakdown:
     """Procedure ``ESTSKIMJOINSIZE``: skimmed-sketch join size estimate.
 
-    Accepts either two flat :class:`HashSketch` synopses (full-domain skim)
-    or two :class:`DyadicHashSketch` hierarchies (Section 4.2 fast skim).
-    The inputs are not modified — skimming happens on copies.
+    Accepts either two flat :class:`HashSketch` synopses (hot-bucket skim,
+    :func:`~repro.core.skim.skim_dense`) or two :class:`DyadicHashSketch`
+    hierarchies (Section 4.2 descent; only level 0, which the join reads,
+    is skimmed).  The inputs are not modified — skimming happens on
+    copies.
 
     Parameters
     ----------
@@ -326,13 +327,13 @@ def est_skim_join_size(
             raise IncompatibleSketchError(
                 "cannot mix flat and dyadic sketches in one join"
             )
-        f_skim, f_res = skim_dense_dyadic(sketch_f, threshold_f)
+        f_skim, f_res = skim_dense_dyadic_base(sketch_f, threshold_f)
         g_skim, g_res = (
-            (f_skim, f_res) if self_join else skim_dense_dyadic(sketch_g, threshold_g)
+            (f_skim, f_res)
+            if self_join
+            else skim_dense_dyadic_base(sketch_g, threshold_g)
         )
-        return est_skim_join_size_from_parts(
-            f_skim, f_res.base_sketch, g_skim, g_res.base_sketch
-        )
+        return est_skim_join_size_from_parts(f_skim, f_res, g_skim, g_res)
 
     f_skim, f_skimmed = skim_dense(sketch_f, threshold_f)
     g_skim, g_skimmed = (

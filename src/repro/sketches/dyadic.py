@@ -252,7 +252,7 @@ class DyadicHashSketch(StreamSynopsis):
         surviving level-0 values (ascending ``int64``); the caller decides
         what to do with their estimates.
         """
-        if threshold <= 0:
+        if not threshold > 0:
             raise ParameterError(f"threshold must be positive, got {threshold}")
         top = self._schema.num_levels - 1
         candidates = np.arange(self._schema.level_domains[top], dtype=np.int64)

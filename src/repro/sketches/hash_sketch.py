@@ -46,10 +46,12 @@ if TYPE_CHECKING:  # type-only: repro.streams imports repro.sketches at runtime
     from ..streams.model import FrequencyVector
 
 # Auto-precompute ceiling: hash/sign lookup tables are built on demand
-# (all_point_estimates, SKIMDENSE flat scans) only while the table size
+# (all_point_estimates, SKIMDENSE) only while the table size
 # ``depth * domain_size`` stays under this many entries (int32 buckets +
-# int8 signs => at most ~20 MiB).  Larger domains keep evaluating the
-# Carter--Wegman polynomials directly; call ``precompute()`` to override.
+# int8 signs => at most ~20 MiB).  SKIMDENSE adds the tables' inverse
+# (int32 values grouped by bucket, ~16 MiB more at the ceiling).  Larger
+# domains keep evaluating the Carter--Wegman polynomials directly, and
+# SKIMDENSE scans the whole domain; call ``precompute()`` to override.
 AUTO_PRECOMPUTE_MAX_ENTRIES = 1 << 22
 
 
@@ -89,6 +91,7 @@ class HashSketchSchema:
         self.signs = FourWiseSignFamily(depth, rng)
         self._bucket_table: np.ndarray | None = None
         self._sign_table: np.ndarray | None = None
+        self._bucket_members: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- precomputed hash/sign tables -----------------------------------------
 
@@ -103,17 +106,23 @@ class HashSketchSchema:
         After this, every bulk hash evaluation over in-domain values is a
         table gather instead of mod-p polynomial arithmetic — the
         ``precompute(domain)`` small-domain cache used by point
-        estimation, ``all_point_estimates`` and SKIMDENSE flat
-        extraction.  Tables are exact (same polynomial evaluations, made
-        once); buckets are stored as ``int32`` and signs as ``int8`` so a
-        table of ``AUTO_PRECOMPUTE_MAX_ENTRIES`` entries stays ~20 MiB.
-        Idempotent.
+        estimation, ``all_point_estimates`` and SKIMDENSE.  Tables are
+        exact (same polynomial evaluations, made once); buckets are
+        stored as ``int32`` and signs as ``int8`` so a table of
+        ``AUTO_PRECOMPUTE_MAX_ENTRIES`` entries stays ~20 MiB.  With the
+        tables, SKIMDENSE also builds their inverse on its first pass
+        (:meth:`bucket_members`: 4 bytes per table entry plus 8 per
+        bucket).  Idempotent.
         """
-        if self._bucket_table is not None:
-            return
-        domain = np.arange(self.domain_size, dtype=np.int64)
-        self._bucket_table = self.buckets.buckets(domain).astype(np.int32)
-        self._sign_table = self.signs.signs(domain).astype(np.int8)
+        self._lookup_tables()
+
+    def _lookup_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The bucket and sign lookup tables, built on first use."""
+        if self._bucket_table is None or self._sign_table is None:
+            domain = np.arange(self.domain_size, dtype=np.int64)
+            self._bucket_table = self.buckets.buckets(domain).astype(np.int32)
+            self._sign_table = self.signs.signs(domain).astype(np.int8)
+        return self._bucket_table, self._sign_table
 
     def ensure_precomputed(
         self, max_entries: int = AUTO_PRECOMPUTE_MAX_ENTRIES
@@ -132,9 +141,41 @@ class HashSketchSchema:
         return True
 
     def clear_precomputed(self) -> None:
-        """Drop the lookup tables (frees memory; evaluation stays correct)."""
+        """Drop the lookup tables and their inverse (frees memory;
+        evaluation stays correct, and the next skim rebuilds what it
+        uses)."""
         self._bucket_table = None
         self._sign_table = None
+        self._bucket_members = None
+
+    def bucket_members(self) -> tuple[np.ndarray, np.ndarray]:
+        """Inverse of the bucket lookup table: which values hash where.
+
+        Returns ``(members, offsets)``: the values ``v`` with
+        ``h_i(v) == b`` are ``members[offsets[k]:offsets[k + 1]]`` for
+        ``k = i * width + b``, ascending.  ``members`` is ``int32`` of
+        length ``depth * domain_size`` (each table lists every value
+        once), ``offsets`` is ``int64`` of length ``depth * width + 1``.
+        Built on first call from the lookup tables (materialised first if
+        needed) by one stable counting sort per table, then kept until
+        :meth:`clear_precomputed`.  SKIMDENSE uses it to visit only the
+        values in hot buckets.
+        """
+        if self._bucket_members is None:
+            table, _ = self._lookup_tables()
+            # Stable sorts on 16-bit keys run as a radix (counting) sort.
+            keys = table.astype(np.uint16) if self.width <= 1 << 16 else table
+            members = np.empty((self.depth, self.domain_size), dtype=np.int32)
+            for i in range(self.depth):
+                members[i] = np.argsort(keys[i], kind="stable")
+            flat = table + (np.arange(self.depth, dtype=np.int64) * self.width)[:, None]
+            offsets = np.zeros(self.depth * self.width + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(flat.ravel(), minlength=self.depth * self.width),
+                out=offsets[1:],
+            )
+            self._bucket_members = (members.ravel(), offsets)
+        return self._bucket_members
 
     def bulk_tables(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(depth, n)`` bucket indices and ±1 signs for ``values``.

@@ -119,6 +119,68 @@ class TestThresholdBoundaries:
         assert result.dense_count == 0
 
 
+class TestNaNThresholds:
+    """A NaN threshold or multiplier is rejected, not read as "skim nothing".
+
+    Unchecked, ``x <= 0`` is false for NaN, every ``estimate >= NaN`` is
+    false, and a join silently degrades to an unskimmed Fast-AGMS estimate.
+    """
+
+    @staticmethod
+    def _flat():
+        sketch = HashSketchSchema(64, 5, 256, seed=1).create_sketch()
+        sketch.update_bulk(np.repeat(np.asarray([3, 7], dtype=np.int64), 100))
+        return sketch
+
+    @staticmethod
+    def _dyadic():
+        sketch = DyadicSketchSchema(64, 5, 256, seed=1).create_sketch()
+        sketch.update_bulk(np.repeat(np.asarray([3, 7], dtype=np.int64), 100))
+        return sketch
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "SketchParameters",
+            "SkimmedSketchSchema",
+            "default_threshold",
+            "skim_dense",
+            "skim_dense_dyadic",
+            "skim_dense_dyadic_base",
+            "heavy_values",
+        ],
+    )
+    def test_nan_is_rejected(self, entry):
+        from repro.core import skim
+        from repro.core.config import SketchParameters
+        from repro.errors import ParameterError
+
+        nan = float("nan")
+        calls = {
+            "SketchParameters": lambda: SketchParameters(
+                64, 5, threshold_multiplier=nan
+            ),
+            "SkimmedSketchSchema": lambda: SkimmedSketchSchema(
+                64, 5, 256, threshold_multiplier=nan
+            ),
+            "default_threshold": lambda: skim.default_threshold(self._flat(), nan),
+            "skim_dense": lambda: skim.skim_dense(self._flat(), nan),
+            "skim_dense_dyadic": lambda: skim.skim_dense_dyadic(self._dyadic(), nan),
+            "skim_dense_dyadic_base": lambda: skim.skim_dense_dyadic_base(
+                self._dyadic(), nan
+            ),
+            "heavy_values": lambda: self._dyadic().heavy_values(nan),
+        }
+        with pytest.raises(ParameterError, match="positive"):
+            calls[entry]()
+
+    def test_infinite_threshold_still_extracts_nothing(self):
+        sketch = self._flat()
+        result, skimmed = skim_dense(sketch, float("inf"))
+        assert result.dense_count == 0
+        assert np.array_equal(skimmed.counters, sketch.counters)
+
+
 class TestNonFiniteWeights:
     """A NaN or infinite weight is rejected before any counter moves.
 

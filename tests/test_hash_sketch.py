@@ -27,6 +27,24 @@ class TestSchema:
         assert not a.is_compatible(HashSketchSchema(16, 5, DOMAIN, seed=2))
         assert not a.is_compatible(HashSketchSchema(8, 5, DOMAIN, seed=1))
 
+    @pytest.mark.parametrize("width, depth", [(1, 1), (16, 4), (37, 5), (1024, 3)])
+    def test_bucket_members_invert_the_bucket_table(self, width, depth):
+        schema = HashSketchSchema(width, depth, DOMAIN, seed=3)
+        members, offsets = schema.bucket_members()
+        assert schema.precomputed
+        assert members.dtype == np.int32 and offsets.dtype == np.int64
+        assert members.shape == (depth * DOMAIN,)
+        assert offsets.shape == (depth * width + 1,)
+        buckets = schema.buckets.buckets(np.arange(DOMAIN, dtype=np.int64))
+        for table in range(depth):
+            for bucket in range(width):
+                k = table * width + bucket
+                assert np.array_equal(
+                    members[offsets[k] : offsets[k + 1]],
+                    np.flatnonzero(buckets[table] == bucket),
+                )
+        assert schema.bucket_members() is schema.bucket_members()
+
 
 class TestMaintenance:
     def test_update_touches_one_counter_per_table(self):

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.skim import skim_dense
+from repro.core.skim import default_threshold, skim_dense
 from repro.sketches.agms import AGMSSchema
 from repro.sketches.hash_sketch import HashSketchSchema
 from repro.streams.model import FrequencyVector
@@ -120,6 +120,61 @@ def test_skim_residual_is_exact_subtraction(counts, threshold):
     if result.dense_count:
         residual.apply_bulk(result.dense_values, -result.dense_frequencies)
     assert np.allclose(skimmed.counters, schema.sketch_of(residual).counters)
+
+
+@given(
+    depth=st.integers(1, 9),
+    width=st.integers(4, 256),
+    domain=st.integers(1, 4096),
+    seed=st.integers(0, 2**16),
+    heavy=st.lists(
+        st.tuples(st.integers(0, 4095), st.integers(-500, 500)), max_size=12
+    ),
+    noise=st.integers(0, 4000),
+    threshold=st.one_of(
+        st.sampled_from([0.1, 0.5, 1.0, 2.0]).map(lambda c: ("multiplier", c)),
+        st.floats(0.5, 600.0).map(lambda t: ("value", t)),
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_hot_bucket_skim_equals_full_scan(
+    depth, width, domain, seed, heavy, noise, threshold
+):
+    """The hot-bucket skim returns what estimating every value returns:
+    the same dense values, frequencies and residual counters, bit for bit,
+    at odd and even depths, with deletes."""
+    rng = np.random.default_rng(seed)
+    values = np.concatenate(
+        [
+            rng.integers(0, domain, noise),
+            np.asarray([v % domain for v, _ in heavy], dtype=np.int64),
+        ]
+    ).astype(np.int64)
+    weights = np.concatenate(
+        [
+            rng.choice([-1.0, 1.0, 2.0], noise),
+            np.asarray([float(w) for _, w in heavy], dtype=np.float64),
+        ]
+    )
+    schema = HashSketchSchema(width, depth, domain, seed=seed)
+    sketch = schema.create_sketch()
+    sketch.update_bulk(values, weights)
+    kind, amount = threshold
+    theta = default_threshold(sketch, amount) if kind == "multiplier" else amount
+
+    result, skimmed = skim_dense(sketch, theta)
+
+    estimates = sketch.all_point_estimates()
+    dense = estimates >= theta
+    reference = sketch.copy()
+    reference.subtract_frequencies(np.flatnonzero(dense), estimates[dense])
+    assert np.array_equal(result.dense_values, np.flatnonzero(dense))
+    assert np.array_equal(
+        result.dense_frequencies.view(np.uint64), estimates[dense].view(np.uint64)
+    )
+    assert np.array_equal(
+        skimmed.counters.view(np.uint64), reference.counters.view(np.uint64)
+    )
 
 
 @given(counts=st.lists(st.integers(0, 50), min_size=DOMAIN, max_size=DOMAIN))

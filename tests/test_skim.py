@@ -2,17 +2,27 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.core.estimator import SkimmedSketchSchema
 from repro.core.skim import (
     SkimResult,
     default_threshold,
     skim_dense,
     skim_dense_dyadic,
+    skim_dense_dyadic_base,
 )
+from repro.core.skimmed_join import (
+    est_skim_join_size,
+    est_skim_join_size_from_parts,
+)
+from repro.obs import capturing
 from repro.sketches.dyadic import DyadicSketchSchema
-from repro.sketches.hash_sketch import HashSketchSchema
+from repro.sketches.hash_sketch import AUTO_PRECOMPUTE_MAX_ENTRIES, HashSketchSchema
 from repro.streams.generators import zipf_frequencies
 from repro.streams.model import FrequencyVector
 
@@ -189,3 +199,120 @@ class TestSkimDenseDyadic:
         sketch = schema.sketch_of(freqs)
         _, skimmed = skim_dense_dyadic(sketch, threshold=100.0, in_place=True)
         assert skimmed is sketch
+
+
+def _same_skim(a, b):
+    """Two ``(SkimResult, residual)`` pairs agree bit for bit."""
+    (result_a, residual_a), (result_b, residual_b) = a, b
+    assert result_a.dense_values.dtype == result_b.dense_values.dtype == np.int64
+    assert np.array_equal(result_a.dense_values, result_b.dense_values)
+    assert np.array_equal(
+        result_a.dense_frequencies.view(np.uint64),
+        result_b.dense_frequencies.view(np.uint64),
+    )
+    assert np.array_equal(
+        residual_a.counters.view(np.uint64), residual_b.counters.view(np.uint64)
+    )
+
+
+def _skewed_stream(domain, seed):
+    """Zipf-skewed values with a wave of deletes (integer weights)."""
+    rng = np.random.default_rng(seed)
+    values = (np.minimum(rng.zipf(1.3, 20_000), domain) - 1).astype(np.int64)
+    weights = rng.choice([-1.0, 1.0, 1.0, 2.0], values.size)
+    return values, weights
+
+
+class TestHotBucketSkim:
+    """The flat skim estimates only values in hot buckets when it has
+    lookup tables, and every value when it has none; both give one
+    answer."""
+
+    def test_probes_fewer_than_domain_with_tables(self):
+        schema = HashSketchSchema(128, 5, DOMAIN, seed=20)
+        sketch = schema.sketch_of(planted_vector({10: 400.0, 500: 300.0}))
+        with capturing(fresh=True) as reg:
+            result, _ = skim_dense(sketch, threshold=100.0)
+        counters = reg.snapshot()["counters"]
+        assert {10, 500} <= set(result.dense_values.tolist())
+        assert counters["skim.passes.flat"] == 1
+        assert 2 <= counters["skim.flat.probes"] < DOMAIN
+
+    def test_over_budget_scans_the_domain_and_agrees(self):
+        domain = AUTO_PRECOMPUTE_MAX_ENTRIES // 3 + 1  # depth 3: just over
+        over = HashSketchSchema(256, 3, domain, seed=21)
+        twin = HashSketchSchema(256, 3, domain, seed=21)
+        twin.precompute()
+        values, weights = _skewed_stream(domain, seed=21)
+        over_sketch, twin_sketch = over.create_sketch(), twin.create_sketch()
+        over_sketch.update_bulk(values, weights)
+        twin_sketch.update_bulk(values, weights)
+        with capturing(fresh=True) as reg:
+            scanned = skim_dense(over_sketch)
+        assert reg.snapshot()["counters"]["skim.flat.probes"] == domain
+        assert not over.precomputed
+        with capturing(fresh=True) as reg:
+            hot = skim_dense(twin_sketch)
+        assert reg.snapshot()["counters"]["skim.flat.probes"] < domain
+        assert scanned[0].dense_count > 0
+        _same_skim(scanned, hot)
+
+    def test_clear_precomputed_drops_the_inverse(self):
+        schema = HashSketchSchema(64, 5, DOMAIN, seed=22)
+        values, weights = _skewed_stream(DOMAIN, seed=22)
+        sketch = schema.create_sketch()
+        sketch.update_bulk(values, weights)
+        first = skim_dense(sketch)
+        members, _ = schema.bucket_members()
+        dropped = weakref.ref(members)
+        del members
+        schema.clear_precomputed()
+        gc.collect()
+        assert dropped() is None
+        assert not schema.precomputed
+        with capturing(fresh=True) as reg:
+            second = skim_dense(sketch)
+        assert reg.snapshot()["counters"]["skim.flat.probes"] < DOMAIN
+        assert schema.precomputed
+        _same_skim(first, second)
+
+
+class TestDyadicJoinSkimsLevelZero:
+    """A dyadic join skims and copies level 0 only; what it returns is
+    what the all-level :func:`skim_dense_dyadic` gives at level 0."""
+
+    SCHEMA = dict(width=64, depth=5, domain_size=1 << 14, seed=23)
+
+    def _pair(self):
+        schema = DyadicSketchSchema(**self.SCHEMA)
+        f, g = schema.create_sketch(), schema.create_sketch()
+        for sketch, seed in ((f, 1), (g, 2)):
+            sketch.update_bulk(*_skewed_stream(schema.domain_size, seed))
+        return f, g
+
+    @pytest.mark.parametrize("threshold", [None, 40.0, float("inf")])
+    def test_level0_skim_matches_full_hierarchy_skim(self, threshold):
+        f, _ = self._pair()
+        before = [block.copy() for block in f.counters_view()]
+        full, hierarchy = skim_dense_dyadic(f, threshold)
+        level0 = skim_dense_dyadic_base(f, threshold)
+        _same_skim((full, hierarchy.base_sketch), level0)
+        assert level0[1] is not f.base_sketch
+        for block, kept in zip(f.counters_view(), before):
+            assert np.array_equal(block, kept)
+
+    def test_join_equals_full_hierarchy_skim(self):
+        f, g = self._pair()
+        f_full, f_hierarchy = skim_dense_dyadic(f)
+        g_full, g_hierarchy = skim_dense_dyadic(g)
+        reference = est_skim_join_size_from_parts(
+            f_full, f_hierarchy.base_sketch, g_full, g_hierarchy.base_sketch
+        ).estimate
+        assert est_skim_join_size(f, g).estimate.hex() == reference.hex()
+
+        schema = SkimmedSketchSchema(**self.SCHEMA, dyadic=True)
+        sf, sg = schema.create_sketch(), schema.create_sketch()
+        for sketch, seed in ((sf, 1), (sg, 2)):
+            sketch.update_bulk(*_skewed_stream(schema.domain_size, seed))
+        _same_skim(sf.skim(), (f_full, f_hierarchy.base_sketch))
+        assert sf.est_join_size(sg).hex() == reference.hex()
