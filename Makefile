@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test e2e-test bench bench-smoke experiments examples metrics-smoke monitor-smoke profile-smoke workloads-smoke lint check clean
+.PHONY: install test e2e-test bench experiments examples metrics-smoke monitor-smoke profile-smoke workloads-smoke lint check clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -32,23 +32,10 @@ lint:
 	fi
 
 # Umbrella gate: everything CI runs.
-check: lint test e2e-test bench-smoke metrics-smoke monitor-smoke profile-smoke workloads-smoke
+check: lint test e2e-test metrics-smoke monitor-smoke profile-smoke workloads-smoke
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Run the registered smoke suite and gate the deterministic axes
-# (relative error, sketch bytes) against the committed baseline.  The
-# timing gate is off (--max-slowdown 0) because the baseline was timed
-# on a different machine; run `python -m repro.bench compare` by hand
-# with the default gate to chase local wall-clock regressions.
-bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.bench run --suite smoke \
-		--json-out .bench-smoke.json --quiet
-	PYTHONPATH=src $(PYTHON) -m repro.bench compare \
-		benchmarks/baselines/BENCH_baseline.json .bench-smoke.json \
-		--max-slowdown 0
-	rm -f .bench-smoke.json
 
 experiments:
 	$(PYTHON) -m repro.eval figure5a figure5b census example1 \

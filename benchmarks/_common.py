@@ -10,8 +10,8 @@ survive pytest's output capture and feed EXPERIMENTS.md.
 Alongside each ``results/<name>.txt`` table, :func:`emit` writes a
 ``results/<name>.json`` sidecar carrying the *structured* rows the table
 was rendered from, so downstream tooling (EXPERIMENTS.md regeneration,
-cross-commit diffing with ``python -m repro.bench compare``-style
-scripts) never has to re-parse a human-formatted table.
+cross-commit diffing scripts) never has to re-parse a human-formatted
+table.
 
 Heavyweight experiments run once inside ``benchmark.pedantic(...,
 rounds=1)``: the interesting output is the accuracy table, and the

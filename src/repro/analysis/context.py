@@ -42,9 +42,7 @@ KERNEL_PACKAGES = frozenset({"sketches", "hashing", "core"})
 
 #: Sub-packages that are deliberately standalone (vendorable with no
 #: intra-repo imports); the error-discipline rule exempts them.
-STANDALONE_PACKAGES = frozenset(
-    {"obs", "analysis", "trace", "bench", "monitor", "profile"}
-)
+STANDALONE_PACKAGES = frozenset({"obs", "analysis", "trace", "monitor", "profile"})
 
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[(?P<rules>[A-Z0-9,\s]+)\])?")
 

@@ -25,6 +25,7 @@ from ..core.estimator import SkimmedSketch, SkimmedSketchSchema
 from ..errors import IncompatibleSketchError, QueryError
 from ..monitor import AUDIT as _AUDIT
 from ..obs import METRICS as _METRICS
+from ..sketches.serialize import SerializationError
 from ..trace import TRACER as _TRACER
 from .protocol import ProtocolError, RoundSummary, SketchReport, TraceContext
 
@@ -72,7 +73,8 @@ class SketchCoordinator:
     # -- ingestion ---------------------------------------------------------
 
     def receive(self, report: SketchReport) -> None:
-        """Absorb one site report (validating schema and round ordering)."""
+        """Absorb one site report (validating payload, schema and round
+        ordering); a refused report is counted in ``dist.reports.rejected``."""
         with _TRACER.span(
             "dist.receive",
             site=report.site,
@@ -85,22 +87,20 @@ class SketchCoordinator:
         key = (report.site, report.stream)
         last = self._last_round.get(key, 0)
         if report.round_number <= last:
-            if _METRICS.enabled:
-                _METRICS.count("dist.reports.rejected")
-            if span is not None:
-                span.set(rejected="stale")
+            self._reject(span, "stale")
             raise ProtocolError(
                 f"stale report: {key} round {report.round_number} "
                 f"(already at {last})"
             )
-        sketch = report.open_sketch()
+        try:
+            sketch = report.open_sketch()
+        except SerializationError:
+            self._reject(span, "malformed")
+            raise
         if not isinstance(sketch, SkimmedSketch) or not self.schema.is_compatible(
             sketch.schema
         ):
-            if _METRICS.enabled:
-                _METRICS.count("dist.reports.rejected")
-            if span is not None:
-                span.set(rejected="incompatible")
+            self._reject(span, "incompatible")
             raise IncompatibleSketchError(
                 f"report from {report.site!r} carries a sketch incompatible "
                 "with the fleet schema"
@@ -120,6 +120,14 @@ class SketchCoordinator:
             _METRICS.count("dist.reports.received")
             _METRICS.count("dist.bytes.received", size)
             _METRICS.gauge_max("dist.round.max", report.round_number)
+
+    @staticmethod
+    def _reject(span, reason: str) -> None:
+        """Count a refused report and tag its ``dist.receive`` span."""
+        if _METRICS.enabled:
+            _METRICS.count("dist.reports.rejected")
+        if span is not None:
+            span.set(rejected=reason)
 
     def receive_all(self, reports: list[SketchReport]) -> RoundSummary:
         """Absorb a batch of reports and summarise the round."""

@@ -99,100 +99,6 @@ def sketch_state(sketch: AnySketch) -> dict[str, Any]:
     raise SerializationError(f"cannot serialise {type(sketch).__name__}")
 
 
-def _restore_hash(state: dict[str, Any]) -> HashSketch:
-    schema = HashSketchSchema(
-        int(state["width"]),
-        int(state["depth"]),
-        int(state["domain_size"]),
-        seed=int(state["seed"]),
-    )
-    sketch = schema.create_sketch()
-    counters = np.asarray(state["counters"], dtype=np.float64)
-    if counters.shape != (schema.depth, schema.width):
-        raise SerializationError(
-            f"counter shape {counters.shape} does not match schema "
-            f"({schema.depth}, {schema.width})"
-        )
-    sketch._counters = counters  # noqa: SLF001
-    sketch._absolute_mass = float(state["absolute_mass"])  # noqa: SLF001
-    return sketch
-
-
-def _restore_agms(state: dict[str, Any]) -> AGMSSketch:
-    schema = AGMSSchema(
-        int(state["averaging"]),
-        int(state["median"]),
-        int(state["domain_size"]),
-        seed=int(state["seed"]),
-    )
-    sketch = schema.create_sketch()
-    counters = np.asarray(state["counters"], dtype=np.float64)
-    if counters.shape != (schema.median, schema.averaging):
-        raise SerializationError(
-            f"counter shape {counters.shape} does not match schema "
-            f"({schema.median}, {schema.averaging})"
-        )
-    sketch._atomic = counters  # noqa: SLF001
-    sketch._absolute_mass = float(state["absolute_mass"])  # noqa: SLF001
-    return sketch
-
-
-def _restore_dyadic(state: dict[str, Any]) -> DyadicHashSketch:
-    schema = DyadicSketchSchema(
-        int(state["width"]),
-        int(state["depth"]),
-        int(state["domain_size"]),
-        seed=int(state["seed"]),
-        coarse_cutoff=int(state["coarse_cutoff"]),
-    )
-    if schema.num_levels != int(state["num_levels"]):
-        raise SerializationError(
-            f"archive has {state['num_levels']} levels, schema rebuilds "
-            f"{schema.num_levels}"
-        )
-    sketch = schema.create_sketch()
-    for level in range(schema.num_levels):
-        inner = sketch.level_sketch(level)
-        inner._counters = np.asarray(  # noqa: SLF001
-            state[f"counters_{level}"], dtype=np.float64
-        )
-        inner._absolute_mass = float(state[f"absolute_mass_{level}"])  # noqa: SLF001
-    return sketch
-
-
-def _restore_skimmed(state: dict[str, Any]) -> SkimmedSketch:
-    schema = SkimmedSketchSchema(
-        int(state["width"]),
-        int(state["depth"]),
-        int(state["domain_size"]),
-        seed=int(state["seed"]),
-        dyadic=str(state["inner_kind"]) == _KIND_DYADIC,
-        threshold_multiplier=float(state["threshold_multiplier"]),
-    )
-    sketch = schema.create_sketch()
-    inner_state = dict(state)
-    inner_state["kind"] = str(state["inner_kind"])
-    sketch._inner = sketch_from_state(inner_state)  # noqa: SLF001
-    return sketch
-
-
-def sketch_from_state(state: dict[str, Any]) -> AnySketch:
-    """Rebuild a sketch (schema included) from :func:`sketch_state` output."""
-    version = int(state.get("version", -1))
-    if version != FORMAT_VERSION:
-        raise SerializationError(f"unsupported archive version {version}")
-    kind = str(state.get("kind", ""))
-    restorers = {
-        _KIND_HASH: _restore_hash,
-        _KIND_AGMS: _restore_agms,
-        _KIND_DYADIC: _restore_dyadic,
-        _KIND_SKIMMED: _restore_skimmed,
-    }
-    if kind not in restorers:
-        raise SerializationError(f"unknown sketch kind {kind!r}")
-    return restorers[kind](state)
-
-
 def sketch_spec(sketch: AnySketch) -> dict[str, Any]:
     """Schema-only construction recipe for a sketch: parameters, no counters.
 
@@ -231,14 +137,17 @@ def sketch_spec(sketch: AnySketch) -> dict[str, Any]:
 
 
 def _spec_field(spec: dict[str, Any], name: str, cast: Callable[[Any], Any]) -> Any:
-    """``cast(spec[name])``, or a :class:`SerializationError` naming the field."""
+    """``cast(spec[name])``, or a :class:`SerializationError` naming the field.
+
+    Reads spec and state fields alike (a state is a spec plus counters).
+    """
     try:
         return cast(spec[name])
     except KeyError as exc:
-        raise SerializationError(f"spec has no {name!r} field") from exc
+        raise SerializationError(f"no {name!r} field") from exc
     except (TypeError, ValueError) as exc:
         raise SerializationError(
-            f"spec field {name!r} is malformed: {spec[name]!r}"
+            f"field {name!r} is malformed: {spec[name]!r}"
         ) from exc
 
 
@@ -268,13 +177,13 @@ def _schema_from_spec(spec: dict[str, Any], kind: str) -> AnySchema:
         num_levels = field("num_levels")
         if schema.num_levels != num_levels:
             raise SerializationError(
-                f"spec has {num_levels} levels, schema rebuilds {schema.num_levels}"
+                f"{num_levels} levels given, schema rebuilds {schema.num_levels}"
             )
         return schema
     if kind == _KIND_SKIMMED:
         inner_kind = field("inner_kind", str)
         if inner_kind not in (_KIND_HASH, _KIND_DYADIC):
-            raise SerializationError(f"spec has unknown inner_kind {inner_kind!r}")
+            raise SerializationError(f"unknown inner_kind {inner_kind!r}")
         return SkimmedSketchSchema(
             field("width"),
             field("depth"),
@@ -294,16 +203,84 @@ def sketch_from_spec(spec: dict[str, Any]) -> AnySketch:
     schema that cannot be built.
     """
     if not isinstance(spec, dict):
-        raise SerializationError(f"spec must be a dict, got {type(spec).__name__}")
+        raise SerializationError(f"expected a dict, got {type(spec).__name__}")
     version = _spec_field(spec, "version", operator.index)
     if version != FORMAT_VERSION:
-        raise SerializationError(f"unsupported spec version {version}")
+        raise SerializationError(f"unsupported format version {version}")
     kind = _spec_field(spec, "kind", str)
     try:
         schema = _schema_from_spec(spec, kind)
     except ValueError as exc:  # ParameterError, or numpy rejecting the seed
-        raise SerializationError(f"spec describes no valid {kind} schema: {exc}") from exc
+        raise SerializationError(f"no valid {kind} schema: {exc}") from exc
     return schema.create_sketch()
+
+
+def _checked_counters(
+    state: dict[str, Any], suffix: str, shape: tuple[int, ...]
+) -> tuple[np.ndarray, float]:
+    """The ``counters<suffix>`` block and ``absolute_mass<suffix>`` of a state.
+
+    Raises :class:`SerializationError` unless the counters have ``shape``
+    and are all finite, and the mass is finite and non-negative.
+    """
+    counters = _spec_field(
+        state, f"counters{suffix}", lambda v: np.asarray(v, dtype=np.float64)
+    )
+    if counters.shape != shape:
+        raise SerializationError(
+            f"'counters{suffix}' has shape {counters.shape}, schema needs {shape}"
+        )
+    if not np.isfinite(counters).all():
+        raise SerializationError(f"'counters{suffix}' holds non-finite counters")
+    mass = _spec_field(state, f"absolute_mass{suffix}", float)
+    if not 0.0 <= mass < np.inf:
+        raise SerializationError(
+            f"'absolute_mass{suffix}' must be finite and >= 0, got {mass}"
+        )
+    return counters, mass
+
+
+def sketch_from_state(state: dict[str, Any]) -> AnySketch:
+    """Rebuild a sketch (schema included) from :func:`sketch_state` output.
+
+    A state is a spec plus counters, so it is rejected wherever
+    :func:`sketch_from_spec` rejects a spec, and also when a counter block
+    or absolute mass is missing, malformed, of the wrong shape, or not
+    finite (or the mass is negative).  Every rejection is a
+    :class:`SerializationError`.
+    """
+    sketch = sketch_from_spec(state)
+    if isinstance(sketch, SkimmedSketch):
+        inner = sketch_from_state({**state, "kind": state["inner_kind"]})
+        own = sketch._inner  # noqa: SLF001
+        if not isinstance(inner, (HashSketch, DyadicHashSketch)) or (
+            sketch_spec(inner) != sketch_spec(own)
+        ):
+            raise SerializationError(
+                f"inner {inner!r} does not match the skimmed schema's {own!r}"
+            )
+        sketch._inner = inner  # noqa: SLF001
+    elif isinstance(sketch, DyadicHashSketch):
+        for level in range(sketch.schema.num_levels):
+            part = sketch.level_sketch(level)
+            counters, mass = _checked_counters(
+                state, f"_{level}", (part.schema.depth, part.schema.width)
+            )
+            part._counters = counters  # noqa: SLF001
+            part._absolute_mass = mass  # noqa: SLF001
+    elif isinstance(sketch, AGMSSketch):
+        counters, mass = _checked_counters(
+            state, "", (sketch.schema.median, sketch.schema.averaging)
+        )
+        sketch._atomic = counters  # noqa: SLF001
+        sketch._absolute_mass = mass  # noqa: SLF001
+    else:
+        counters, mass = _checked_counters(
+            state, "", (sketch.schema.depth, sketch.schema.width)
+        )
+        sketch._counters = counters  # noqa: SLF001
+        sketch._absolute_mass = mass  # noqa: SLF001
+    return sketch
 
 
 def merge_sketch_state(sketch: AnySketch, state: dict[str, Any]) -> AnySketch:

@@ -1,7 +1,7 @@
 """Adversarial workload corpus + accuracy-regression gate (``repro.workloads``).
 
-``repro.bench`` made *throughput* a diffable, gated trajectory; this
-package does the same for *estimate quality*.  A registry of named,
+This package makes *estimate quality* a diffable, gated trajectory
+(end-to-end speed is gated by ``benchmarks/e2e``).  A registry of named,
 seed-deterministic adversarial corpus families (skew drift, delete
 churn, Ting-style filtered subset sums, correlated/anti-correlated join
 pairs — :mod:`repro.workloads.corpus`) is replayed through the stream
@@ -19,9 +19,9 @@ regresses past tolerance — every number is seed-deterministic, so the
 gate holds across machines.  ``selfcheck`` proves corpus determinism and
 audit coverage in-process.
 
-Design contract (adapted from :mod:`repro.bench`): no module in this
-package imports numpy or the engines at module level — they load lazily
-only when workloads actually run, so ``list`` stays import-cheap.
+Design contract: no module in this package imports numpy or the engines
+at module level — they load lazily only when workloads actually run, so
+``list`` stays import-cheap.
 """
 
 from .corpus import (

@@ -33,6 +33,7 @@ from .harness import (
     DEFAULT_DEPTH,
     DEFAULT_ENGINE_SEED,
     DEFAULT_WIDTH,
+    detect_revision,
     run_suite,
     run_workload,
 )
@@ -183,7 +184,7 @@ def _cmd_selfcheck() -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    # `run` is the default subcommand, mirroring `python -m repro.bench`.
+    # `run` is the default subcommand: `python -m repro.workloads --suite smoke`.
     if argv and argv[0] not in _COMMANDS and argv[0] not in ("-h", "--help"):
         argv.insert(0, "run")
     args = _build_parser().parse_args(argv)
@@ -209,8 +210,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         if args.json_out:
-            from ..bench.runner import detect_revision
-
             path = args.json_out.replace("<rev>", detect_revision())
             try:
                 write_accuracy(path, doc)

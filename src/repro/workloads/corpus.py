@@ -196,9 +196,9 @@ class WorkloadInstance:
 class Family:
     """One registered corpus family.
 
-    ``suites`` maps suite name -> params (mirroring ``repro.bench``); a
-    family absent from a suite simply does not run there.  ``build``
-    realizes the family for concrete ``(params, seed)``.
+    ``suites`` maps suite name -> params; a family absent from a suite
+    simply does not run there.  ``build`` realizes the family for
+    concrete ``(params, seed)``.
     """
 
     name: str

@@ -23,6 +23,8 @@ compare`` exit-1-gate on them in CI (see :mod:`repro.workloads.schema`).
 
 from __future__ import annotations
 
+import os
+import subprocess
 from typing import Any, Callable
 
 from ..errors import ParameterError, QueryError
@@ -40,6 +42,29 @@ DEFAULT_DEPTH = 5
 DEFAULT_ENGINE_SEED = 101
 
 
+def detect_revision() -> str:
+    """Best-effort identifier for the code under measurement.
+
+    ``REPRO_REVISION`` wins (lets CI pin the value), then the git short
+    hash, then ``"unknown"`` — an ACCURACY file is still useful without one.
+    """
+    env = os.environ.get("REPRO_REVISION")
+    if env:
+        return env
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+        )
+    except OSError:
+        return "unknown"
+    rev = out.stdout.strip()
+    return rev if out.returncode == 0 and rev else "unknown"
+
+
 def run_workload(
     instance: WorkloadInstance,
     width: int = DEFAULT_WIDTH,
@@ -48,7 +73,7 @@ def run_workload(
 ) -> dict[str, Any]:
     """Run one workload fully audited; return its ACCURACY record."""
     # Imported lazily so ``python -m repro.workloads list`` works without
-    # numpy (mirroring the repro.bench scenario contract).
+    # numpy.
     from ..core.config import SketchParameters
     from ..monitor import AUDIT
     from ..monitor.shadow import ShadowAuditor
@@ -138,7 +163,6 @@ def run_suite(
     progress: Callable[[str], None] | None = None,
 ) -> dict[str, Any]:
     """Run every corpus family in ``suite``; return an ACCURACY document."""
-    from ..bench.runner import detect_revision
     from ..monitor import AUDIT
 
     records: list[dict[str, Any]] = []

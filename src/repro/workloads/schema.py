@@ -1,8 +1,7 @@
 """ACCURACY file schema, validation and the trajectory ``compare`` gate.
 
 An ACCURACY file is one point on the repo's *estimate-quality*
-trajectory — the accuracy analogue of ``repro.bench``'s BENCH files: a
-versioned JSON document of per-workload records
+trajectory: a versioned JSON document of per-workload records
 
 .. code-block:: json
 

@@ -4,6 +4,8 @@ process."""
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,11 @@ from repro.distributed import (
     SketchSite,
 )
 from repro.errors import IncompatibleSketchError, QueryError
-from repro.obs import METRICS
+from repro.obs import METRICS, capturing
+from repro.sketches.serialize import SerializationError, sketch_state
 from repro.streams.generators import shifted_zipf_pair
 from repro.trace import TRACER
+from repro.trace import capturing as capturing_spans
 from repro.trace.export import trace_origins, trace_to_chrome
 
 DOMAIN = 1 << 11
@@ -142,6 +146,30 @@ class TestCoordinator:
         rogue_site = SketchSite("rogue", make_schema(seed=2), ["f"])
         with pytest.raises(IncompatibleSketchError):
             coordinator.receive_all(rogue_site.close_round())
+
+    def test_malformed_report_rejected_and_counted(self):
+        """A report whose counters are not finite is refused before it
+        reaches the merge, so the fleet's answer stays what it was."""
+        schema = make_schema()
+        coordinator = SketchCoordinator(schema)
+        site = SketchSite("edge1", schema, ["f", "g"])
+        site.observe_bulk("f", np.asarray([3] * 20 + [9] * 20))
+        site.observe_bulk("g", np.asarray([3] * 40))
+        reports = site.close_round()
+        coordinator.receive_all(reports)
+        before = coordinator.est_join_size("f", "g")
+        state = sketch_state(reports[0].open_sketch())
+        state["counters"][0, 0] = np.nan
+        payload = io.BytesIO()
+        np.savez_compressed(payload, **state)
+        bad = SketchReport("edge1", "f", 2, payload.getvalue())
+        with capturing() as metrics, capturing_spans() as tracer:
+            with pytest.raises(SerializationError):
+                coordinator.receive(bad)
+        assert coordinator.est_join_size("f", "g") == before == 800.0
+        assert metrics.snapshot()["counters"]["dist.reports.rejected"] == 1
+        (span,) = tracer.find("dist.receive")
+        assert span.attributes["rejected"] == "malformed"
 
     def test_unknown_stream_query_rejected(self):
         coordinator = SketchCoordinator(make_schema())

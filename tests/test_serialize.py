@@ -202,6 +202,81 @@ class TestSpecHelpers:
             sketch_from_spec(spec)
 
 
+class TestStateValidation:
+    """A restored state feeds merges and coordinator answers, so anything
+    that cannot be restored exactly raises :class:`SerializationError`."""
+
+    MULTILEVEL = DyadicSketchSchema(16, 3, DOMAIN, seed=4, coarse_cutoff=64)
+    SCHEMAS = [*TestSpecHelpers.SCHEMAS, MULTILEVEL]
+    KINDS = [*TestSpecHelpers.KINDS, "dyadic-5-levels"]
+    STATE_FIELDS = [
+        pytest.param(schema, field, id=f"{kind}-{field}")
+        for kind, schema in zip(KINDS, SCHEMAS)
+        for field in sketch_state(schema.create_sketch())
+    ]
+
+    @pytest.mark.parametrize("malform", ["dropped", "garbage"])
+    @pytest.mark.parametrize("schema,field", STATE_FIELDS)
+    def test_malformed_state_field_raises_serialization_error(
+        self, schema, field, malform
+    ):
+        state = sketch_state(schema.create_sketch())
+        if malform == "dropped":
+            del state[field]
+        else:
+            state[field] = "garbage"
+        with pytest.raises(SerializationError, match=field):
+            sketch_from_state(state)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("schema", SCHEMAS, ids=KINDS)
+    def test_non_finite_counters_rejected(self, schema, bad):
+        sketch = schema.create_sketch()
+        sketch.update(7, 2.0)
+        state = sketch_state(sketch)
+        field = next(name for name in state if name.startswith("counters"))
+        state[field][0, 0] = bad
+        with pytest.raises(SerializationError, match=field):
+            sketch_from_state(state)
+
+    @pytest.mark.parametrize("mass", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("schema", SCHEMAS, ids=KINDS)
+    def test_bad_absolute_mass_rejected(self, schema, mass):
+        state = sketch_state(schema.create_sketch())
+        field = next(name for name in state if name.startswith("absolute_mass"))
+        state[field] = mass
+        with pytest.raises(SerializationError, match=field):
+            sketch_from_state(state)
+
+    def test_dyadic_level_of_wrong_shape_rejected(self):
+        state = sketch_state(self.MULTILEVEL.create_sketch())
+        state["counters_2"] = np.zeros((3, 8))
+        with pytest.raises(SerializationError, match="shape"):
+            sketch_from_state(state)
+
+    def test_skimmed_state_with_a_foreign_hierarchy_rejected(self):
+        """A skimmed schema builds its hierarchy at the default cutoff, so
+        a state carrying another one restores a sketch it cannot merge."""
+        state = sketch_state(self.MULTILEVEL.create_sketch())
+        state.update(kind="skimmed", inner_kind="dyadic", threshold_multiplier=1.0)
+        with pytest.raises(SerializationError, match="does not match"):
+            sketch_from_state(state)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda state: ["not", "a", "dict"],
+            lambda state: {**state, "width": 0},
+            lambda state: {**state, "threshold_multiplier": float("nan")},
+        ],
+        ids=["not-a-dict", "zero-width", "nan-threshold"],
+    )
+    def test_unbuildable_state_raises_serialization_error(self, mutate):
+        schema = SkimmedSketchSchema(16, 3, DOMAIN, seed=4)
+        with pytest.raises(SerializationError):
+            sketch_from_state(mutate(sketch_state(schema.create_sketch())))
+
+
 class TestErrors:
     def test_unknown_kind_rejected(self):
         with pytest.raises(SerializationError):

@@ -531,10 +531,10 @@ class TestImportContract:
     """numpy and the engines must load lazily, never at module level.
 
     ``repro.workloads`` is a library package (it shares ``repro.errors``
-    and the predicate AST), so unlike ``repro.bench`` it cannot be
-    imported standalone — the enforceable half of the bench contract is
-    that listing the corpus executes no numpy code: every ``import
-    numpy`` in the package lives inside a function body.
+    and the predicate AST), so it cannot be imported standalone — the
+    enforceable contract is that listing the corpus executes no numpy
+    code: every ``import numpy`` in the package lives inside a function
+    body.
     """
 
     def test_no_module_level_numpy_imports(self):
