@@ -31,7 +31,7 @@ lint:
 		echo "mypy not installed; skipping type check (pip install -e .[lint])"; \
 	fi
 
-# Umbrella gate: everything CI runs.
+# Umbrella gate: every check CI runs (CI also uploads the outputs).
 check: lint test e2e-test metrics-smoke monitor-smoke profile-smoke workloads-smoke
 
 bench:
@@ -57,8 +57,10 @@ metrics-smoke:
 
 # Run the audited smoke workload, then serve the resulting audit JSONL +
 # metrics snapshot over HTTP and scrape every endpoint (Prometheus
-# exposition must parse, at least one audit must round-trip); see the
-# "Estimate-quality monitoring" section of docs/OBSERVABILITY.md.
+# exposition must parse, at least one audit must round-trip); then
+# capture a query-path trace of the same workload, validate it and
+# convert it for Perfetto.  The outputs are kept for CI to upload; see
+# the "Estimate-quality monitoring" section of docs/OBSERVABILITY.md.
 monitor-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.eval smoke \
 		--metrics-out .monitor-smoke.metrics.json \
@@ -66,27 +68,29 @@ monitor-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.monitor selfcheck \
 		--metrics .monitor-smoke.metrics.json \
 		--audits .monitor-smoke.audits.jsonl --min-audits 1
-	rm -f .monitor-smoke.metrics.json .monitor-smoke.audits.jsonl
+	PYTHONPATH=src $(PYTHON) -m repro.eval smoke \
+		--trace-out .monitor-smoke.trace.jsonl
+	PYTHONPATH=src $(PYTHON) -m repro.trace validate .monitor-smoke.trace.jsonl
+	PYTHONPATH=src $(PYTHON) -m repro.trace convert \
+		.monitor-smoke.trace.jsonl .monitor-smoke.trace.chrome.json
 
-# Continuous-profiling selfcheck: run a sampled+recorded workload, prove
-# span attribution, exporter round trips (collapsed/speedscope/JSONL),
-# the telemetry ring's byte bound + aging conservation, and the live
-# /profile, /timeseries and /dashboard endpoints; then record a profiled
-# smoke run's artifacts.  See the "Continuous profiling & flight
-# recorder" section of docs/OBSERVABILITY.md.
+# Continuous-profiling selfcheck: run a sampled workload, prove span
+# attribution and the exporter round trips (collapsed/speedscope/JSONL);
+# then record a profiled smoke run, print its hottest frames, convert it
+# to collapsed stacks, and serve and scrape it at /profile.  The outputs
+# are kept for CI to upload; see the "Continuous profiling" section of
+# docs/OBSERVABILITY.md.
 profile-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.profile selfcheck --seconds 20
 	PYTHONPATH=src $(PYTHON) -m repro.profile record \
-		--out .profile-smoke.prof.jsonl \
-		--timeseries-out .profile-smoke.ts.jsonl \
-		--seconds 3 --hz 97 --interval 0.5
+		--out .profile-smoke.prof.jsonl --seconds 5 --hz 97
 	PYTHONPATH=src $(PYTHON) -m repro.profile top .profile-smoke.prof.jsonl \
 		--limit 10
 	PYTHONPATH=src $(PYTHON) -m repro.profile convert \
 		.profile-smoke.prof.jsonl .profile-smoke.collapsed \
 		--format collapsed
-	rm -f .profile-smoke.prof.jsonl .profile-smoke.ts.jsonl \
-		.profile-smoke.collapsed
+	PYTHONPATH=src $(PYTHON) -m repro.monitor selfcheck \
+		--profile .profile-smoke.prof.jsonl --min-audits 0
 
 # Adversarial-workload accuracy gate: prove corpus determinism and
 # audit coverage, then run the audited smoke corpus and
@@ -104,4 +108,5 @@ workloads-smoke:
 
 clean:
 	rm -rf src/repro.egg-info .pytest_cache .hypothesis .benchmarks
+	rm -f .monitor-smoke.* .profile-smoke.*
 	find . -name __pycache__ -type d -exec rm -rf {} +

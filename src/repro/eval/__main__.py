@@ -10,8 +10,7 @@ Usage::
     python -m repro.eval smoke --metrics-out metrics.json
     python -m repro.eval smoke --trace-out trace.jsonl
     python -m repro.eval smoke --audit-out audits.jsonl
-    python -m repro.eval smoke --profile-out run.prof.jsonl \\
-        --timeseries-out run.ts.jsonl
+    python -m repro.eval smoke --profile-out run.prof.jsonl
 
 Each experiment prints the same table its ``benchmarks/`` counterpart
 emits; ``--full-scale`` switches the workload sizes exactly like setting
@@ -24,12 +23,8 @@ with ``python -m repro.trace convert``); ``--audit-out PATH`` enables the
 ``QueryAudit`` (plus drift alerts) to ``PATH`` as JSONL — serve it with
 ``python -m repro.monitor serve``.  ``--profile-out PATH`` starts the
 :mod:`repro.profile` sampling profiler for the run and writes the stack
-samples as JSONL (inspect with ``python -m repro.profile top``);
-``--timeseries-out PATH`` starts the flight recorder and writes the
-telemetry frames as JSONL; frames hold what :mod:`repro.obs` records, so
-it turns the metrics registry on for the run too.  Both are served by
-``python -m repro.monitor serve --profile ... --timeseries ...`` and its
-``/dashboard`` page.  The
+samples as JSONL (inspect with ``python -m repro.profile top``, serve
+with ``python -m repro.monitor serve --profile``).  The
 ``smoke`` experiment additionally runs a shadow-audited engine workload
 while audits are on, so the JSONL contains realized-error verdicts too.
 See docs/OBSERVABILITY.md and DESIGN.md for the catalogue and experiment
@@ -44,12 +39,7 @@ from typing import Callable
 
 from ..monitor import AUDIT
 from ..obs import METRICS, write_snapshot
-from ..profile import (
-    PROFILER,
-    RECORDER,
-    write_profile_jsonl,
-    write_timeseries_jsonl,
-)
+from ..profile import PROFILER, write_profile_jsonl
 from ..trace import TRACER, write_trace_jsonl
 
 from .figures import (
@@ -265,14 +255,6 @@ def main(argv: list[str] | None = None) -> int:
         help="start the repro.profile sampling profiler and write the "
         "stack samples to PATH as JSONL",
     )
-    parser.add_argument(
-        "--timeseries-out",
-        metavar="PATH",
-        default=None,
-        help="start the repro.profile flight recorder (and repro.obs "
-        "metrics, which its frames read) and write the telemetry frames "
-        "to PATH as JSONL",
-    )
     args = parser.parse_args(argv)
 
     if args.experiments == ["list"]:
@@ -292,7 +274,6 @@ def main(argv: list[str] | None = None) -> int:
         ("--trace-out", args.trace_out),
         ("--audit-out", args.audit_out),
         ("--profile-out", args.profile_out),
-        ("--timeseries-out", args.timeseries_out),
     ):
         if path:
             try:
@@ -300,9 +281,7 @@ def main(argv: list[str] | None = None) -> int:
                     pass
             except OSError as exc:
                 parser.error(f"cannot write {flag} path: {exc}")
-    # The recorder's frames are METRICS counter deltas.
-    record_metrics = bool(args.metrics_out or args.timeseries_out)
-    if record_metrics:
+    if args.metrics_out:
         METRICS.reset()
         METRICS.enable()
     if args.trace_out:
@@ -314,9 +293,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.profile_out:
         PROFILER.reset()
         PROFILER.start()
-    if args.timeseries_out:
-        RECORDER.reset()
-        RECORDER.start()
     try:
         for name in args.experiments:
             # Timer powers the printed wall-clock line even with telemetry
@@ -345,16 +321,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"[{len(snapshot['samples'])} stack samples written to "
                 f"{args.profile_out}]"
             )
-        if args.timeseries_out:
-            RECORDER.stop()
-            ts = RECORDER.snapshot()
-            write_timeseries_jsonl(args.timeseries_out, ts)
-            print(
-                f"[{len(ts['frames'])} telemetry frames written to "
-                f"{args.timeseries_out}]"
-            )
     finally:
-        if record_metrics:
+        if args.metrics_out:
             METRICS.disable()
         if args.trace_out:
             TRACER.disable()
@@ -362,8 +330,6 @@ def main(argv: list[str] | None = None) -> int:
             AUDIT.disable()
         if args.profile_out:
             PROFILER.stop()
-        if args.timeseries_out:
-            RECORDER.stop()
     return 0
 
 

@@ -11,8 +11,8 @@ that guarantee *observable* at runtime:
   frequencies on a hash-sampled sub-domain and raises
   :class:`DriftAlert` when realized error stops fitting the CIs;
 * :mod:`repro.monitor.service` — a stdlib HTTP server exposing
-  ``/metrics`` (Prometheus), ``/health``, ``/audits`` and ``/snapshot``
-  (imported lazily; ``python -m repro.monitor serve``).
+  ``/metrics`` (Prometheus), ``/health``, ``/audits``, ``/snapshot`` and
+  ``/profile`` (imported lazily; ``python -m repro.monitor serve``).
 
 Like ``repro.obs`` and ``repro.trace``, auditing is **off by default**:
 :data:`AUDIT` starts disabled and every instrumentation hook in the

@@ -4,17 +4,18 @@ Serve audits + metrics over HTTP (files from an audited run, or the
 empty live registries of this process)::
 
     python -m repro.monitor serve --metrics metrics.json \\
-        --audits audits.jsonl --profile run.prof.jsonl \\
-        --timeseries run.ts.jsonl --port 8000
+        --audits audits.jsonl --profile run.prof.jsonl --port 8000
 
 Then scrape ``http://127.0.0.1:8000/metrics`` (Prometheus exposition),
-``/health``, ``/audits``, ``/snapshot``, ``/profile``, ``/timeseries``
-— or open ``/dashboard`` in a browser for the sparkline +
-hottest-frames view.
+``/health``, ``/audits``, ``/snapshot`` and ``/profile``.  Successive
+``/metrics`` scrapes are the time series: ``rate()`` over the
+``_total`` counters, plus the ``monitor.audit.ci_coverage`` and
+``monitor.drift.alerts`` gauges.
 
-One-shot scrape round trip (what ``make monitor-smoke`` runs): start the
-server on an ephemeral port, scrape every endpoint, check the exposition
-parses and at least one audit is served, then exit::
+One-shot scrape round trip (what ``make monitor-smoke`` and ``make
+profile-smoke`` run): start the server on an ephemeral port, scrape all
+five endpoints, check the exposition parses and at least one audit is
+served, then exit::
 
     python -m repro.monitor selfcheck --metrics metrics.json \\
         --audits audits.jsonl
@@ -39,9 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     serve = sub.add_parser(
-        "serve",
-        help="serve /metrics, /health, /audits, /snapshot, /profile, "
-        "/timeseries, /dashboard",
+        "serve", help="serve /metrics, /health, /audits, /snapshot, /profile"
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
@@ -57,11 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--profile", metavar="PATH", help="profile JSONL (--profile-out file)"
     )
     serve.add_argument(
-        "--timeseries",
-        metavar="PATH",
-        help="flight-recorder JSONL (--timeseries-out file)",
-    )
-    serve.add_argument(
         "--prefix", default="repro", help="Prometheus name prefix (default: repro)"
     )
 
@@ -72,9 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     selfcheck.add_argument("--metrics", metavar="PATH", help="metrics snapshot JSON")
     selfcheck.add_argument("--audits", metavar="PATH", help="audit JSONL")
     selfcheck.add_argument("--profile", metavar="PATH", help="profile JSONL")
-    selfcheck.add_argument(
-        "--timeseries", metavar="PATH", help="flight-recorder JSONL"
-    )
     selfcheck.add_argument(
         "--min-audits",
         type=int,
@@ -91,9 +82,7 @@ def _get(url: str) -> tuple[int, str]:
 
 def _selfcheck(args: argparse.Namespace) -> int:
     try:
-        source = file_source(
-            args.metrics, args.audits, args.profile, args.timeseries
-        )
+        source = file_source(args.metrics, args.audits, args.profile)
     except (OSError, ValueError) as exc:
         print(f"error: cannot load inputs: {exc}", file=sys.stderr)
         return 1
@@ -145,16 +134,6 @@ def _selfcheck(args: argparse.Namespace) -> int:
         if status != 200 or json.loads(body).get("kind") != "repro.profile":
             failures.append(f"/profile not a profile snapshot (status {status})")
 
-        status, body = _get(f"{server.url}/timeseries")
-        if status != 200 or json.loads(body).get("kind") != "repro.timeseries":
-            failures.append(
-                f"/timeseries not a timeseries snapshot (status {status})"
-            )
-
-        status, body = _get(f"{server.url}/dashboard")
-        if status != 200 or "repro monitor" not in body:
-            failures.append(f"/dashboard did not render (status {status})")
-
     if failures:
         for failure in failures:
             print(f"selfcheck FAILED: {failure}", file=sys.stderr)
@@ -176,9 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         return _selfcheck(args)
     # serve
     try:
-        source = file_source(
-            args.metrics, args.audits, args.profile, args.timeseries
-        )
+        source = file_source(args.metrics, args.audits, args.profile)
     except (OSError, ValueError) as exc:
         print(f"error: cannot load inputs: {exc}", file=sys.stderr)
         return 1
@@ -186,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     server.start()
     print(
         f"serving on {server.url} (endpoints: /metrics /health /audits "
-        f"/snapshot /profile /timeseries /dashboard)"
+        f"/snapshot /profile)"
     )
     try:
         while True:

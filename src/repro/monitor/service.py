@@ -1,4 +1,4 @@
-"""Live monitoring HTTP surface: metrics, audits, profiles, dashboard.
+"""Live monitoring HTTP surface: metrics, audits, profiles.
 
 ``python -m repro.monitor serve`` turns a (running or finished) audited
 experiment into something scrapeable like a production service:
@@ -13,11 +13,12 @@ experiment into something scrapeable like a production service:
 * ``/audits`` — the most recent :class:`QueryAudit` records as JSON
   (``?n=`` limits the count; any other query parameter is a 400);
 * ``/snapshot`` — the raw metrics snapshot JSON, for ``repro.obs diff``;
-* ``/profile`` — the ``repro.profile`` sample snapshot JSON;
-* ``/timeseries`` — the flight-recorder telemetry snapshot JSON;
-* ``/dashboard`` — a self-contained HTML page (inline SVG sparklines
-  for throughput/error/coverage plus the hottest profiled frames),
-  rendered by :mod:`repro.monitor.dashboard` with no external assets.
+* ``/profile`` — the ``repro.profile`` sample snapshot JSON.
+
+Successive ``/metrics`` scrapes are the time series: a scraper's
+``rate()`` over the ``_total`` counters gives per-window throughput, and
+the ``monitor.audit.ci_coverage`` / ``monitor.drift.alerts`` gauges give
+estimate quality over time.
 
 Every endpoint also answers ``HEAD`` (headers only, correct
 ``Content-Length``), and every response carries an explicit
@@ -25,10 +26,9 @@ Every endpoint also answers ``HEAD`` (headers only, correct
 
 The server reads through a :class:`MonitorSource`, so the same handler
 serves the **live** process registries (``repro.obs.METRICS`` /
-``repro.monitor.AUDIT`` / ``repro.profile.PROFILER``/``RECORDER``) or
-**files** written by ``--metrics-out`` / ``--audit-out`` /
-``--profile-out`` / ``--timeseries-out`` — the latter is what ``make
-monitor-smoke`` scrapes.
+``repro.monitor.AUDIT`` / ``repro.profile.PROFILER``) or **files**
+written by ``--metrics-out`` / ``--audit-out`` / ``--profile-out`` —
+the latter is what ``make monitor-smoke`` scrapes.
 
 Imports are stdlib plus ``repro.obs.export`` (itself stdlib-only); the
 ``except ImportError`` fallback lets the module load when ``repro``'s
@@ -68,26 +68,16 @@ EMPTY_PROFILE: dict[str, Any] = {
     "samples": [],
 }
 
-#: Empty version-1 timeseries snapshot (served when no recorder exists).
-EMPTY_TIMESERIES: dict[str, Any] = {
-    "version": 1,
-    "kind": "repro.timeseries",
-    "interval": 0.0,
-    "pushed": 0,
-    "aged": 0,
-    "frames": [],
-}
-
 
 class MonitorSource:
-    """What the HTTP handlers read: four snapshot thunks.
+    """What the HTTP handlers read: three snapshot thunks.
 
     ``metrics_snapshot`` returns a version-1 metrics snapshot dict;
     ``audit_snapshot`` an :meth:`AuditLog.snapshot` dict;
-    ``profile_snapshot`` / ``timeseries_snapshot`` the ``repro.profile``
-    sampler/recorder snapshots (both optional — they default to empty
-    documents so a metrics-only deployment needs no profiler).  All are
-    called per request, so live sources always serve fresh state.
+    ``profile_snapshot`` the ``repro.profile`` sampler snapshot
+    (optional — it defaults to an empty document so a metrics-only
+    deployment needs no profiler).  All are called per request, so live
+    sources always serve fresh state.
     """
 
     def __init__(
@@ -95,19 +85,15 @@ class MonitorSource:
         metrics_snapshot: Callable[[], dict[str, Any]],
         audit_snapshot: Callable[[], dict[str, Any]],
         profile_snapshot: Callable[[], dict[str, Any]] | None = None,
-        timeseries_snapshot: Callable[[], dict[str, Any]] | None = None,
     ) -> None:
         self.metrics_snapshot = metrics_snapshot
         self.audit_snapshot = audit_snapshot
         self.profile_snapshot = profile_snapshot or (lambda: dict(EMPTY_PROFILE))
-        self.timeseries_snapshot = timeseries_snapshot or (
-            lambda: dict(EMPTY_TIMESERIES)
-        )
 
 
 def live_source() -> MonitorSource:
-    """Source backed by the process-wide ``METRICS``, ``AUDIT``,
-    ``PROFILER`` and ``RECORDER``."""
+    """Source backed by the process-wide ``METRICS``, ``AUDIT`` and
+    ``PROFILER``."""
     try:
         from ..obs import METRICS
     except ImportError:  # standalone layout (see module docstring)
@@ -117,22 +103,19 @@ def live_source() -> MonitorSource:
     except ImportError:
         from monitor import AUDIT  # type: ignore
     try:
-        from ..profile import PROFILER, RECORDER
+        from ..profile import PROFILER
     except ImportError:  # standalone layout: shadows stdlib `profile`
-        from profile import PROFILER, RECORDER  # type: ignore
-    return MonitorSource(
-        METRICS.snapshot, AUDIT.snapshot, PROFILER.snapshot, RECORDER.snapshot
-    )
+        from profile import PROFILER  # type: ignore
+    return MonitorSource(METRICS.snapshot, AUDIT.snapshot, PROFILER.snapshot)
 
 
 def file_source(
     metrics_path: str | None = None,
     audits_path: str | None = None,
     profile_path: str | None = None,
-    timeseries_path: str | None = None,
 ) -> MonitorSource:
     """Source backed by ``--metrics-out`` / ``--audit-out`` /
-    ``--profile-out`` / ``--timeseries-out`` files.
+    ``--profile-out`` files.
 
     Files are read once, eagerly, so a bad path fails at startup rather
     than mid-scrape; raises ``ValueError`` / ``OSError`` on bad input.
@@ -154,16 +137,7 @@ def file_source(
         profile_doc = _read_profile_jsonl(profile_path)
     else:
         profile_doc = dict(EMPTY_PROFILE)
-    if timeseries_path is not None:
-        timeseries_doc = _read_timeseries_jsonl(timeseries_path)
-    else:
-        timeseries_doc = dict(EMPTY_TIMESERIES)
-    return MonitorSource(
-        lambda: snapshot,
-        log.snapshot,
-        lambda: profile_doc,
-        lambda: timeseries_doc,
-    )
+    return MonitorSource(lambda: snapshot, log.snapshot, lambda: profile_doc)
 
 
 def _read_profile_jsonl(path: str) -> dict[str, Any]:
@@ -172,14 +146,6 @@ def _read_profile_jsonl(path: str) -> dict[str, Any]:
     except ImportError:  # standalone layout (see module docstring)
         from profile import read_profile_jsonl  # type: ignore
     return read_profile_jsonl(path)
-
-
-def _read_timeseries_jsonl(path: str) -> dict[str, Any]:
-    try:
-        from ..profile import read_timeseries_jsonl
-    except ImportError:
-        from profile import read_timeseries_jsonl  # type: ignore
-    return read_timeseries_jsonl(path)
 
 
 class _DictAlert:
@@ -214,7 +180,6 @@ def _stable_source(source: MonitorSource) -> MonitorSource:
         lambda: _read_stable(source.metrics_snapshot),
         lambda: _read_stable(source.audit_snapshot),
         lambda: _read_stable(source.profile_snapshot),
-        lambda: _read_stable(source.timeseries_snapshot),
     )
 
 
@@ -293,8 +258,8 @@ class _MonitorHandler(BaseHTTPRequestHandler):
     prefix = "repro"
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        """Dispatch ``/metrics``, ``/health``, ``/audits``, ``/snapshot``,
-        ``/profile``, ``/timeseries``, ``/dashboard``."""
+        """Dispatch ``/metrics``, ``/health``, ``/audits``, ``/snapshot``
+        and ``/profile``."""
         url = urlparse(self.path)
         source = _stable_source(self.source)
         try:
@@ -339,18 +304,6 @@ class _MonitorHandler(BaseHTTPRequestHandler):
             elif url.path == "/profile":
                 self._reply(
                     200, json.dumps(source.profile_snapshot()), "application/json"
-                )
-            elif url.path == "/timeseries":
-                self._reply(
-                    200,
-                    json.dumps(source.timeseries_snapshot()),
-                    "application/json",
-                )
-            elif url.path == "/dashboard":
-                from .dashboard import render_dashboard
-
-                self._reply(
-                    200, render_dashboard(source), "text/html; charset=utf-8"
                 )
             else:
                 self._reply(404, f"no such endpoint: {url.path}\n", "text/plain")

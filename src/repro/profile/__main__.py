@@ -2,23 +2,20 @@
 
 Usage::
 
-    python -m repro.profile record --out run.prof.jsonl \\
-        --timeseries-out run.ts.jsonl --seconds 2
+    python -m repro.profile record --out run.prof.jsonl --seconds 2
     python -m repro.profile top run.prof.jsonl
     python -m repro.profile convert run.prof.jsonl run.collapsed
     python -m repro.profile convert run.prof.jsonl run.speedscope.json
     python -m repro.profile selfcheck
 
 ``record`` drives the built-in skimmed-join smoke workload (stream
-engine ingest + join/self-join answers) under the sampling profiler,
-the flight recorder and the span tracer, then writes the JSONL
-artifacts.  ``top`` prints the aggregate hottest-frames report.
-``convert`` emits collapsed stacks (flamegraph input) or speedscope
-JSON, chosen by ``--format`` or inferred from the output extension.
-``selfcheck`` proves the whole subsystem end to end (span attribution,
-exporter round-trips, ring aging/byte bound, live HTTP endpoints) and
-exits non-zero on the first failure — CI runs it via
-``make profile-smoke``.
+engine ingest + join/self-join answers) under the sampling profiler and
+the span tracer, then writes the samples JSONL.  ``top`` prints the
+aggregate hottest-frames report.  ``convert`` emits collapsed stacks
+(flamegraph input) or speedscope JSON, chosen by ``--format`` or
+inferred from the output extension.  ``selfcheck`` proves the profiler
+end to end (span attribution, exporter round trips) and exits non-zero
+on the first failure — ``make profile-smoke`` runs it.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ import sys
 import time
 from typing import Any, Callable
 
-from . import PROFILER, RECORDER
+from . import PROFILER
 from .export import (
     aggregate_samples,
     parse_collapsed,
@@ -41,12 +38,6 @@ from .export import (
     render_top,
     validate_speedscope,
     write_profile_jsonl,
-)
-from .recorder import (
-    TelemetryFrame,
-    TelemetryRing,
-    validate_timeseries,
-    write_timeseries_jsonl,
 )
 from .sampler import DEFAULT_HZ
 
@@ -99,33 +90,24 @@ def _smoke_workload(
 
 
 def _record(args: argparse.Namespace) -> int:
-    from ..obs import METRICS
     from ..trace import TRACER
 
-    for flag, path in (("--out", args.out), ("--timeseries-out", args.timeseries_out)):
-        if path:
-            try:
-                with open(path, "a", encoding="utf-8"):
-                    pass
-            except OSError as exc:
-                print(f"cannot write {flag} path: {exc}", file=sys.stderr)
-                return 1
+    try:
+        with open(args.out, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        print(f"cannot write --out path: {exc}", file=sys.stderr)
+        return 1
 
     PROFILER.reset()
-    RECORDER.reset()
-    METRICS.reset()
-    METRICS.enable()
     TRACER.reset()
     TRACER.enable()
     PROFILER.start(hz=args.hz)
-    RECORDER.start(interval=args.interval)
     try:
         answered = _smoke_workload(args.domain, args.elements, args.seed, args.seconds)
     finally:
         PROFILER.stop()
-        RECORDER.stop()
         TRACER.disable()
-        METRICS.disable()
 
     snapshot = PROFILER.snapshot()
     write_profile_jsonl(args.out, snapshot)
@@ -133,13 +115,6 @@ def _record(args: argparse.Namespace) -> int:
         f"recorded {len(snapshot['samples'])} samples at {snapshot['hz']:g} Hz "
         f"({answered} queries answered) -> {args.out}"
     )
-    if args.timeseries_out:
-        ts = RECORDER.snapshot()
-        write_timeseries_jsonl(args.timeseries_out, ts)
-        print(
-            f"recorded {len(ts['frames'])} telemetry frames "
-            f"({ts['aged']} aged) -> {args.timeseries_out}"
-        )
     return 0
 
 
@@ -180,51 +155,6 @@ def _convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _synthetic_frame(index: int, keys: int) -> TelemetryFrame:
-    counts = {f"counter.{k}": float(index + k) for k in range(keys)}
-    gauges = {f"gauge.{k}": float(k) / (index + 1) for k in range(keys // 2)}
-    return TelemetryFrame(float(index), float(index + 1), counts, gauges)
-
-
-def _check_ring_aging(fail: Callable[[str], None]) -> None:
-    """Long synthetic run: the ring must stay within its byte bound while
-    conserving every pushed window through aging."""
-    ring = TelemetryRing(tier_capacity=4, tiers=3, max_bytes=8192)
-    pushes = 500
-    for index in range(pushes):
-        ring.push(_synthetic_frame(index, keys=16))
-        if ring.approx_bytes > ring.max_bytes:
-            fail(
-                f"ring byte bound violated after push {index}: "
-                f"{ring.approx_bytes} > {ring.max_bytes}"
-            )
-            return
-    frames = ring.frames()
-    if ring.aged == 0:
-        fail("ring never aged a frame over a 500-push run")
-    if sum(f.merged for f in frames) != pushes:
-        fail(
-            f"aging lost windows: {sum(f.merged for f in frames)} accounted, "
-            f"{pushes} pushed"
-        )
-    for older, newer in zip(frames, frames[1:]):
-        if newer.t0 < older.t1 - 1e-9:
-            fail(f"ring frames overlap: {older!r} then {newer!r}")
-            return
-    if max(f.res for f in frames) == 0:
-        fail("no frame was coarsened despite aging")
-    validate_timeseries(
-        {
-            "version": 1,
-            "kind": "repro.timeseries",
-            "interval": 1.0,
-            "pushed": ring.pushed,
-            "aged": ring.aged,
-            "frames": [f.as_dict() for f in frames],
-        }
-    )
-
-
 def _check_roundtrip(snapshot: dict[str, Any], fail: Callable[[str], None]) -> None:
     reparsed = profile_from_jsonl(profile_to_jsonl(snapshot))
     if len(reparsed["samples"]) != len(snapshot["samples"]):
@@ -251,78 +181,7 @@ def _check_roundtrip(snapshot: dict[str, Any], fail: Callable[[str], None]) -> N
         fail("speedscope round-trip changed total sampled seconds")
 
 
-def _check_endpoints(fail: Callable[[str], None]) -> None:
-    """``/dashboard`` + ``/profile`` + ``/timeseries`` must serve parseable
-    bodies (and honour HEAD / reject bad params) while ingest is live."""
-    import threading
-    import urllib.error
-    import urllib.request
-
-    import numpy as np
-
-    from ..core.config import SketchParameters
-    from ..monitor.service import MonitorServer, live_source
-    from ..obs import METRICS
-    from ..streams.engine import StreamEngine
-
-    engine = StreamEngine(
-        1 << 10, SketchParameters(width=64, depth=3), synopsis="skimmed", seed=11
-    )
-    engine.register_stream("f")
-    rng = np.random.default_rng(11)
-    values = rng.integers(0, 1 << 10, size=2_000)
-    weights = np.ones(values.size)
-
-    stop = threading.Event()
-
-    def ingest() -> None:
-        while not stop.is_set():
-            engine.process_bulk("f", values, weights)
-
-    thread = threading.Thread(target=ingest, name="selfcheck-ingest", daemon=True)
-    was_enabled = METRICS.enabled
-    METRICS.enable()
-    thread.start()
-    server = MonitorServer(live_source()).start()
-    try:
-        for path, check in (
-            ("/profile", lambda b: json.loads(b)["kind"] == "repro.profile"),
-            ("/timeseries", lambda b: json.loads(b)["kind"] == "repro.timeseries"),
-            ("/dashboard", lambda b: "<svg" in b or "repro monitor" in b),
-        ):
-            with urllib.request.urlopen(server.url + path, timeout=10) as response:
-                body = response.read().decode("utf-8")
-                if response.status != 200:
-                    fail(f"GET {path} returned {response.status}")
-                elif not check(body):
-                    fail(f"GET {path} body failed its parse check")
-
-        head = urllib.request.Request(server.url + "/dashboard", method="HEAD")
-        with urllib.request.urlopen(head, timeout=10) as response:
-            if response.status != 200:
-                fail(f"HEAD /dashboard returned {response.status}")
-            if int(response.headers.get("Content-Length", 0)) <= 0:
-                fail("HEAD /dashboard missing Content-Length")
-            if response.read():
-                fail("HEAD /dashboard returned a body")
-
-        try:
-            with urllib.request.urlopen(
-                server.url + "/audits?bogus=1", timeout=10
-            ) as response:
-                fail(f"GET /audits?bogus=1 returned {response.status}, wanted 400")
-        except urllib.error.HTTPError as exc:
-            if exc.code != 400:
-                fail(f"GET /audits?bogus=1 returned {exc.code}, wanted 400")
-    finally:
-        server.stop()
-        stop.set()
-        thread.join(timeout=10)
-        METRICS.enabled = was_enabled
-
-
 def _selfcheck(args: argparse.Namespace) -> int:
-    from ..obs import METRICS
     from ..trace import TRACER
 
     failures: list[str] = []
@@ -336,9 +195,6 @@ def _selfcheck(args: argparse.Namespace) -> int:
 
     # 1. Profiled smoke run with span attribution.
     PROFILER.reset()
-    RECORDER.reset()
-    METRICS.reset()
-    METRICS.enable()
     TRACER.reset()
     TRACER.enable()
 
@@ -349,20 +205,18 @@ def _selfcheck(args: argparse.Namespace) -> int:
             if s.span is not None and s.span.startswith(JOIN_SPAN_PREFIXES)
         ]
 
-    def done() -> bool:
-        return bool(attributed()) and RECORDER.ring.frame_count() >= 3
-
     PROFILER.start(hz=args.hz)
-    RECORDER.start(interval=0.2)
     try:
         answered = _smoke_workload(
-            args.domain, args.elements, args.seed, args.seconds, until=done
+            args.domain,
+            args.elements,
+            args.seed,
+            args.seconds,
+            until=lambda: bool(attributed()),
         )
     finally:
         PROFILER.stop()
-        RECORDER.stop()
         TRACER.disable()
-        METRICS.disable()
 
     samples = PROFILER.samples()
     if not samples:
@@ -384,31 +238,6 @@ def _selfcheck(args: argparse.Namespace) -> int:
         if len(failures) == before:
             ok("collapsed + speedscope + JSONL exports round-trip")
 
-    # 3. Live recorder frames from the same run.
-    ts = RECORDER.snapshot()
-    try:
-        validate_timeseries(ts)
-    except ValueError as exc:
-        fail(f"recorder snapshot invalid: {exc}")
-    if len(ts["frames"]) < 2:
-        fail(f"recorder captured {len(ts['frames'])} frames, wanted >= 2")
-    elif not any(f["counts"] for f in ts["frames"]):
-        fail("no recorder frame captured any counter delta")
-    else:
-        ok(f"flight recorder captured {len(ts['frames'])} valid frames")
-
-    # 4. Ring aging and byte bound under a long synthetic run.
-    before = len(failures)
-    _check_ring_aging(fail)
-    if len(failures) == before:
-        ok("telemetry ring ages within its byte bound (500-push synthetic run)")
-
-    # 5. HTTP endpoints while ingest is live.
-    before = len(failures)
-    _check_endpoints(fail)
-    if len(failures) == before:
-        ok("/profile, /timeseries, /dashboard live (+ HEAD, /audits 400)")
-
     if failures:
         print(f"selfcheck: {len(failures)} failure(s)")
         return 1
@@ -429,11 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_record.add_argument("--out", required=True, metavar="PATH",
                           help="samples JSONL output path")
-    p_record.add_argument("--timeseries-out", metavar="PATH", default=None,
-                          help="flight-recorder JSONL output path")
     p_record.add_argument("--hz", type=float, default=DEFAULT_HZ)
-    p_record.add_argument("--interval", type=float, default=0.25,
-                          help="recorder tick interval in seconds")
     p_record.add_argument("--seconds", type=float, default=2.0,
                           help="workload duration")
     p_record.add_argument("--domain", type=int, default=1 << 12)
@@ -457,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     p_selfcheck = sub.add_parser(
-        "selfcheck", help="end-to-end check of profiler, recorder and endpoints"
+        "selfcheck", help="end-to-end check of span attribution and exporters"
     )
     p_selfcheck.add_argument("--hz", type=float, default=250.0,
                              help="sampling rate during the smoke run")

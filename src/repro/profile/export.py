@@ -23,6 +23,7 @@ self/total seconds plus a per-span attribution table.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Iterable
 
 #: Profile schema version emitted by :meth:`SamplingProfiler.snapshot`.
@@ -57,6 +58,10 @@ def profile_from_jsonl(text: str) -> dict[str, Any]:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise ValueError(f"header line is not JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValueError(
+            f"header line must be a JSON object, got {type(header).__name__}"
+        )
     samples = []
     for lineno, line in enumerate(lines[1:], start=2):
         try:
@@ -71,7 +76,8 @@ def profile_from_jsonl(text: str) -> dict[str, Any]:
 def validate_profile(snapshot: Any) -> dict[str, Any]:
     """Check a profile snapshot against the schema; returns it unchanged.
 
-    Raises ``ValueError`` describing the first violation.
+    Raises ``ValueError`` describing the first violation; ``hz``, ``t``
+    and ``weight`` must be finite, so no export can emit a bare ``NaN``.
     """
     if not isinstance(snapshot, dict):
         raise ValueError(f"profile must be a dict, got {type(snapshot).__name__}")
@@ -83,8 +89,8 @@ def validate_profile(snapshot: Any) -> dict[str, Any]:
     if snapshot.get("kind") != "repro.profile":
         raise ValueError(f"unexpected profile kind {snapshot.get('kind')!r}")
     hz = snapshot.get("hz", 0.0)
-    if not isinstance(hz, (int, float)) or hz < 0:
-        raise ValueError(f"'hz' must be a non-negative number, got {hz!r}")
+    if not _finite(hz) or hz < 0:
+        raise ValueError(f"'hz' must be a finite non-negative number, got {hz!r}")
     dropped = snapshot.get("dropped", 0)
     if not isinstance(dropped, int) or dropped < 0:
         raise ValueError(f"'dropped' must be a non-negative int, got {dropped!r}")
@@ -97,8 +103,8 @@ def validate_profile(snapshot: Any) -> dict[str, Any]:
         missing = [f for f in _SAMPLE_FIELDS if f not in sample]
         if missing:
             raise ValueError(f"samples[{index}] missing fields {missing}")
-        if not isinstance(sample["t"], (int, float)):
-            raise ValueError(f"samples[{index}]['t'] is not numeric")
+        if not _finite(sample["t"]):
+            raise ValueError(f"samples[{index}]['t'] is not a finite number")
         if not isinstance(sample["thread"], int):
             raise ValueError(f"samples[{index}]['thread'] is not an int")
         frames = sample["frames"]
@@ -113,9 +119,22 @@ def validate_profile(snapshot: Any) -> dict[str, Any]:
         if sample["span"] is not None and not isinstance(sample["span"], str):
             raise ValueError(f"samples[{index}]['span'] must be null or str")
         weight = sample["weight"]
-        if not isinstance(weight, (int, float)) or weight < 0:
-            raise ValueError(f"samples[{index}]['weight'] must be non-negative")
+        if not _finite(weight) or weight < 0:
+            raise ValueError(
+                f"samples[{index}]['weight'] must be finite and non-negative"
+            )
     return snapshot
+
+
+def _finite(value: Any) -> bool:
+    """True for an int or float that is a finite float (not NaN, ±inf,
+    or an int too large to convert)."""
+    if not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def write_profile_jsonl(path: str, snapshot: dict[str, Any]) -> None:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.monitor import AUDIT
 from repro.obs import METRICS
-from repro.profile import PROFILER, RECORDER
+from repro.profile import PROFILER
 from repro.streams.generators import shifted_zipf_pair, zipf_frequencies
 from repro.streams.model import FrequencyVector
 from repro.trace import TRACER
@@ -31,15 +31,12 @@ def _reset_observability():
     PROFILER.stop()  # joins the sampling thread if a test left it running
     PROFILER.disable()
     PROFILER.reset()
-    RECORDER.stop()
-    RECORDER.disable()
-    RECORDER.reset()
 
 
 @pytest.fixture(autouse=True)
 def _obs_isolation():
-    """Keep the global metrics registry, tracer, audit log, profiler and
-    flight recorder disabled and empty between tests."""
+    """Keep the global metrics registry, tracer, audit log and profiler
+    disabled and empty between tests."""
     _reset_observability()
     yield
     _reset_observability()

@@ -1,13 +1,11 @@
-"""Tests for ``repro.profile`` — sampling profiler + flight recorder.
+"""Tests for ``repro.profile`` — the sampling profiler.
 
 Covers: the sampler's attribution (a sample carries the innermost
 tracer span its own thread holds open), the exporters
 (JSONL/collapsed/speedscope round trips, the ``top`` aggregate), the
-telemetry ring's Hokusai-style aging invariants (byte bound, tick
-conservation, chronology), the flight recorder's tick pipeline
-(obs counter deltas + audit gauges), the monitor's
-``/profile``/``/timeseries``/``/dashboard`` endpoints, and a
-concurrent-scrape stress run against a live ingesting engine.
+reader's rejection of malformed files at every CLI that loads one,
+``repro.eval --profile-out``, the monitor's ``/profile`` endpoint, and
+a concurrent-scrape stress run against a live ingesting engine.
 """
 
 from __future__ import annotations
@@ -18,31 +16,30 @@ import time
 import urllib.error
 import urllib.request
 
-import numpy as np
 import pytest
 
 from repro.core.config import SketchParameters
 from repro.monitor import AUDIT
-from repro.monitor.service import MonitorServer, live_source, parse_prometheus
+from repro.monitor.service import (
+    MonitorServer,
+    file_source,
+    live_source,
+    parse_prometheus,
+)
 from repro.obs import METRICS
 from repro.profile import (
-    FlightRecorder,
+    PROFILER,
     SamplingProfiler,
-    TelemetryFrame,
-    TelemetryRing,
     aggregate_samples,
     parse_collapsed,
     profile_from_jsonl,
     profile_to_collapsed,
     profile_to_jsonl,
     profile_to_speedscope,
-    read_timeseries_jsonl,
+    read_profile_jsonl,
     render_top,
     validate_profile,
     validate_speedscope,
-    validate_timeseries,
-    timeseries_from_jsonl,
-    timeseries_to_jsonl,
 )
 from repro.streams.engine import StreamEngine
 from repro.streams.query import JoinCountQuery
@@ -67,6 +64,10 @@ def _make_snapshot(samples):
         "dropped": 0,
         "samples": samples,
     }
+
+
+#: JSONL header lines that parse as JSON but are not objects.
+BAD_HEADERS = ("null", "3", "[1, 2]", '"repro.profile"')
 
 
 SYNTHETIC = _make_snapshot(
@@ -170,6 +171,27 @@ class TestProfileExports:
             validate_profile(_make_snapshot([_make_sample(0.0, [])]))
         with pytest.raises(ValueError):
             profile_from_jsonl("")
+        # A header line that is JSON but not an object.
+        for header in BAD_HEADERS:
+            with pytest.raises(ValueError, match="header line"):
+                profile_from_jsonl(header + "\n")
+        # NaN and ±inf in every numeric field, as parsed from JSONL.
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            snapshot = dict(_make_snapshot([]), hz=bad)
+            with pytest.raises(ValueError, match="'hz'"):
+                validate_profile(snapshot)
+            with pytest.raises(ValueError, match="'hz'"):
+                profile_from_jsonl(profile_to_jsonl(snapshot))
+            for field in ("t", "weight"):
+                sample = dict(_make_sample(0.0, ["m:main:1"]), **{field: bad})
+                with pytest.raises(ValueError, match=f"'{field}'"):
+                    validate_profile(_make_snapshot([sample]))
+                with pytest.raises(ValueError, match=f"'{field}'"):
+                    profile_from_jsonl(profile_to_jsonl(_make_snapshot([sample])))
+        # An integer too large for a float is no finite number either.
+        sample = dict(_make_sample(0.0, ["m:main:1"]), weight=10**400)
+        with pytest.raises(ValueError, match="'weight'"):
+            validate_profile(_make_snapshot([sample]))
 
     def test_collapsed_round_trip(self):
         collapsed = profile_to_collapsed(SYNTHETIC)
@@ -206,136 +228,70 @@ class TestProfileExports:
         assert "span attribution" in report
 
 
-class TestTelemetryFrame:
-    def test_merge_sums_counts_and_weights_gauges_by_duration(self):
-        a = TelemetryFrame(0.0, 1.0, {"x": 10.0}, {"g": 1.0})
-        b = TelemetryFrame(1.0, 4.0, {"x": 5.0, "y": 2.0}, {"g": 5.0})
-        merged = a.merge(b)
-        assert merged.counts == {"x": 15.0, "y": 2.0}
-        # 1 s at 1.0 and 3 s at 5.0 -> duration-weighted mean 4.0.
-        assert merged.gauges["g"] == pytest.approx(4.0)
-        assert (merged.t0, merged.t1) == (0.0, 4.0)
-        assert merged.res == 1 and merged.merged == 2
+class TestCLI:
+    """The CLIs that record, check and load profiles.  Each loader turns
+    a malformed profile file into its error message and exit code 1,
+    never a traceback."""
 
-    def test_rate_and_inverted_window(self):
-        frame = TelemetryFrame(0.0, 2.0, {"x": 10.0}, {})
-        assert frame.rate("x") == pytest.approx(5.0)
-        assert frame.rate("missing") == 0.0
-        with pytest.raises(ValueError):
-            TelemetryFrame(2.0, 1.0, {}, {})
+    @pytest.mark.parametrize("header", BAD_HEADERS)
+    def test_loaders_reject_a_header_that_is_not_an_object(
+        self, header, tmp_path, capsys
+    ):
+        from repro.monitor.__main__ import main as monitor_main
+        from repro.profile.__main__ import main as profile_main
 
+        path = str(tmp_path / "bad.prof.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+        assert profile_main(["top", path]) == 1
+        assert "invalid profile" in capsys.readouterr().err
+        out = str(tmp_path / "out.collapsed")
+        assert profile_main(["convert", path, out]) == 1
+        assert "invalid profile" in capsys.readouterr().err
+        args = ["selfcheck", "--profile", path, "--min-audits", "0"]
+        assert monitor_main(args) == 1
+        assert "cannot load inputs" in capsys.readouterr().err
 
-class TestTelemetryRing:
-    def _push_many(self, ring, n, fat=False):
-        counts = {"engine.elements.seen": 100.0}
-        if fat:
-            counts = {f"counter.{i}": float(i) for i in range(30)}
-        for i in range(n):
-            ring.push(TelemetryFrame(float(i), float(i + 1), dict(counts), {}))
+    def test_convert_refuses_a_nan_weight(self, tmp_path, capsys):
+        from repro.profile.__main__ import main
 
-    def test_aging_preserves_every_tick(self):
-        ring = TelemetryRing(tier_capacity=4, tiers=3, max_bytes=1 << 20)
-        self._push_many(ring, 100)
-        frames = ring.frames()
-        assert ring.aged > 0
-        assert sum(f.merged for f in frames) == 100  # no window discarded
-        assert any(f.res > 0 for f in frames)
-        # Chronological, non-overlapping, coarse history first.
-        for prev, cur in zip(frames, frames[1:]):
-            assert cur.t0 >= prev.t1 - 1e-9
+        sample = dict(_make_sample(0.0, ["m:main:1"]), weight=float("nan"))
+        path = tmp_path / "nan.prof.jsonl"
+        path.write_text(profile_to_jsonl(_make_snapshot([sample])))
+        out = tmp_path / "out.json"
+        assert main(["convert", str(path), str(out)]) == 1
+        assert "invalid profile" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_byte_budget_enforced_on_every_push(self):
-        ring = TelemetryRing(tier_capacity=4, tiers=3, max_bytes=8192)
-        counts = {f"counter.{i}": float(i) for i in range(30)}
-        for i in range(200):
-            ring.push(TelemetryFrame(float(i), float(i + 1), dict(counts), {}))
-            assert ring.approx_bytes <= 8192
-        assert sum(f.merged for f in ring.frames()) == 200
+    def test_selfcheck_passes(self, capsys):
+        from repro.profile.__main__ import main
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            TelemetryRing(tier_capacity=1)
-        with pytest.raises(ValueError):
-            TelemetryRing(tiers=0)
-        with pytest.raises(ValueError):
-            TelemetryRing(max_bytes=0)
+        assert main(["selfcheck", "--seconds", "20"]) == 0
+        assert "selfcheck: all checks passed" in capsys.readouterr().out
+        assert not PROFILER.enabled
 
+    def test_recorded_profile_is_served_by_monitor_selfcheck(self, tmp_path):
+        """The ``make profile-smoke`` chain: record, then serve at /profile."""
+        from repro.monitor.__main__ import main as monitor_main
+        from repro.profile.__main__ import main as profile_main
 
-class TestFlightRecorder:
-    def test_disabled_tick_is_a_noop(self):
-        recorder = FlightRecorder(enabled=False)
-        METRICS.enable()
-        METRICS.count("engine.elements.seen", 10)
-        assert recorder.tick() is None
-        assert recorder.frames() == []
+        path = str(tmp_path / "run.prof.jsonl")
+        assert profile_main(["record", "--out", path, "--seconds", "0.5"]) == 0
+        assert read_profile_jsonl(path)["samples"]
+        args = ["selfcheck", "--profile", path, "--min-audits", "0"]
+        assert monitor_main(args) == 0
 
-    def test_tick_diffs_counters_and_reads_audit_state(self):
-        recorder = FlightRecorder(enabled=True)
-        METRICS.enable()
-        METRICS.count("engine.elements.seen", 500)
-        frame = recorder.tick()
-        assert frame is not None
-        assert frame.counts == {"engine.elements.seen": 500.0}
-        assert frame.gauges["audit.alerts"] == 0.0
-        # Counters are diffed: an unchanged total contributes no delta.
-        second = recorder.tick()
-        assert "engine.elements.seen" not in second.counts
-        METRICS.count("engine.elements.seen", 7)
-        third = recorder.tick()
-        assert third.counts["engine.elements.seen"] == 7.0
-
-    def test_engine_joins_are_counted_once(self):
-        METRICS.enable()
-        recorder = FlightRecorder(enabled=True)
-        engine = StreamEngine(
-            1 << 8, SketchParameters(width=32, depth=3), synopsis="skimmed", seed=5
-        )
-        for name in ("f", "g"):
-            engine.register_stream(name)
-            engine.process_bulk(name, np.arange(64, dtype=np.int64))
-        for _ in range(3):
-            engine.answer(JoinCountQuery("f", "g"))
-        frame = recorder.tick()
-        assert frame.counts["estimate.joins"] == 3.0
-        assert frame.counts["engine.queries"] == 3.0
-
-    def test_stop_closes_final_window(self):
-        recorder = FlightRecorder(enabled=False, interval=0.05)
-        METRICS.enable()
-        recorder.start()
-        METRICS.count("engine.queries", 3)
-        recorder.stop()
-        assert not recorder.enabled
-        frames = recorder.frames()
-        assert sum(f.counts.get("engine.queries", 0.0) for f in frames) == 3.0
-        recorder.stop()  # idempotent
-
-    def test_snapshot_round_trips_as_jsonl(self):
-        recorder = FlightRecorder(enabled=True)
-        METRICS.enable()
-        METRICS.count("engine.queries", 2)
-        recorder.tick()
-        snapshot = recorder.snapshot()
-        validate_timeseries(snapshot)
-        restored = timeseries_from_jsonl(timeseries_to_jsonl(snapshot))
-        assert restored["kind"] == "repro.timeseries"
-        assert len(restored["frames"]) == len(snapshot["frames"])
-        assert restored["frames"][0]["counts"] == {"engine.queries": 2.0}
-
-    def test_eval_timeseries_out_records_counter_deltas(self, tmp_path):
+    def test_eval_profile_out_writes_a_valid_profile(self, tmp_path):
         from repro.eval.__main__ import main
 
-        path = tmp_path / "smoke.ts.jsonl"
-        assert main(["smoke", "--timeseries-out", str(path)]) == 0
-        frames = read_timeseries_jsonl(str(path))["frames"]
-        assert any(f["counts"].get("skim.passes", 0) > 0 for f in frames)
-        assert not METRICS.enabled  # switched back off after the run
-
-    def test_invalid_interval_rejected(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(interval=0.0)
-        with pytest.raises(ValueError):
-            FlightRecorder().start(interval=-1.0)
+        path = str(tmp_path / "smoke.prof.jsonl")
+        assert main(["smoke", "--profile-out", path]) == 0
+        snapshot = read_profile_jsonl(path)
+        assert snapshot["kind"] == "repro.profile"
+        assert snapshot["hz"] == PROFILER.hz
+        # The run stops the sampling thread and switches the profiler off.
+        assert not PROFILER.enabled
+        assert not any(t.name == "repro-profiler" for t in threading.enumerate())
 
 
 def _get(url: str) -> tuple[int, str, dict]:
@@ -354,19 +310,12 @@ def _head(url: str) -> tuple[int, bytes, dict]:
 
 class TestMonitorProfileEndpoints:
     def test_profile_timeseries_dashboard_round_trip(self):
-        from repro.profile import PROFILER, RECORDER
-
+        """``/profile`` serves the live sampler; the retired flight-recorder
+        ``/timeseries`` and ``/dashboard`` pages are gone (404)."""
         PROFILER.enable()
-        RECORDER.enable()
-        METRICS.enable()
         TRACER.enable()
         with TRACER.span("estimate.skim_join"):
             PROFILER.sample_once()
-        METRICS.count("engine.elements.seen", 42)
-        RECORDER.tick()
-        METRICS.count("engine.elements.seen", 17)
-        time.sleep(0.01)  # sparklines need two frames with real width
-        RECORDER.tick()
         with MonitorServer(live_source(), port=0) as server:
             status, body, headers = _get(f"{server.url}/profile")
             assert status == 200
@@ -374,20 +323,20 @@ class TestMonitorProfileEndpoints:
             assert profile["samples"]
             assert int(headers["Content-Length"]) == len(body.encode())
 
-            status, body, _ = _get(f"{server.url}/timeseries")
-            assert status == 200
-            series = json.loads(body)
-            assert series["kind"] == "repro.timeseries"
-            assert series["frames"][0]["counts"]["engine.elements.seen"] == 42.0
-            assert series["frames"][1]["counts"]["engine.elements.seen"] == 17.0
+            for removed in ("timeseries", "dashboard"):
+                assert _get(f"{server.url}/{removed}")[0] == 404
 
-            status, body, _ = _get(f"{server.url}/dashboard")
-            assert status == 200
-            assert "repro monitor" in body and "<svg" in body
+    def test_file_source_serves_the_profile_file(self, tmp_path):
+        path = tmp_path / "synthetic.prof.jsonl"
+        path.write_text(profile_to_jsonl(SYNTHETIC))
+        with MonitorServer(file_source(None, None, str(path)), port=0) as server:
+            status, body, _ = _get(f"{server.url}/profile")
+        assert status == 200
+        assert json.loads(body) == SYNTHETIC
 
     def test_head_requests_carry_length_but_no_body(self):
         with MonitorServer(live_source(), port=0) as server:
-            for endpoint in ("/metrics", "/dashboard", "/profile"):
+            for endpoint in ("/metrics", "/profile", "/audits"):
                 status, body, headers = _head(f"{server.url}{endpoint}")
                 assert status == 200, endpoint
                 assert body == b"", endpoint
@@ -411,10 +360,13 @@ class TestConcurrentScrape:
 
     N_SCRAPERS = 4
     DURATION = 1.5
+    #: Served beside /metrics, each with a key its JSON body must carry.
+    JSON_ENDPOINTS = (("/profile", "samples"), ("/audits", "audits"))
 
     def test_scrape_under_live_ingest(self, rng):
         METRICS.enable()
         AUDIT.enable()
+        PROFILER.start(hz=97)
         engine = StreamEngine(
             1 << 10,
             SketchParameters(width=64, depth=5),
@@ -454,10 +406,11 @@ class TestConcurrentScrape:
                     seen_counters[slot].append(
                         samples["repro_engine_elements_seen_total"]
                     )
-                    status, body, _ = _get(f"{server.url}/dashboard")
-                    if status != 200 or "repro monitor" not in body:
-                        errors.append(f"scraper {slot}: /dashboard {status}: {body}")
-                        return
+                    for endpoint, key in self.JSON_ENDPOINTS:
+                        status, body, _ = _get(f"{server.url}{endpoint}")
+                        if status != 200 or key not in json.loads(body):
+                            errors.append(f"scraper {slot}: {endpoint} {status}")
+                            return
                 except Exception as exc:  # noqa: BLE001 - collected for assert
                     errors.append(f"scraper {slot}: {exc!r}")
                     return
