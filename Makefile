@@ -16,13 +16,15 @@ test:
 e2e-test:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e -q
 
-# Static analysis: the domain-invariant linter (always; includes the
-# interprocedural R9/R11 passes), a strict audit of every
-# `# repro: noqa[...]` suppression (each must carry a reason), plus mypy
-# strict on the kernel packages (when mypy is installed —
-# `pip install -e .[lint]`).  See docs/STATIC_ANALYSIS.md.
+# Static analysis: the domain-invariant linter (always; rules R1-R6,
+# one file at a time), which also writes its findings as SARIF to
+# .lint.sarif for CI to upload (before it exits 1 on a finding), a strict
+# audit of every `# repro: noqa[...]` suppression (each must carry a
+# reason), plus mypy strict on the kernel packages (when mypy is
+# installed — `pip install -e .[lint]`).  See docs/STATIC_ANALYSIS.md.
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro.analysis src tests examples benchmarks
+	PYTHONPATH=src $(PYTHON) -m repro.analysis src tests examples benchmarks \
+		--sarif .lint.sarif
 	PYTHONPATH=src $(PYTHON) -m repro.analysis suppressions \
 		src tests examples benchmarks --strict
 	@if $(PYTHON) -c "import mypy" 2>/dev/null; then \
@@ -108,5 +110,5 @@ workloads-smoke:
 
 clean:
 	rm -rf src/repro.egg-info .pytest_cache .hypothesis .benchmarks
-	rm -f .monitor-smoke.* .profile-smoke.*
+	rm -f .lint.sarif .monitor-smoke.* .profile-smoke.*
 	find . -name __pycache__ -type d -exec rm -rf {} +

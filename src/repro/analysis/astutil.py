@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator
 
 #: Names the ``numpy`` module is conventionally bound to.
 NUMPY_ALIASES = frozenset({"np", "numpy"})
@@ -26,13 +25,6 @@ def call_keyword(node: ast.Call, name: str) -> ast.keyword | None:
         if kw.arg == name:
             return kw
     return None
-
-
-def walk_functions(tree: ast.AST) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    """Every (async) function definition in ``tree``, outermost first."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
 
 
 def enclosing_class_names(tree: ast.AST) -> dict[ast.AST, str]:

@@ -10,8 +10,9 @@ Exit codes (stable contract, relied on by ``make lint`` and CI):
 
 Besides linting, the CLI exports machine-readable artifacts: ``--json``
 (the native report), ``--sarif FILE`` (SARIF 2.1.0 for GitHub code
-scanning), ``--graph-out FILE`` (the project call graph with R9 purity
-classes), and the ``suppressions`` audit subcommand.
+scanning, written before the exit code is returned, so a failing run
+still leaves its SARIF behind), and the ``suppressions`` audit
+subcommand.
 """
 
 from __future__ import annotations
@@ -60,14 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sarif",
         metavar="FILE",
         help="also write the report as SARIF 2.1.0 to FILE ('-' for stdout)",
-    )
-    parser.add_argument(
-        "--graph-out",
-        metavar="FILE",
-        help=(
-            "also dump the project call graph (with R9 purity classes) as "
-            "JSON to FILE ('-' for stdout)"
-        ),
     )
     return parser
 
@@ -190,14 +183,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         from .sarif import to_sarif
 
         _write_artifact(args.sarif, to_sarif(report))
-    if args.graph_out:
-        from .rules.r9_linearity import classify_purity
-
-        assert report.project is not None
-        graph = report.project.graph
-        _write_artifact(
-            args.graph_out, graph.to_dict(purity=classify_purity(report.project))
-        )
 
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))

@@ -15,7 +15,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .context import FIXTURE_MARKER, FileContext
 from .findings import PARSE_ERROR_RULE, Finding
-from .flow.project import ProjectContext
 from .registry import Rule, get_rules
 
 #: Directory names never descended into during a walk.  Explicitly named
@@ -40,9 +39,6 @@ class Report:
     findings: list[Finding] = field(default_factory=list)
     files_scanned: int = 0
     suppressed: int = 0
-    #: The project context of the run (call graph etc.); not serialised —
-    #: the CLI uses it for ``--graph-out``.
-    project: "ProjectContext | None" = None
 
     @property
     def counts(self) -> dict[str, int]:
@@ -92,53 +88,10 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
             raise FileNotFoundError(path)
 
 
-def _check_file(
-    ctx: FileContext, rules: Sequence[Rule]
-) -> tuple[list[Finding], int]:
-    """Run the file-scoped ``rules`` over one parsed context."""
-    findings: list[Finding] = []
-    suppressed = 0
-    for rule in rules:
-        if rule.scope != "file" or not rule.applies_to(ctx):
-            continue
-        for finding in rule.check(ctx):
-            if ctx.is_suppressed(finding.rule, finding.line):
-                suppressed += 1
-            else:
-                findings.append(finding)
-    return findings, suppressed
-
-
-def _check_project(
-    project: ProjectContext, rules: Sequence[Rule]
-) -> tuple[list[Finding], int]:
-    """Run the project-scoped ``rules`` once over all parsed contexts.
-
-    A finding is suppressible by a ``# repro: noqa`` comment in whichever
-    file it lands in, exactly like file-scoped findings.
-    """
-    findings: list[Finding] = []
-    suppressed = 0
-    for rule in rules:
-        if rule.scope != "project":
-            continue
-        for finding in rule.check_project(project):
-            ctx = project.context_for(finding.path)
-            if ctx is not None and ctx.is_suppressed(finding.rule, finding.line):
-                suppressed += 1
-            else:
-                findings.append(finding)
-    return findings, suppressed
-
-
 def analyze_source(
     source: str, path: str = "<string>", rules: Iterable[Rule] | None = None
 ) -> tuple[list[Finding], int]:
-    """Run rules over one source string; returns (findings, suppressed).
-
-    Project-scoped rules run against a single-file project, so fixture
-    tests exercise them through the same entry point.
-    """
+    """Run rules over one source string; returns (findings, suppressed)."""
     chosen = list(rules) if rules is not None else get_rules()
     try:
         ctx = FileContext.from_source(path, source)
@@ -151,13 +104,16 @@ def analyze_source(
             f"file does not parse: {exc.msg}",
         )
         return [finding], 0
-    findings, suppressed = _check_file(ctx, chosen)
-    if any(rule.scope == "project" for rule in chosen):
-        project_findings, project_suppressed = _check_project(
-            ProjectContext([ctx]), chosen
-        )
-        findings.extend(project_findings)
-        suppressed += project_suppressed
+    findings: list[Finding] = []
+    suppressed = 0
+    for rule in chosen:
+        if not rule.applies_to(ctx):
+            continue
+        for finding in rule.check(ctx):
+            if ctx.is_suppressed(finding.rule, finding.line):
+                suppressed += 1
+            else:
+                findings.append(finding)
     findings.sort(key=Finding.sort_key)
     return findings, suppressed
 
@@ -165,38 +121,15 @@ def analyze_source(
 def analyze_paths(
     paths: Sequence[str], select: Iterable[str] | None = None
 ) -> Report:
-    """Analyse every Python file reachable from ``paths``.
-
-    File-scoped rules run per file as before; project-scoped rules run
-    once over every file that parsed, sharing one call graph.
-    """
+    """Analyse every Python file reachable from ``paths``, one at a time."""
     rules = get_rules(select)
     report = Report()
-    contexts: list[FileContext] = []
     for filename in iter_python_files(paths):
         with open(filename, "r", encoding="utf-8") as handle:
             source = handle.read()
         report.files_scanned += 1
-        try:
-            ctx = FileContext.from_source(filename, source)
-        except SyntaxError as exc:
-            report.findings.append(
-                Finding(
-                    PARSE_ERROR_RULE,
-                    filename,
-                    exc.lineno or 1,
-                    (exc.offset or 1) - 1,
-                    f"file does not parse: {exc.msg}",
-                )
-            )
-            continue
-        contexts.append(ctx)
-        findings, suppressed = _check_file(ctx, rules)
+        findings, suppressed = analyze_source(source, filename, rules)
         report.findings.extend(findings)
         report.suppressed += suppressed
-    report.project = ProjectContext(contexts)
-    findings, suppressed = _check_project(report.project, rules)
-    report.findings.extend(findings)
-    report.suppressed += suppressed
     report.findings.sort(key=Finding.sort_key)
     return report

@@ -10,34 +10,23 @@ output can never drift from the code.
 from __future__ import annotations
 
 import inspect
-from typing import TYPE_CHECKING, Iterable, Iterator, Type
+from typing import Iterable, Iterator, Type
 
 from .context import FileContext
 from .findings import Finding
 
-if TYPE_CHECKING:
-    from .flow.project import ProjectContext
-
 
 class Rule:
-    """One domain invariant, checkable against a file or the whole project.
+    """One domain invariant, checked against one file at a time.
 
     Subclasses set ``rule_id`` (``R<n>``) and ``title`` (one line), decide
     applicability in :meth:`applies_to`, and yield :class:`Finding` objects
     from :meth:`check`.  Rules must be stateless: one instance serves every
     file.
-
-    ``scope`` selects the execution model: ``"file"`` rules see one
-    :class:`FileContext` at a time via :meth:`check`; ``"project"`` rules
-    (the interprocedural passes R9 and R11) see every file of the run at
-    once via :meth:`check_project` and may follow calls across modules.
-    Suppressions work identically for both — a finding is matched against
-    the ``# repro: noqa`` comments of the file it lands in.
     """
 
     rule_id: str = ""
     title: str = ""
-    scope: str = "file"  #: "file" or "project"
 
     def applies_to(self, ctx: FileContext) -> bool:
         """Whether this rule runs on ``ctx`` (default: everywhere)."""
@@ -45,10 +34,6 @@ class Rule:
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         """Yield findings for ``ctx``; must not mutate the context."""
-        raise NotImplementedError
-
-    def check_project(self, project: "ProjectContext") -> Iterable[Finding]:
-        """Yield findings across ``project`` (project-scoped rules only)."""
         raise NotImplementedError
 
     def finding(self, ctx: FileContext, line: int, col: int, message: str) -> Finding:

@@ -9,8 +9,6 @@ from . import (  # noqa: F401  (imported for their registration side effect)
     r4_randomness,
     r5_errors,
     r6_rng,
-    r9_linearity,
-    r11_dtypeflow,
 )
 
 __all__ = [
@@ -20,6 +18,4 @@ __all__ = [
     "r4_randomness",
     "r5_errors",
     "r6_rng",
-    "r9_linearity",
-    "r11_dtypeflow",
 ]

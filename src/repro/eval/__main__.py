@@ -25,8 +25,10 @@ with ``python -m repro.trace convert``); ``--audit-out PATH`` enables the
 :mod:`repro.profile` sampling profiler for the run and writes the stack
 samples as JSONL (inspect with ``python -m repro.profile top``, serve
 with ``python -m repro.monitor serve --profile``).  The
-``smoke`` experiment additionally runs a shadow-audited engine workload
-while audits are on, so the JSONL contains realized-error verdicts too.
+``smoke`` experiment also answers queries through a shadow-audited
+:class:`~repro.streams.engine.StreamEngine`, so a ``--trace-out`` trace
+holds ``engine.ingest``/``engine.answer`` spans and an ``--audit-out``
+JSONL holds realized-error verdicts.
 See docs/OBSERVABILITY.md and DESIGN.md for the catalogue and experiment
 index.
 """
@@ -123,8 +125,9 @@ def _baseline_panel(scale: ExperimentScale, trials: int | None) -> str:
 
 def _smoke(scale: ExperimentScale, trials: int | None) -> str:
     """Seconds-scale end-to-end workload; drives the update, skim and join
-    estimation paths so ``--metrics-out`` snapshots cover them (this is
-    what ``make metrics-smoke`` runs)."""
+    estimation paths, directly and through the engine, so ``--metrics-out``
+    snapshots and ``--trace-out`` traces cover them (this is what
+    ``make metrics-smoke`` and ``make monitor-smoke`` run)."""
     from .runner import SweepConfig
 
     tiny = ExperimentScale(
@@ -137,20 +140,21 @@ def _smoke(scale: ExperimentScale, trials: int | None) -> str:
     )
     results = run_figure5(1.0, (5,), tiny, methods=("skimmed",))
     output = _figure5_output("Smoke (tiny Figure 5 workload)", results)
+    audit_lines = _audited_query_segment()
     if AUDIT.enabled:
-        output += "\n\n" + _audited_query_segment()
+        output += "\n\n" + audit_lines
     return output
 
 
 def _audited_query_segment() -> str:
-    """Shadow-audited engine workload (runs only while audits are on).
+    """Shadow-audited engine workload; returns its audit summary lines.
 
     Registers several Zipf streams on one engine with a
     :class:`~repro.monitor.shadow.ShadowAuditor` attached (sample rate
     1.0 — exact on this tiny domain), then answers a battery of join and
-    self-join queries.  Every answer lands in ``repro.monitor.AUDIT``
-    with a realized-error verdict, which is what ``--audit-out`` writes
-    and ``make monitor-smoke`` scrapes.
+    self-join queries.  While audits are on, every answer lands in
+    ``repro.monitor.AUDIT`` with a realized-error verdict, which is what
+    ``--audit-out`` writes and ``make monitor-smoke`` scrapes.
     """
     import numpy as np
 

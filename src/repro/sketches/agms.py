@@ -168,9 +168,11 @@ class AGMSSketch(StreamSynopsis):
         """O(averaging * median): every atomic sketch is touched (paper §2.2)."""
         require_integer_values(value)
         self._check_value(value)
-        mass = finite_mass(abs(weight))
-        signs = self._schema.signs.signs(value)[:, 0]
-        self._atomic += weight * signs.reshape(self._atomic.shape)
+        mass = finite_mass(abs(weight), self._absolute_mass)
+        self._apply_point_masses(
+            np.asarray([value], dtype=np.int64),
+            np.asarray([weight], dtype=np.float64),
+        )
         self._absolute_mass += mass
 
     def update_bulk(self, values: np.ndarray, weights: np.ndarray | None = None) -> None:
@@ -186,13 +188,8 @@ class AGMSSketch(StreamSynopsis):
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != values.shape:
                 raise ParameterError("weights must have the same shape as values")
-        mass = finite_mass(float(np.abs(weights).sum()))
-        flat = self._atomic.reshape(-1)
-        chunk = max(1, _BULK_CHUNK_ELEMENTS // self._schema.signs.count)
-        for start in range(0, values.size, chunk):
-            stop = start + chunk
-            signs = self._schema.signs.signs(values[start:stop])
-            flat += signs @ weights[start:stop]
+        mass = finite_mass(float(np.abs(weights).sum()), self._absolute_mass)
+        self._apply_point_masses(values, weights)
         self._absolute_mass += mass
 
     def update_coalesced(
@@ -215,18 +212,13 @@ class AGMSSketch(StreamSynopsis):
         masses = np.asarray(masses, dtype=np.float64)
         if masses.shape != values.shape:
             raise ParameterError("masses must have the same shape as values")
-        mass = finite_mass(float(np.abs(masses).sum()))
+        mass = finite_mass(float(np.abs(masses).sum()), self._absolute_mass)
         if observed_mass is not None:
-            mass = finite_mass(float(observed_mass))
+            mass = finite_mass(float(observed_mass), self._absolute_mass)
         if values.size:
             self._check_value(int(values.min()))
             self._check_value(int(values.max()))
-        flat = self._atomic.reshape(-1)
-        chunk = max(1, _BULK_CHUNK_ELEMENTS // self._schema.signs.count)
-        for start in range(0, values.size, chunk):
-            stop = start + chunk
-            signs = self._schema.signs.signs(values[start:stop])
-            flat += signs @ masses[start:stop]
+        self._apply_point_masses(values, masses)
         self._absolute_mass += mass
 
     def ingest_frequency_vector(self, frequencies: "FrequencyVector") -> None:
@@ -247,13 +239,14 @@ class AGMSSketch(StreamSynopsis):
                 f"vector {frequencies.domain_size}"
             )
         counts = frequencies.counts
+        mass = finite_mass(float(np.abs(counts).sum()), self._absolute_mass)
         flat = self._atomic.reshape(-1)
         # Chunk over atomic sketches to bound the float32 conversion buffer.
         chunk = max(1, _BULK_CHUNK_ELEMENTS // self.domain_size)
         for start in range(0, projection.shape[0], chunk):
             stop = start + chunk
             flat[start:stop] += projection[start:stop].astype(np.float32) @ counts
-        self._absolute_mass += float(np.abs(counts).sum())
+        self._absolute_mass += mass
 
     def size_in_counters(self) -> int:
         return int(self._atomic.size)
@@ -319,6 +312,19 @@ class AGMSSketch(StreamSynopsis):
         return [self._absolute_mass]
 
     # -- internals ---------------------------------------------------------------
+
+    def _apply_point_masses(self, values: np.ndarray, masses: np.ndarray) -> None:
+        """Add ``masses[k] * xi(values[k])`` to every atomic sketch.
+
+        The one counter write of :meth:`update`, :meth:`update_bulk` and
+        :meth:`update_coalesced`; chunked so the ``(signs, chunk)`` sign
+        matrix stays bounded.  Callers validate first.
+        """
+        flat = self._atomic.reshape(-1)
+        chunk = max(1, _BULK_CHUNK_ELEMENTS // self._schema.signs.count)
+        for start in range(0, values.size, chunk):
+            stop = start + chunk
+            flat += self._schema.signs.signs(values[start:stop]) @ masses[start:stop]
 
     def _check_value(self, value: int) -> None:
         if not 0 <= value < self.domain_size:

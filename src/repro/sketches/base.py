@@ -21,16 +21,31 @@ if TYPE_CHECKING:  # type-only: repro.streams imports repro.sketches at runtime
     from ..streams.model import FrequencyVector, Update
 
 
-def finite_mass(mass: float) -> float:
+#: Ceiling on a sketch's tracked ``sum(|weight|)``.  Below it, every
+#: counter an integer-weight stream writes is an integer of magnitude
+#: below 2**53, which float64 holds exactly.
+MASS_CEILING = float(2**53)
+
+
+def finite_mass(mass: float, tracked: float) -> float:
     """Return ``mass`` — a batch's ``sum(|weight|)`` — or reject the batch.
 
     One NaN or infinite weight makes the sum non-finite, so checking the
     sum the bulk paths already compute for ``absolute_mass`` rejects such
     a batch without another pass over it (and before any counter moves:
     a single NaN would otherwise poison one counter in every table).
+    A batch that would take the sketch's ``tracked`` mass to
+    :data:`MASS_CEILING` or more is rejected too: past it a float64
+    counter stops being exact (2**53 + 1 reads as 2**53), and a weight
+    like 1e300 turns the self-join estimate into ``inf``.
     """
     if not math.isfinite(mass):
         raise ParameterError(f"weights must be finite, got sum(|w|) = {mass}")
+    if tracked + mass >= MASS_CEILING:
+        raise ParameterError(
+            f"batch sum(|w|) = {mass:g} would take the tracked mass "
+            f"{tracked:g} to 2**53 or more, past which counters are not exact"
+        )
     return mass
 
 

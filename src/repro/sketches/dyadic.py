@@ -185,7 +185,7 @@ class DyadicHashSketch(StreamSynopsis):
         if values.size == 0:
             return
         cache = BulkHashCache(values, weights)
-        observed = finite_mass(cache.total_absolute_mass)
+        observed = finite_mass(cache.total_absolute_mass, self.absolute_mass)
         with _TRACER.span(
             "sketch.update_bulk",
             elements=int(values.size),

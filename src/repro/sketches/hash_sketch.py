@@ -277,12 +277,13 @@ class HashSketch(StreamSynopsis):
         """O(depth): exactly one counter per table is touched (paper §4.1)."""
         require_integer_values(value)
         self._check_value(value)
-        mass = finite_mass(abs(weight))
+        mass = finite_mass(abs(weight), self._absolute_mass)
         buckets = self._schema.buckets.buckets(value)[:, 0]
         signs = self._schema.signs.signs(value)[:, 0]
         # The O(depth) single-element fast path the paper's update-time
         # claim rests on; the bincount primitive costs O(depth * width).
-        self._counters[self._table_index, buckets] += weight * signs  # repro: noqa[R9] -- O(depth) per-element hot path; linear by inspection
+        # It writes counters in place and is linear by inspection.
+        self._counters[self._table_index, buckets] += weight * signs
         self._absolute_mass += mass
         if _METRICS.enabled:
             _METRICS.count("sketch.update.elements")
@@ -304,7 +305,7 @@ class HashSketch(StreamSynopsis):
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != values.shape:
                 raise ParameterError("weights must have the same shape as values")
-        mass = finite_mass(float(np.abs(weights).sum()))
+        mass = finite_mass(float(np.abs(weights).sum()), self._absolute_mass)
         with _TRACER.span(
             "sketch.update_bulk", elements=int(values.size)
         ) if _TRACER.enabled else nullcontext():
@@ -452,9 +453,9 @@ class HashSketch(StreamSynopsis):
         masses = np.asarray(masses, dtype=np.float64)
         if masses.shape != values.shape:
             raise ParameterError("masses must have the same shape as values")
-        mass = finite_mass(float(np.abs(masses).sum()))
+        mass = finite_mass(float(np.abs(masses).sum()), self._absolute_mass)
         if observed_mass is not None:
-            mass = finite_mass(float(observed_mass))
+            mass = finite_mass(float(observed_mass), self._absolute_mass)
         if values.size:
             self._check_value(int(values.min()))
             self._check_value(int(values.max()))

@@ -34,6 +34,7 @@ import numpy as np
 
 from ..errors import DomainError, IncompatibleSketchError, ParameterError, QueryError
 from ..hashing import FourWiseSignFamily
+from ..sketches.base import finite_mass, require_integer_values
 
 #: Cap on the (families x tuples) sign matrix materialised per bulk chunk.
 _BULK_CHUNK_ELEMENTS = 8_000_000
@@ -132,12 +133,18 @@ class RelationSketch:
 
     def update(self, values: Sequence[int], weight: float = 1.0) -> None:
         """Process one relation tuple (its join-attribute values, in order)."""
-        self.update_bulk(np.asarray([values], dtype=np.int64), np.asarray([weight]))
+        self.update_bulk(np.asarray([values]), np.asarray([weight]))
 
     def update_bulk(
         self, tuples: np.ndarray, weights: np.ndarray | None = None
     ) -> None:
-        """Process a batch of tuples, shape ``(m, len(attributes))``."""
+        """Process a batch of tuples, shape ``(m, len(attributes))``.
+
+        Float or bool tuples, non-finite weights and a batch that would
+        take the tracked mass past the 2**53 ceiling are rejected before
+        any counter moves, as for the other sketch kinds.
+        """
+        require_integer_values(tuples)
         tuples = np.asarray(tuples, dtype=np.int64)
         if tuples.ndim != 2 or tuples.shape[1] != len(self.attributes):
             raise ParameterError(
@@ -153,6 +160,7 @@ class RelationSketch:
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != (tuples.shape[0],):
                 raise ParameterError("weights must have shape (m,)")
+        mass = finite_mass(float(np.abs(weights).sum()), self._absolute_mass)
         flat = self._atomic.reshape(-1)
         num_families = self._schema.averaging * self._schema.median
         chunk = max(1, _BULK_CHUNK_ELEMENTS // num_families)
@@ -163,7 +171,7 @@ class RelationSketch:
                 family = self._schema.sign_families[attribute]
                 sign_product *= family.signs(tuples[start:stop, column])
             flat += sign_product @ weights[start:stop]
-        self._absolute_mass += float(np.abs(weights).sum())
+        self._absolute_mass += mass
 
     def size_in_counters(self) -> int:
         """Synopsis size in counter words."""

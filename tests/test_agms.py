@@ -54,6 +54,30 @@ class TestMaintenance:
         assert np.allclose(bulk.atomic_sketches, loop.atomic_sketches)
         assert bulk.absolute_mass == pytest.approx(loop.absolute_mass)
 
+    def test_three_update_paths_write_identical_counters(self):
+        """`update`, `update_bulk` and `update_coalesced` share one counter
+        write, so integer weights (deletes included) give bit-identical
+        atomic sketches and equal tracked masses."""
+        from repro.hashing.bulk import coalesce_updates
+
+        schema = AGMSSchema(5, 3, DOMAIN, seed=1)
+        rng = np.random.default_rng(0)
+        values = rng.integers(0, DOMAIN, 400)
+        weights = rng.choice([-2.0, -1.0, 1.0, 3.0], size=400)
+        loop = schema.create_sketch()
+        for v, w in zip(values, weights):
+            loop.update(int(v), float(w))
+        bulk = schema.create_sketch()
+        bulk.update_bulk(values, weights)
+        coalesced = schema.create_sketch()
+        uniques, masses = coalesce_updates(values, weights)
+        coalesced.update_coalesced(
+            uniques, masses, observed_mass=float(np.abs(weights).sum())
+        )
+        for other in (bulk, coalesced):
+            assert np.array_equal(other.atomic_sketches, loop.atomic_sketches)
+            assert other.absolute_mass == loop.absolute_mass
+
     def test_ingest_frequency_vector_matches_updates(self):
         schema = AGMSSchema(4, 3, DOMAIN, seed=2)
         freqs = FrequencyVector.from_values([1, 1, 5, 9, 9, 9], DOMAIN)

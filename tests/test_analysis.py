@@ -30,16 +30,7 @@ from repro.analysis.engine import iter_python_files
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "analysis_fixtures"
-RULE_IDS = [
-    "R1",
-    "R11",
-    "R2",
-    "R3",
-    "R4",
-    "R5",
-    "R6",
-    "R9",
-]
+RULE_IDS = ["R1", "R2", "R3", "R4", "R5", "R6"]
 
 #: fixture id -> (rule id, bad fixture, expected finding count, good fixture)
 FIXTURE_MAP = {
@@ -61,13 +52,6 @@ FIXTURE_MAP = {
     "R4": ("R4", "src/repro/streams/bad_r4.py", 2, "src/repro/streams/good_r4.py"),
     "R5": ("R5", "src/repro/streams/bad_r5.py", 2, "src/repro/streams/good_r5.py"),
     "R6": ("R6", "src/repro/streams/bad_r6.py", 3, "src/repro/streams/good_r6.py"),
-    "R9": ("R9", "src/repro/sketches/bad_r9.py", 2, "src/repro/sketches/good_r9.py"),
-    "R11": (
-        "R11",
-        "src/repro/sketches/bad_r11.py",
-        3,
-        "src/repro/sketches/good_r11.py",
-    ),
 }
 
 

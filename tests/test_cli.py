@@ -82,6 +82,21 @@ class TestMetricsOut:
         assert list(METRICS.metric_names()) == []
 
 
+class TestTraceOut:
+    def test_smoke_trace_validates_and_shows_the_engine(self, tmp_path, capsys):
+        """The trace `make monitor-smoke` captures starts at the engine,
+        as the span tree in docs/OBSERVABILITY.md does."""
+        from repro.trace import TRACER, read_trace_jsonl
+        from repro.trace.__main__ import main as trace_main
+
+        out = tmp_path / "t.jsonl"
+        assert main(["smoke", "--trace-out", str(out)]) == 0
+        assert not TRACER.enabled
+        assert trace_main(["validate", str(out)]) == 0
+        names = {span["name"] for span in read_trace_jsonl(str(out))["spans"]}
+        assert {"engine.ingest", "engine.answer", "estimate.skim_join"} <= names
+
+
 class TestObsDiffCLI:
     def _write_snapshot(self, path, queries: int) -> None:
         from repro.obs import MetricsRegistry, write_snapshot

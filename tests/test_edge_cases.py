@@ -182,10 +182,13 @@ class TestNaNThresholds:
 
 
 class TestNonFiniteWeights:
-    """A NaN or infinite weight is rejected before any counter moves.
+    """A NaN or infinite weight, or one that would take the tracked
+    ``sum(|w|)`` to 2**53 or more, is rejected before any counter moves.
 
     Unchecked, one NaN in a batch turns one counter per table NaN, and
-    every later estimate silently becomes NaN.
+    every later estimate silently becomes NaN; a weight of 1e300 makes
+    the self-join estimate ``inf``, and weight 2**53 then 1 on one value
+    reads back as 2**53.
     """
 
     SCHEMAS = {
@@ -203,7 +206,7 @@ class TestNonFiniteWeights:
     @pytest.mark.parametrize(
         "path", ["update", "update_bulk", "update_coalesced", "observed_mass"]
     )
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, 2.0**53])
     @pytest.mark.parametrize("kind", sorted(SCHEMAS))
     def test_rejected_and_nothing_changes(self, kind, bad, path):
         from repro.errors import ParameterError
@@ -301,6 +304,36 @@ class TestNonIntegerValues:
         sketch.update_bulk(np.asarray([]))
         sketch.update_bulk(np.asarray([], dtype=np.bool_))
         assert sketch.absolute_mass == 0.0
+
+
+class TestMassCeiling:
+    """Below the 2**53 ceiling on the tracked ``sum(|w|)``, integer-weight
+    counters are exact; the batch that would reach it is rejected (see
+    :class:`TestNonFiniteWeights` for every ingest path)."""
+
+    SCHEMAS = {
+        **TestNonFiniteWeights.SCHEMAS,
+        "skimmed": lambda: SkimmedSketchSchema(64, 5, 256, seed=1),
+    }
+    CEILING = 2.0**53
+
+    @pytest.mark.parametrize("kind", sorted(SCHEMAS))
+    def test_just_below_the_ceiling_is_exact(self, kind):
+        from repro.errors import ParameterError
+        from repro.sketches.serialize import sketch_state
+
+        sketch = self.SCHEMAS[kind]().create_sketch()
+        sketch.update_bulk(
+            np.asarray([7, 7], dtype=np.int64), np.asarray([self.CEILING - 2, 1.0])
+        )
+        assert sketch.absolute_mass == self.CEILING - 1
+        for key, value in sketch_state(sketch).items():
+            if key.startswith("counters"):
+                assert np.abs(value).max() == self.CEILING - 1, key
+        before = sketch_state(sketch)
+        with pytest.raises(ParameterError, match=r"2\*\*53"):
+            sketch.update(7, 1.0)
+        TestNonIntegerValues._assert_unchanged(sketch, before, self.CEILING - 1)
 
 
 class TestCancelledCoalescedBatch:

@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import DomainError, IncompatibleSketchError, QueryError
+from repro.errors import (
+    DomainError,
+    IncompatibleSketchError,
+    ParameterError,
+    QueryError,
+)
 from repro.streams.multijoin import (
     MultiJoinSchema,
     est_multi_join_count,
@@ -91,6 +96,56 @@ class TestMaintenance:
     def test_size_accounting(self):
         schema = MultiJoinSchema(8, 5, DOMAINS)
         assert schema.create_relation(("a",)).size_in_counters() == 40
+
+
+class TestIngestBoundary:
+    """Float tuples, non-finite weights and batches past the 2**53 mass
+    ceiling are rejected before any atomic sketch moves, as for the other
+    sketch kinds.  Unchecked, ``[[1.7, 2.2]]`` was ingested as ``[1, 2]``
+    and one NaN weight made every atomic sketch NaN."""
+
+    @staticmethod
+    def _relation():
+        relation = MultiJoinSchema(4, 3, DOMAINS, seed=1).create_relation(("a", "b"))
+        relation.update_bulk(np.asarray([[1, 2], [3, 4]]))
+        return relation
+
+    @staticmethod
+    def _assert_unchanged(relation, before, mass):
+        assert np.array_equal(relation.atomic_sketches, before)
+        assert relation.absolute_mass == mass
+
+    @pytest.mark.parametrize("path", ["update", "update_bulk"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, 2.0**53])
+    def test_bad_weight_rejected(self, path, bad):
+        relation = self._relation()
+        before, mass = relation.atomic_sketches.copy(), relation.absolute_mass
+        with pytest.raises(ParameterError):
+            if path == "update":
+                relation.update((5, 6), bad)
+            else:
+                relation.update_bulk(
+                    np.asarray([[5, 6], [7, 8]]), np.asarray([1.0, bad])
+                )
+        self._assert_unchanged(relation, before, mass)
+
+    @pytest.mark.parametrize("path", ["update", "update_bulk"])
+    def test_float_tuples_rejected(self, path):
+        relation = self._relation()
+        before, mass = relation.atomic_sketches.copy(), relation.absolute_mass
+        with pytest.raises(DomainError):
+            if path == "update":
+                relation.update((1.7, 2.2))
+            else:
+                relation.update_bulk(np.asarray([[1.7, 2.2]]))
+        self._assert_unchanged(relation, before, mass)
+
+    def test_just_below_the_ceiling_is_accepted(self):
+        relation = MultiJoinSchema(4, 3, DOMAINS, seed=1).create_relation(("a",))
+        relation.update((9,), 2.0**53 - 2)
+        relation.update((9,), 1.0)
+        assert relation.absolute_mass == 2.0**53 - 1
+        assert np.all(np.abs(relation.atomic_sketches) == 2.0**53 - 1)
 
 
 class TestJoinGraphValidation:
