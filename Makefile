@@ -98,7 +98,8 @@ profile-smoke:
 # audit coverage, then run the audited smoke corpus and
 # gate realized error / CI coverage / residual verdicts / drift alerts
 # against the committed baseline.  Every number is seed-deterministic,
-# so the full tolerance gate holds across machines.  See
+# so the full tolerance gate holds across machines.  The ACCURACY
+# document is kept (.workloads-smoke.json) for CI to upload; see
 # docs/WORKLOADS.md.
 workloads-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.workloads selfcheck
@@ -106,9 +107,8 @@ workloads-smoke:
 		--json-out .workloads-smoke.json --quiet
 	PYTHONPATH=src $(PYTHON) -m repro.workloads compare \
 		benchmarks/baselines/ACCURACY_baseline.json .workloads-smoke.json
-	rm -f .workloads-smoke.json
 
 clean:
 	rm -rf src/repro.egg-info .pytest_cache .hypothesis .benchmarks
-	rm -f .lint.sarif .monitor-smoke.* .profile-smoke.*
+	rm -f .lint.sarif .monitor-smoke.* .profile-smoke.* .workloads-smoke.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -33,7 +33,7 @@ GUARDS: dict[str, frozenset[str]] = {
         {"count", "counter", "gauge", "gauge_max", "histogram", "observe", "timer"}
     ),
     "TRACER": frozenset({"span", "instant"}),
-    "AUDIT": frozenset({"record", "annotate_last", "alert"}),
+    "AUDIT": frozenset({"record", "alert"}),
 }
 
 
@@ -91,8 +91,8 @@ class GuardedTelemetry(Rule):
       ``histogram`` / ``observe`` / ``timer``;
     * ``_TRACER``: ``span`` / ``instant`` (they self-guard, but an
       unguarded call still pays argument construction and a call);
-    * ``_AUDIT``: ``record`` / ``annotate_last`` / ``alert`` (recording
-      an audit runs residual-norm domain scans).
+    * ``_AUDIT``: ``record`` / ``alert`` (building the recorded audit
+      runs residual-norm domain scans).
 
     The guard is **per singleton**: ``_TRACER.enabled`` does not excuse
     a ``_METRICS.count``; the switches are independent.  Accepted guard

@@ -16,18 +16,26 @@ Typical usage::
 
 Both sketches must come from the same schema — they share hash functions,
 as the paper requires — and this is enforced.
+
+While ``repro.monitor.AUDIT`` is on, every skimmed answer — from
+``est_join_size`` / ``est_self_join_size`` here, the stream engine or the
+distributed coordinator — records one complete audit, built by
+:func:`build_audit` from the answer's own :class:`JoinEstimateBreakdown`.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import IncompatibleSketchError, ParameterError
 from ..monitor import AUDIT as _AUDIT
+from ..monitor.audit import QueryAudit, confidence_halfwidth
 from ..obs import METRICS as _METRICS
+from ..obs import MetricsRegistry
 from ..trace import TRACER as _TRACER
 from ..sketches.base import StreamSynopsis
 from ..sketches.dyadic import DyadicHashSketch, DyadicSketchSchema
@@ -35,8 +43,10 @@ from ..sketches.hash_sketch import HashSketch, HashSketchSchema
 from .config import SketchParameters
 from .skim import (
     DEFAULT_THRESHOLD_MULTIPLIER,
+    RESIDUAL_BOUND_FACTOR,
     SkimResult,
     default_threshold,
+    residual_infinity_norm,
     skim_dense,
     skim_dense_dyadic_base,
 )
@@ -207,8 +217,7 @@ class SkimmedSketch(StreamSynopsis):
 
     def skim_threshold(self) -> float:
         """The threshold ``theta = c * N / sqrt(width)`` at current ``N``."""
-        base = self._inner.base_sketch if self._schema.dyadic else self._inner
-        return default_threshold(base, self._schema.threshold_multiplier)
+        return default_threshold(self._base(), self._schema.threshold_multiplier)
 
     def skim(self, threshold: float | None = None) -> tuple[SkimResult, "HashSketch"]:
         """Run SKIMDENSE on a copy; returns the skim and the *flat* residual
@@ -228,7 +237,7 @@ class SkimmedSketch(StreamSynopsis):
         ``threshold`` overrides *both* streams' skim thresholds (used by
         the threshold-ablation experiment); by default each stream uses its
         own ``c * N / sqrt(width)``.  A self-join (``other is self``)
-        skims once and uses the result on both sides.
+        skims once and uses the result on both sides.  Records no audit.
         """
         self._check_compatible(other)
         with _METRICS.timer(
@@ -246,27 +255,28 @@ class SkimmedSketch(StreamSynopsis):
                 g_skim, g_res = (
                     (f_skim, f_res) if other is self else other.skim(threshold)
                 )
-                breakdown = est_skim_join_size_from_parts(f_skim, f_res, g_skim, g_res)
-        if _AUDIT.enabled:
-            _AUDIT.annotate_last(
-                n_f=float(self.absolute_mass),
-                n_g=float(other.absolute_mass),
-                dyadic=self._schema.dyadic,
-            )
-        return breakdown
+                return est_skim_join_size_from_parts(f_skim, f_res, g_skim, g_res)
 
     def est_join_size(self, other: "SkimmedSketch") -> float:
-        """Skimmed-sketch estimate of ``COUNT(F join G)``."""
-        return self.join_breakdown(other).estimate
+        """Skimmed-sketch estimate of ``COUNT(F join G)`` (audited as
+        origin ``estimator`` while ``AUDIT`` is on)."""
+        breakdown = self.join_breakdown(other)
+        if _AUDIT.enabled:
+            _AUDIT.record(build_audit(breakdown, self, other, origin="estimator"))
+        return breakdown.estimate
 
     def est_self_join_size(self) -> float:
         """Skimmed-sketch estimate of the second moment ``F2``."""
-        return self.join_breakdown(self).estimate
+        return self.est_join_size(self)
 
     def point_estimate(self, value: int) -> float:
         """COUNTSKETCH frequency estimate for one domain value."""
-        base = self._inner.base_sketch if self._schema.dyadic else self._inner
-        return base.point_estimate(value)
+        return self._base().point_estimate(value)
+
+    def _base(self) -> HashSketch:
+        """The flat sketch skims and point queries read (level 0 of a
+        dyadic hierarchy)."""
+        return self._inner.base_sketch if self._schema.dyadic else self._inner
 
     # -- linearity -------------------------------------------------------------------
 
@@ -301,3 +311,192 @@ class SkimmedSketch(StreamSynopsis):
             f"depth={self._schema.depth}, dyadic={self._schema.dyadic}, "
             f"N={self.absolute_mass:g})"
         )
+
+
+# -- audits and health ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SketchHealthReport:
+    """Snapshot of one skimmed sketch's state and sizing adequacy."""
+
+    width: int
+    depth: int
+    domain_size: int
+    stream_size: float
+    estimated_second_moment: float
+    skew_score: float
+    skim_threshold: float
+    dense_value_count: int
+    dense_mass_fraction: float
+    recommended_width: int | None
+    #: ``‖residual‖∞`` of a skim at the current threshold — SKIMDENSE's
+    #: Theorem-4 contract says it stays below
+    #: ``RESIDUAL_BOUND_FACTOR * skim_threshold`` w.h.p.  The same check
+    #: ``repro.monitor`` audits per query.
+    residual_linf: float = 0.0
+    residual_bound_ok: bool = True
+
+    def describe(self) -> str:
+        """Multi-line human-readable rendering of the report."""
+        lines = [
+            f"sketch {self.width}x{self.depth} over domain {self.domain_size}",
+            f"  stream size (N)        : {self.stream_size:,.0f}",
+            f"  est. second moment (F2): {self.estimated_second_moment:,.0f}",
+            f"  skew score (F2/(N^2/D)): {self.skew_score:,.1f}"
+            + ("  [uniform-like]" if self.skew_score < 10 else "  [skewed]"),
+            f"  skim threshold (theta) : {self.skim_threshold:,.1f}",
+            f"  dense values at theta  : {self.dense_value_count} "
+            f"({self.dense_mass_fraction:.1%} of stream mass)",
+            f"  residual |.|inf vs 2*theta: {self.residual_linf:,.1f} "
+            + ("[ok]" if self.residual_bound_ok else "[VIOLATED]"),
+        ]
+        if self.recommended_width is not None:
+            verdict = (
+                "adequate"
+                if self.recommended_width <= self.width
+                else f"undersized (recommend width >= {self.recommended_width})"
+            )
+            lines.append(f"  sizing for target error: {verdict}")
+        return "\n".join(lines)
+
+    def as_metrics(self, prefix: str = "health") -> dict[str, float]:
+        """The report as a flat ``{metric_name: value}`` gauge mapping.
+
+        This is the diagnostics→metrics bridge: the same numbers
+        :meth:`describe` prints, shaped for a metrics snapshot (and hence
+        for the JSON / Prometheus exporters).
+        """
+        gauges = {
+            f"{prefix}.width": float(self.width),
+            f"{prefix}.depth": float(self.depth),
+            f"{prefix}.domain_size": float(self.domain_size),
+            f"{prefix}.stream_size": float(self.stream_size),
+            f"{prefix}.second_moment": float(self.estimated_second_moment),
+            f"{prefix}.skew_score": float(self.skew_score),
+            f"{prefix}.skim_threshold": float(self.skim_threshold),
+            f"{prefix}.dense_values": float(self.dense_value_count),
+            f"{prefix}.dense_mass_fraction": float(self.dense_mass_fraction),
+            f"{prefix}.residual_linf": float(self.residual_linf),
+            f"{prefix}.residual_bound_ok": 1.0 if self.residual_bound_ok else 0.0,
+        }
+        if self.recommended_width is not None:
+            gauges[f"{prefix}.recommended_width"] = float(self.recommended_width)
+        return gauges
+
+    def record(
+        self, registry: MetricsRegistry | None = None, prefix: str = "health"
+    ) -> None:
+        """Publish the report's gauges into a registry (default: the global one).
+
+        A no-op while the registry is disabled, like every other hook.
+        """
+        registry = registry if registry is not None else _METRICS
+        for name, value in self.as_metrics(prefix).items():
+            registry.gauge(name, value)
+
+
+def health_report(
+    sketch: SkimmedSketch,
+    skim: SkimResult,
+    residual_linf: float,
+    recommended_width: int | None = None,
+) -> SketchHealthReport:
+    """The :class:`SketchHealthReport` of ``sketch`` from one flat skim of
+    it at its own threshold and that skim's residual ``‖.‖∞``: the skim
+    :func:`repro.eval.diagnostics.sketch_health` runs, or an engine
+    answer's own (so audited health costs no second skim or scan)."""
+    base = sketch._base()
+    n = base.absolute_mass
+    f2 = max(base.est_self_join_size(), 0.0)
+    uniform_floor = (n * n / base.domain_size) if n > 0 else 0.0
+    dense_fraction = skim.dense_mass() / n if n > 0 else 0.0
+    return SketchHealthReport(
+        width=base.width,
+        depth=base.depth,
+        domain_size=base.domain_size,
+        stream_size=n,
+        estimated_second_moment=f2,
+        skew_score=f2 / uniform_floor if uniform_floor > 0 else 0.0,
+        skim_threshold=skim.threshold,
+        dense_value_count=skim.dense_count,
+        dense_mass_fraction=min(max(dense_fraction, 0.0), 1.0),
+        recommended_width=recommended_width,
+        residual_linf=residual_linf,
+        residual_bound_ok=residual_linf < RESIDUAL_BOUND_FACTOR * skim.threshold,
+    )
+
+
+def build_audit(
+    breakdown: JoinEstimateBreakdown,
+    sketch_f: SkimmedSketch,
+    sketch_g: SkimmedSketch,
+    *,
+    origin: str,
+    streams: tuple[str, str] | None = None,
+    sites: tuple[str, ...] | None = None,
+    health: bool = False,
+) -> QueryAudit:
+    """The one :class:`~repro.monitor.audit.QueryAudit` constructor: the
+    complete audit of one skimmed join answer of ``sketch_f`` and
+    ``sketch_g``, from the breakdown the answer computed.
+
+    Each distinct residual is scanned once for the ``‖residual‖∞ < 2T``
+    check (``O(|D| * depth)``; audit path only).  ``origin``, ``streams``
+    and ``sites`` are the answering call's context; ``health=True`` (the
+    engine) adds each named stream's :class:`SketchHealthReport` gauges,
+    from the answer's own skims.  The caller records the result.
+    """
+    f_res, g_res = breakdown.f_residual, breakdown.g_residual
+    linf_f = residual_infinity_norm(f_res)
+    linf_g = linf_f if g_res is f_res else residual_infinity_norm(g_res)
+    sizes = breakdown.self_join_sizes()
+    sj_f_dense, sj_g_dense, sj_f_res, sj_g_res = sizes
+    delta = _AUDIT.delta
+    halfwidth = confidence_halfwidth(
+        *sizes, width=f_res.width, depth=f_res.depth, delta=delta
+    )
+    threshold_f = float(breakdown.f_skim.threshold)
+    threshold_g = float(breakdown.g_skim.threshold)
+    gauges = None
+    if health and streams is not None:
+        sides = {
+            streams[0]: (sketch_f, breakdown.f_skim, linf_f),
+            streams[1]: (sketch_g, breakdown.g_skim, linf_g),
+        }
+        gauges = {
+            name: health_report(*side).as_metrics() for name, side in sides.items()
+        }
+    estimate = breakdown.estimate
+    return QueryAudit(
+        estimate=estimate,
+        dense_dense=breakdown.dense_dense,
+        dense_sparse=breakdown.dense_sparse,
+        sparse_dense=breakdown.sparse_dense,
+        sparse_sparse=breakdown.sparse_sparse,
+        sj_f_dense=sj_f_dense,
+        sj_g_dense=sj_g_dense,
+        sj_f_residual=sj_f_res,
+        sj_g_residual=sj_g_res,
+        width=f_res.width,
+        depth=f_res.depth,
+        threshold_f=threshold_f,
+        threshold_g=threshold_g,
+        residual_linf_f=linf_f,
+        residual_linf_g=linf_g,
+        residual_bound_ok=(
+            linf_f < RESIDUAL_BOUND_FACTOR * threshold_f
+            and linf_g < RESIDUAL_BOUND_FACTOR * threshold_g
+        ),
+        delta=delta,
+        ci_halfwidth=halfwidth,
+        ci_low=estimate - halfwidth,
+        ci_high=estimate + halfwidth,
+        origin=origin,
+        dyadic=sketch_f.schema.dyadic,
+        n_f=float(sketch_f.absolute_mass),
+        n_g=float(sketch_g.absolute_mass),
+        streams=streams,
+        sites=sites,
+        health=gauges,
+    )

@@ -57,7 +57,6 @@ __all__ = [
     "RESIDUAL_BOUND_FACTOR",
     "SkimResult",
     "default_threshold",
-    "residual_bound_ok",
     "residual_infinity_norm",
     "skim_dense",
     "skim_dense_dyadic",
@@ -78,18 +77,6 @@ def residual_infinity_norm(sketch: HashSketch) -> float:
     if estimates.size == 0:
         return 0.0
     return float(np.abs(estimates).max())
-
-
-def residual_bound_ok(sketch: HashSketch, threshold: float) -> bool:
-    """Whether a skimmed sketch honours ``‖residual‖∞ <
-    RESIDUAL_BOUND_FACTOR * threshold`` (SKIMDENSE's Theorem-4 contract).
-
-    An infinite threshold (empty stream: nothing was dense, nothing was
-    skimmed) trivially satisfies the bound.
-    """
-    if not np.isfinite(threshold):
-        return True
-    return residual_infinity_norm(sketch) < RESIDUAL_BOUND_FACTOR * threshold
 
 
 def default_threshold(

@@ -33,19 +33,11 @@ from contextlib import ExitStack, nullcontext
 import numpy as np
 
 from ..errors import IncompatibleSketchError, ParameterError
-from ..monitor import AUDIT as _AUDIT
-from ..monitor.audit import QueryAudit, confidence_halfwidth
 from ..obs import METRICS as _METRICS
 from ..trace import TRACER as _TRACER
 from ..sketches.dyadic import DyadicHashSketch
 from ..sketches.hash_sketch import HashSketch
-from .skim import (
-    RESIDUAL_BOUND_FACTOR,
-    SkimResult,
-    residual_infinity_norm,
-    skim_dense,
-    skim_dense_dyadic_base,
-)
+from .skim import SkimResult, skim_dense, skim_dense_dyadic_base
 
 
 def est_sub_join_size(
@@ -120,9 +112,8 @@ class JoinEstimateBreakdown:
 
     Attributes mirror the four sub-join terms of Figure 4 plus the skim
     metadata; ``estimate`` is their sum (the procedure's return value).
-    ``max_additive_error`` is the Lemma-1/2-style bound on the combined
-    error of the three estimated terms (the dense-dense term is exact),
-    with the residual self-join sizes estimated from the skimmed sketches.
+    ``f_residual`` / ``g_residual`` are the skimmed sketches the sparse
+    terms were read from (one object for a self-join).
     """
 
     dense_dense: float
@@ -131,7 +122,8 @@ class JoinEstimateBreakdown:
     sparse_sparse: float
     f_skim: SkimResult
     g_skim: SkimResult
-    max_additive_error: float = float("nan")
+    f_residual: HashSketch
+    g_residual: HashSketch
 
     @property
     def estimate(self) -> float:
@@ -142,6 +134,28 @@ class JoinEstimateBreakdown:
             + self.sparse_dense
             + self.sparse_sparse
         )
+
+    def self_join_sizes(self) -> tuple[float, float, float, float]:
+        """``(SJ(fhat), SJ(ghat), SJ(f_s), SJ(g_s))``: the dense sides'
+        exact self-join sizes and the residuals' estimates (clamped at
+        zero), the inputs of every error bound on this estimate."""
+        f_dense = self.f_skim.dense_frequencies
+        g_dense = self.g_skim.dense_frequencies
+        return (
+            float(np.dot(f_dense, f_dense)),
+            float(np.dot(g_dense, g_dense)),
+            max(self.f_residual.est_self_join_size(), 0.0),
+            max(self.g_residual.est_self_join_size(), 0.0),
+        )
+
+    @property
+    def max_additive_error(self) -> float:
+        """Lemma-1/2-style bound on the combined error of the three
+        estimated terms (the dense-dense term is exact): each carries
+        additive error ``~ 2 sqrt(SJ(left) SJ(right) / width)``."""
+        sj_f, sj_g, res_f, res_g = self.self_join_sizes()
+        cross = np.sqrt(sj_f * res_g) + np.sqrt(sj_g * res_f) + np.sqrt(res_f * res_g)
+        return float((2.0 / np.sqrt(self.f_residual.width)) * cross)
 
     def relative_error_bound(self) -> float:
         """``max_additive_error / estimate`` (``inf`` for a tiny estimate).
@@ -174,21 +188,10 @@ def est_skim_join_size_from_parts(
 
     Exposed separately so callers that skim once and estimate many joins
     (or want non-default thresholds) do not repeat the skimming work.
+    Records no audit: the answering calls
+    (:meth:`~repro.core.estimator.SkimmedSketch.est_join_size` and the
+    engine / coordinator queries built on it) do.
     """
-    # Lemma-1/2-style error bound: each estimated term carries additive
-    # error ~ 2 sqrt(SJ(left) SJ(right) / width); the dense sides' self-join
-    # sizes are known exactly, the residual sides' are estimated from the
-    # skimmed sketches.
-    sj_f_dense = float(np.dot(f_skim.dense_frequencies, f_skim.dense_frequencies))
-    sj_g_dense = float(np.dot(g_skim.dense_frequencies, g_skim.dense_frequencies))
-    sj_f_res = max(f_skimmed.est_self_join_size(), 0.0)
-    sj_g_res = max(g_skimmed.est_self_join_size(), 0.0)
-    width = f_skimmed.width
-    bound = (2.0 / np.sqrt(width)) * (
-        np.sqrt(sj_f_dense * sj_g_res)
-        + np.sqrt(sj_g_dense * sj_f_res)
-        + np.sqrt(sj_f_res * sj_g_res)
-    )
     with _term_context("dense_dense"):
         dense_dense = _dense_dense_join(f_skim, g_skim)
     with _term_context("dense_sparse"):
@@ -203,90 +206,15 @@ def est_skim_join_size_from_parts(
         sparse_sparse = f_skimmed.est_join_size(g_skimmed)
     if _METRICS.enabled:
         _METRICS.count("estimate.joins")
-    breakdown = JoinEstimateBreakdown(
+    return JoinEstimateBreakdown(
         dense_dense=dense_dense,
         dense_sparse=dense_sparse,
         sparse_dense=sparse_dense,
         sparse_sparse=sparse_sparse,
         f_skim=f_skim,
         g_skim=g_skim,
-        max_additive_error=float(bound),
-    )
-    if _AUDIT.enabled:
-        _emit_audit(
-            breakdown,
-            f_skimmed,
-            g_skimmed,
-            sj_f_dense=sj_f_dense,
-            sj_g_dense=sj_g_dense,
-            sj_f_residual=sj_f_res,
-            sj_g_residual=sj_g_res,
-        )
-    return breakdown
-
-
-def _emit_audit(
-    breakdown: JoinEstimateBreakdown,
-    f_skimmed: HashSketch,
-    g_skimmed: HashSketch,
-    *,
-    sj_f_dense: float,
-    sj_g_dense: float,
-    sj_f_residual: float,
-    sj_g_residual: float,
-) -> None:
-    """Record one :class:`QueryAudit` for a finished join estimate.
-
-    Audit-path only (the linf scans cost ``O(|D| * depth)`` each); the
-    engine / coordinator enrich the record afterwards via
-    ``_AUDIT.annotate_last``.
-    """
-    if not _AUDIT.enabled:
-        return
-    width = f_skimmed.width
-    depth = f_skimmed.depth
-    delta = _AUDIT.delta
-    halfwidth = confidence_halfwidth(
-        sj_f_dense,
-        sj_g_dense,
-        sj_f_residual,
-        sj_g_residual,
-        width=width,
-        depth=depth,
-        delta=delta,
-    )
-    linf_f = residual_infinity_norm(f_skimmed)
-    linf_g = residual_infinity_norm(g_skimmed)
-    threshold_f = float(breakdown.f_skim.threshold)
-    threshold_g = float(breakdown.g_skim.threshold)
-    bound_ok = (
-        linf_f < RESIDUAL_BOUND_FACTOR * threshold_f
-        and linf_g < RESIDUAL_BOUND_FACTOR * threshold_g
-    )
-    estimate = breakdown.estimate
-    _AUDIT.record(
-        QueryAudit(
-            estimate=estimate,
-            dense_dense=breakdown.dense_dense,
-            dense_sparse=breakdown.dense_sparse,
-            sparse_dense=breakdown.sparse_dense,
-            sparse_sparse=breakdown.sparse_sparse,
-            sj_f_dense=sj_f_dense,
-            sj_g_dense=sj_g_dense,
-            sj_f_residual=sj_f_residual,
-            sj_g_residual=sj_g_residual,
-            width=width,
-            depth=depth,
-            threshold_f=threshold_f,
-            threshold_g=threshold_g,
-            residual_linf_f=linf_f,
-            residual_linf_g=linf_g,
-            residual_bound_ok=bound_ok,
-            delta=delta,
-            ci_halfwidth=halfwidth,
-            ci_low=estimate - halfwidth,
-            ci_high=estimate + halfwidth,
-        )
+        f_residual=f_skimmed,
+        g_residual=g_skimmed,
     )
 
 
@@ -316,7 +244,8 @@ def est_skim_join_size(
     -------
     A :class:`JoinEstimateBreakdown`; its ``estimate`` attribute is the
     paper's return value.  A self-join (``sketch_f is sketch_g`` at one
-    threshold) skims once and uses the result on both sides.
+    threshold) skims once and uses the result on both sides.  Records no
+    audit (see :func:`est_skim_join_size_from_parts`).
     """
     self_join = sketch_f is sketch_g and threshold_f == threshold_g
     if isinstance(sketch_f, DyadicHashSketch) or isinstance(sketch_g, DyadicHashSketch):

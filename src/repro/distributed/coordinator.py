@@ -21,8 +21,8 @@ from __future__ import annotations
 from collections import defaultdict
 from contextlib import nullcontext
 
-from ..core.estimator import SkimmedSketch, SkimmedSketchSchema
-from ..errors import IncompatibleSketchError, QueryError
+from ..core.estimator import SkimmedSketch, SkimmedSketchSchema, build_audit
+from ..errors import IncompatibleSketchError, ParameterError, QueryError
 from ..monitor import AUDIT as _AUDIT
 from ..obs import METRICS as _METRICS
 from ..sketches.serialize import SerializationError
@@ -73,8 +73,10 @@ class SketchCoordinator:
     # -- ingestion ---------------------------------------------------------
 
     def receive(self, report: SketchReport) -> None:
-        """Absorb one site report (validating payload, schema and round
-        ordering); a refused report is counted in ``dist.reports.rejected``."""
+        """Absorb one site report (validating payload, schema, round
+        ordering and, for a delta site, the 2**53 mass ceiling of the
+        merge); a refused report is counted in ``dist.reports.rejected``
+        and leaves the site's contribution and round as they were."""
         with _TRACER.span(
             "dist.receive",
             site=report.site,
@@ -107,9 +109,12 @@ class SketchCoordinator:
             )
         per_site = self._contributions[report.stream]
         if report.site in self.delta_sites and report.site in per_site:
-            per_site[report.site] = per_site[report.site].merged_with(sketch)
-        else:
-            per_site[report.site] = sketch
+            try:
+                sketch = per_site[report.site].merged_with(sketch)
+            except ParameterError:
+                self._reject(span, "mass_ceiling")
+                raise
+        per_site[report.site] = sketch
         self._last_round[key] = report.round_number
         size = report.size_in_bytes()
         self._bytes_received += size
@@ -180,35 +185,35 @@ class SketchCoordinator:
 
     def est_join_size(self, left: str, right: str) -> float:
         """Global ``COUNT(left join right)`` across all sites' traffic."""
-        estimate = self.global_sketch(left).est_join_size(self.global_sketch(right))
-        if _AUDIT.enabled:
-            self._enrich_audit(left, right)
-        return estimate
+        return self._estimate(
+            left, right, self.global_sketch(left), self.global_sketch(right)
+        )
 
     def est_self_join_size(self, stream: str) -> float:
         """Global second moment of a stream across all sites."""
-        estimate = self.global_sketch(stream).est_self_join_size()
+        sketch = self.global_sketch(stream)
+        return self._estimate(stream, stream, sketch, sketch)
+
+    def _estimate(
+        self, left: str, right: str, sketch_f: SkimmedSketch, sketch_g: SkimmedSketch
+    ) -> float:
+        """Answer from the merged sketches; the audit names the sites whose
+        traffic the answer aggregates, so a bad CI or residual-bound
+        violation can be chased back to the reporting fleet."""
+        breakdown = sketch_f.join_breakdown(sketch_g)
         if _AUDIT.enabled:
-            self._enrich_audit(stream, stream)
-        return estimate
-
-    def _enrich_audit(self, left: str, right: str) -> None:
-        """Tag the estimator-emitted audit with its fleet provenance.
-
-        Coordinator answers aggregate many sites' traffic; the audit
-        records which sites contributed so a bad CI or residual-bound
-        violation can be chased back to the reporting fleet.
-        """
-        if not _AUDIT.enabled:
-            return
-        audit = _AUDIT.last()
-        if audit is None or audit.origin != "estimator":
-            return
-        audit.origin = "coordinator"
-        audit.streams = (left, right)
-        audit.sites = tuple(
-            sorted(set(self.sites_for(left)) | set(self.sites_for(right)))
-        )
+            sites = tuple(sorted({*self.sites_for(left), *self.sites_for(right)}))
+            _AUDIT.record(
+                build_audit(
+                    breakdown,
+                    sketch_f,
+                    sketch_g,
+                    origin="coordinator",
+                    streams=(left, right),
+                    sites=sites,
+                )
+            )
+        return breakdown.estimate
 
     def point_estimate(self, stream: str, value: int) -> float:
         """Global frequency estimate of one value across all sites."""

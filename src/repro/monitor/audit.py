@@ -116,12 +116,13 @@ def confidence_halfwidth(
 class QueryAudit:
     """One join estimate's quality record (the ``/audits`` wire schema).
 
-    The estimator fills the theory-side fields at emission time; the
-    stream engine / distributed coordinator *enrich* the same record
-    (stream names, per-stream sketch health, shadow-exact realized
-    error) before the next audit is recorded, so a streamed JSONL line
-    is always complete.  ``None`` marks enrichment that never happened
-    (e.g. direct ``est_join_size`` calls outside an engine).
+    One builder, :func:`repro.core.estimator.build_audit`, makes every
+    record, complete, at the call that returns the estimate: origin
+    ``estimator`` (``SkimmedSketch.est_join_size``), ``engine`` (stream
+    names, per-stream health and, with a shadow attached, the realized
+    error) or ``coordinator`` (stream and site names).  Nothing changes
+    a record once it is recorded; ``None`` marks context the answering
+    call does not have (e.g. stream names of a direct ``est_join_size``).
     """
 
     estimate: float
@@ -252,9 +253,8 @@ class AuditLog:
 
     ``max_audits`` bounds memory: the ring keeps the most recent records
     and counts evictions in ``evicted``.  An optional JSONL sink
-    (:meth:`open_jsonl`) streams every audit; a record is written when
-    the *next* one is recorded (or at :meth:`close_jsonl`), so post-hoc
-    enrichment by the engine lands in the file too.
+    (:meth:`open_jsonl`) streams every audit, writing each record when it
+    is recorded.
     """
 
     def __init__(
@@ -275,7 +275,6 @@ class AuditLog:
         self._ring: deque[QueryAudit] = deque(maxlen=max_audits)
         self._next_index = 1
         self._sink: TextIO | None = None
-        self._sink_pending: QueryAudit | None = None
 
     # -- switch ------------------------------------------------------------
 
@@ -289,22 +288,18 @@ class AuditLog:
 
     def reset(self) -> None:
         """Drop every audit and alert, restart indices (flag kept);
-        closes any open JSONL sink without flushing its pending record."""
+        closes any open JSONL sink."""
         self._ring.clear()
         self.alerts.clear()
         self.evicted = 0
         self._next_index = 1
-        self._sink_pending = None
-        if self._sink is not None:
-            self._sink.close()
-            self._sink = None
+        self.close_jsonl()
 
     # -- recording ---------------------------------------------------------
 
     def record(self, audit: QueryAudit) -> QueryAudit:
-        """Append one audit (no-op while disabled); returns it with its
-        assigned index.  Flushes the previously pending record to the
-        JSONL sink — by then its enrichment is complete."""
+        """Append one complete audit (no-op while disabled); returns it
+        with its assigned index, after writing it to the JSONL sink."""
         if not self.enabled:
             return audit
         audit.index = self._next_index
@@ -312,25 +307,11 @@ class AuditLog:
         if len(self._ring) == self._ring.maxlen:
             self.evicted += 1
         if self._sink is not None:
-            self._flush_pending()
-            self._sink_pending = audit
+            self._sink.write(audit.to_json())
+            self._sink.write("\n")
+            self._sink.flush()  # the sink exists to be tailed live
         self._ring.append(audit)
         return audit
-
-    def annotate_last(self, **fields: Any) -> None:
-        """Attach fields to the most recent audit (no-op while disabled
-        or when nothing was recorded).  Unknown names land in ``extra``."""
-        if not self.enabled:
-            return
-        audit = self.last()
-        if audit is None:
-            return
-        known = set(QueryAudit.__dataclass_fields__)
-        for name, value in fields.items():
-            if name in known:
-                setattr(audit, name, value)
-            else:
-                audit.extra[name] = value
 
     def alert(self, alert: Any) -> None:
         """Append one structured drift alert (no-op while disabled)."""
@@ -388,19 +369,11 @@ class AuditLog:
         self._sink = open(path, "w", encoding="utf-8")
 
     def close_jsonl(self) -> None:
-        """Flush the pending record and close the streaming sink."""
+        """Close the streaming sink (no-op when none is open)."""
         if self._sink is None:
             return
-        self._flush_pending()
         self._sink.close()
         self._sink = None
-
-    def _flush_pending(self) -> None:
-        if self._sink_pending is not None and self._sink is not None:
-            self._sink.write(self._sink_pending.to_json())
-            self._sink.write("\n")
-            self._sink.flush()  # the sink exists to be tailed live
-            self._sink_pending = None
 
     def write_jsonl(self, path: str) -> int:
         """Dump the retained ring (and alerts) to ``path`` as JSONL;

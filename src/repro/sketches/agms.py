@@ -286,11 +286,13 @@ class AGMSSketch(StreamSynopsis):
     # -- algebra (sketches are linear projections) -----------------------------
 
     def merged_with(self, other: "AGMSSketch") -> "AGMSSketch":
-        """Sketch of the concatenation of both underlying streams."""
+        """Sketch of the concatenation of both underlying streams; raises
+        ``ParameterError`` when the summed mass would reach 2**53."""
         self._check_compatible(other)
+        mass = finite_mass(other._absolute_mass, self._absolute_mass)
         result = AGMSSketch(self._schema)
         result._atomic = self._atomic + other._atomic
-        result._absolute_mass = self._absolute_mass + other._absolute_mass
+        result._absolute_mass = self._absolute_mass + mass
         return result
 
     def copy(self) -> "AGMSSketch":

@@ -28,7 +28,8 @@ MASS_CEILING = float(2**53)
 
 
 def finite_mass(mass: float, tracked: float) -> float:
-    """Return ``mass`` — a batch's ``sum(|weight|)`` — or reject the batch.
+    """Return ``mass`` — a batch's ``sum(|weight|)``, or the tracked mass
+    of a sketch merged in — or reject it.
 
     One NaN or infinite weight makes the sum non-finite, so checking the
     sum the bulk paths already compute for ``absolute_mass`` rejects such
@@ -43,7 +44,7 @@ def finite_mass(mass: float, tracked: float) -> float:
         raise ParameterError(f"weights must be finite, got sum(|w|) = {mass}")
     if tracked + mass >= MASS_CEILING:
         raise ParameterError(
-            f"batch sum(|w|) = {mass:g} would take the tracked mass "
+            f"adding sum(|w|) = {mass:g} would take the tracked mass "
             f"{tracked:g} to 2**53 or more, past which counters are not exact"
         )
     return mass

@@ -400,11 +400,13 @@ class HashSketch(StreamSynopsis):
     # -- linearity: merge / subtract -----------------------------------------------
 
     def merged_with(self, other: "HashSketch") -> "HashSketch":
-        """Sketch of the concatenation of both underlying streams."""
+        """Sketch of the concatenation of both underlying streams; raises
+        ``ParameterError`` when the summed mass would reach 2**53."""
         self._check_compatible(other)
+        mass = finite_mass(other._absolute_mass, self._absolute_mass)
         result = HashSketch(self._schema)
         result._counters = self._counters + other._counters
-        result._absolute_mass = self._absolute_mass + other._absolute_mass
+        result._absolute_mass = self._absolute_mass + mass
         return result
 
     def subtract_frequencies(self, values: np.ndarray, frequencies: np.ndarray) -> None:

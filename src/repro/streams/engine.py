@@ -178,8 +178,8 @@ class StreamEngine:
         """Feed one stream element through predicate filtering into the synopsis."""
         registered = self._lookup(stream)
         require_integer_values(value)
-        registered.elements_seen += 1
         if not registered.predicate.accepts(value):
+            registered.elements_seen += 1
             registered.elements_dropped += 1
             if _METRICS.enabled:
                 _METRICS.count("engine.elements.seen")
@@ -189,6 +189,7 @@ class StreamEngine:
             "engine.ingest", stream=stream, elements=1
         ) if _TRACER.enabled else nullcontext():
             registered.synopsis.update(value, weight)
+        registered.elements_seen += 1
         if _AUDIT.enabled and self._shadow is not None:
             self._shadow.observe(stream, value, weight)
         if _METRICS.enabled:
@@ -232,39 +233,39 @@ class StreamEngine:
     def process_bulk(
         self, stream: str, values: np.ndarray, weights: np.ndarray | None = None
     ) -> None:
-        """Vectorised batch ingestion (predicate applied per element)."""
+        """Vectorised batch ingestion (predicate applied per element); a
+        batch the synopsis rejects is not counted."""
         registered = self._lookup(stream)
         require_integer_values(values)
         values = np.asarray(values, dtype=np.int64)
-        registered.elements_seen += int(values.size)
         keep = registered.predicate.accepts_bulk(values)
         kept = int(keep.sum())
+        if kept:
+            if kept == values.size:
+                kept_values = values
+                kept_weights = None if weights is None else np.asarray(weights)
+            else:
+                kept_values = values[keep]
+                kept_weights = None if weights is None else np.asarray(weights)[keep]
+            with _TRACER.span(
+                "engine.ingest",
+                stream=stream,
+                elements=int(values.size),
+                kept=kept,
+            ) if _TRACER.enabled else nullcontext():
+                registered.synopsis.update_bulk(kept_values, kept_weights)
+            if _AUDIT.enabled and self._shadow is not None:
+                self._shadow.observe_bulk(
+                    stream,
+                    kept_values.tolist(),
+                    None if kept_weights is None else kept_weights.tolist(),
+                )
+        registered.elements_seen += int(values.size)
         registered.elements_dropped += int(values.size - kept)
         if _METRICS.enabled:
             _METRICS.count("engine.elements.seen", int(values.size))
             _METRICS.count("engine.elements.dropped", int(values.size - kept))
             _METRICS.count(f"engine.stream.{stream}.elements", kept)
-        if not kept:
-            return
-        if kept == values.size:
-            kept_values = values
-            kept_weights = None if weights is None else np.asarray(weights)
-        else:
-            kept_values = values[keep]
-            kept_weights = None if weights is None else np.asarray(weights)[keep]
-        with _TRACER.span(
-            "engine.ingest",
-            stream=stream,
-            elements=int(values.size),
-            kept=kept,
-        ) if _TRACER.enabled else nullcontext():
-            registered.synopsis.update_bulk(kept_values, kept_weights)
-        if _AUDIT.enabled and self._shadow is not None:
-            self._shadow.observe_bulk(
-                stream,
-                kept_values.tolist(),
-                None if kept_weights is None else kept_weights.tolist(),
-            )
 
     def stream_stats(self, stream: str) -> tuple[int, int]:
         """``(elements_seen, elements_dropped_by_predicate)`` for a stream."""
@@ -395,63 +396,58 @@ class StreamEngine:
             raise QueryError(f"unknown relation {relation!r}") from None
 
     def _join_size(self, left: str, right: str) -> float:
-        estimate = float(
+        if self.synopsis_kind == "skimmed":
+            return self._skimmed_join(left, right)
+        return float(
             self._lookup(left).synopsis.est_join_size(self._lookup(right).synopsis)
         )
-        if _AUDIT.enabled:
-            self._enrich_audit(estimate, left, right)
-        return estimate
 
     def _self_join_size(self, stream: str) -> float:
-        estimate = float(self._lookup(stream).synopsis.est_self_join_size())
-        if _AUDIT.enabled:
-            self._enrich_audit(estimate, stream, stream)
-        return estimate
-
-    def _enrich_audit(self, estimate: float, left: str, right: str) -> None:
-        """Enrich the estimator-emitted audit of the query just answered.
-
-        Adds stream names, per-stream sketch health, and — when a shadow
-        auditor is attached — the realized error against the shadow-exact
-        join size plus CI-coverage drift tracking.  Audit-path only: runs
-        one skim + domain scan per stream per audited query.
-        """
-        if not _AUDIT.enabled:
-            return
-        audit = _AUDIT.last()
-        if audit is None or audit.origin != "estimator":
-            return  # non-skimmed synopsis: no audit was emitted for this query
-        audit.origin = "engine"
-        audit.streams = (left, right)
         if self.synopsis_kind == "skimmed":
-            # Imported here: repro.eval pulls in the experiment stack, and
-            # repro.streams must stay importable without it at module load.
-            from ..eval.diagnostics import sketch_health
+            return self._skimmed_join(stream, stream)
+        return float(self._lookup(stream).synopsis.est_self_join_size())
 
-            audit.health = {
-                name: sketch_health(self._lookup(name).synopsis).as_metrics()
-                for name in dict.fromkeys((left, right))
-            }
-        if self._shadow is not None:
-            exact, realized, covered, alert = self._shadow.observe_query(
-                left, right, estimate, audit.ci_halfwidth
+    def _skimmed_join(self, left: str, right: str) -> float:
+        """A skimmed join answer; while audits are on, it records one
+        complete audit: stream names, each stream's health from the
+        answer's own skim and, with a shadow attached, the realized error
+        against the shadow-exact join size plus CI-coverage drift tracking."""
+        synopsis_f = self._lookup(left).synopsis
+        synopsis_g = self._lookup(right).synopsis
+        breakdown = synopsis_f.join_breakdown(synopsis_g)
+        if _AUDIT.enabled:
+            from ..core.estimator import build_audit
+
+            audit = build_audit(
+                breakdown,
+                synopsis_f,
+                synopsis_g,
+                origin="engine",
+                streams=(left, right),
+                health=True,
             )
-            audit.shadow_exact = exact
-            audit.realized_error = realized
-            audit.realized_relative_error = (
-                realized / abs(exact) if exact != 0 else float("inf")
-            )
-            audit.covered = covered
-            if _METRICS.enabled:
-                _METRICS.gauge("monitor.shadow.coverage", self._shadow.coverage())
-                _METRICS.gauge("monitor.audit.realized_error", realized)
-            if alert is not None:
-                _AUDIT.alert(alert)
+            if self._shadow is not None:
+                exact, realized, covered, alert = self._shadow.observe_query(
+                    left, right, audit.estimate, audit.ci_halfwidth
+                )
+                audit.shadow_exact = exact
+                audit.realized_error = realized
+                audit.realized_relative_error = (
+                    realized / abs(exact) if exact != 0 else float("inf")
+                )
+                audit.covered = covered
                 if _METRICS.enabled:
-                    _METRICS.count("monitor.drift.alerts")
-                    _METRICS.gauge("monitor.drift.last_coverage", alert.coverage)
-        if _METRICS.enabled:
-            _METRICS.count("monitor.audits.enriched")
+                    _METRICS.gauge("monitor.shadow.coverage", self._shadow.coverage())
+                    _METRICS.gauge("monitor.audit.realized_error", realized)
+                if alert is not None:
+                    _AUDIT.alert(alert)
+                    if _METRICS.enabled:
+                        _METRICS.count("monitor.drift.alerts")
+                        _METRICS.gauge("monitor.drift.last_coverage", alert.coverage)
+            if _METRICS.enabled:
+                _METRICS.count("monitor.audits.enriched")
+            _AUDIT.record(audit)
+        return breakdown.estimate
 
     def _point(self, stream: str, value: int) -> float:
         synopsis = self._lookup(stream).synopsis

@@ -107,7 +107,7 @@ def run_workload(
             if audit is None or audit.streams != (left, right):
                 raise QueryError(
                     f"workload {instance.name!r}: query ({left}, {right}) "
-                    "produced no enriched audit"
+                    "produced no engine audit"
                 )
             if audit.shadow_exact == 0:
                 raise ParameterError(

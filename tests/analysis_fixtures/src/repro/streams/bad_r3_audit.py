@@ -3,8 +3,8 @@
 from ..monitor import AUDIT as _AUDIT
 
 
-def answer(engine, query, audit):
+def answer(engine, query, audit, alert):
     estimate = engine.answer(query)
     _AUDIT.record(audit)  # R3: no guard
-    _AUDIT.annotate_last(estimate=estimate)  # R3: still unguarded
+    _AUDIT.alert(alert)  # R3: still unguarded
     return estimate

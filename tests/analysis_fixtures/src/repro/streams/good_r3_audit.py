@@ -3,11 +3,11 @@
 from ..monitor import AUDIT as _AUDIT
 
 
-def answer(engine, query, audit):
+def answer(engine, query, audit, alert):
     estimate = engine.answer(query)
     if _AUDIT.enabled:
         _AUDIT.record(audit)
-        _AUDIT.annotate_last(estimate=estimate)
+        _AUDIT.alert(alert)
     return estimate
 
 

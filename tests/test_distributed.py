@@ -16,7 +16,8 @@ from repro.distributed import (
     SketchReport,
     SketchSite,
 )
-from repro.errors import IncompatibleSketchError, QueryError
+from repro.errors import IncompatibleSketchError, ParameterError, QueryError
+from repro.monitor import AUDIT
 from repro.obs import METRICS, capturing
 from repro.sketches.serialize import SerializationError, sketch_state
 from repro.streams.generators import shifted_zipf_pair
@@ -171,6 +172,48 @@ class TestCoordinator:
         (span,) = tracer.find("dist.receive")
         assert span.attributes["rejected"] == "malformed"
 
+    def test_delta_report_past_the_mass_ceiling_refused(self):
+        """A delta report whose merge would take the site's tracked mass
+        to 2**53 is refused and counted, and the site's contribution and
+        round stay as they were."""
+        schema = make_schema()
+        coordinator = SketchCoordinator(schema, delta_sites={"edge1"})
+        site = SketchSite("edge1", schema, ["f"], mode="delta")
+        site.observe("f", 5, 2.0**52 + 1)
+        coordinator.receive_all(site.close_round())
+        before = sketch_state(coordinator.global_sketch("f"))
+        site.observe("f", 7, 2.0**52 + 1)
+        (heavy,) = site.close_round()
+        with capturing() as metrics, capturing_spans() as tracer:
+            with pytest.raises(ParameterError, match=r"2\*\*53"):
+                coordinator.receive(heavy)
+        counters = metrics.snapshot()["counters"]
+        assert counters["dist.reports.rejected"] == 1
+        assert "dist.reports.received" not in counters
+        (span,) = tracer.find("dist.receive")
+        assert span.attributes["rejected"] == "mass_ceiling"
+        after = sketch_state(coordinator.global_sketch("f"))
+        assert before.keys() == after.keys()
+        assert all(np.array_equal(before[key], after[key]) for key in before)
+        # Round 2 was not taken: a light report for it is still accepted.
+        light = schema.create_sketch()
+        light.update(7, 1.0)
+        coordinator.receive(SketchReport.from_sketch("edge1", "f", 2, light))
+        assert coordinator.global_sketch("f").absolute_mass == 2.0**52 + 2
+        assert coordinator.communication_stats()[0] == 2
+
+    def test_query_past_the_mass_ceiling_raises(self):
+        """Cumulative sites whose masses sum past 2**53 cannot be merged
+        into one exact sketch, so the query raises."""
+        schema = make_schema()
+        coordinator = SketchCoordinator(schema)
+        for name in ("edge1", "edge2"):
+            site = SketchSite(name, schema, ["f"])
+            site.observe("f", 5, 2.0**52 + 1)
+            coordinator.receive_all(site.close_round())
+        with pytest.raises(ParameterError, match=r"2\*\*53"):
+            coordinator.est_self_join_size("f")
+
     def test_unknown_stream_query_rejected(self):
         coordinator = SketchCoordinator(make_schema())
         with pytest.raises(QueryError):
@@ -197,6 +240,48 @@ class TestCoordinator:
         coordinator.receive_all(site.close_round())
         assert coordinator.sites_for("f") == ["edge1"]
         assert coordinator.est_self_join_size("f") == pytest.approx(100.0)
+
+
+class TestCoordinatorAudits:
+    """Coordinator answers record one complete audit each, with their
+    fleet provenance."""
+
+    @pytest.fixture
+    def coordinator(self):
+        schema = make_schema(seed=3)
+        f, g = shifted_zipf_pair(DOMAIN, 20_000, 1.2, 10)
+        coordinator = SketchCoordinator(schema)
+        f_shares = split_counts(f.counts, 2, seed=1)
+        g_shares = split_counts(g.counts, 2, seed=2)
+        for index, (f_share, g_share) in enumerate(zip(f_shares, g_shares)):
+            site = SketchSite(f"s{index}", schema, ["f", "g"])
+            site.observe_bulk("f", np.flatnonzero(f_share), f_share[f_share > 0])
+            site.observe_bulk("g", np.flatnonzero(g_share), g_share[g_share > 0])
+            coordinator.receive_all(site.close_round())
+        return coordinator
+
+    def test_join_and_self_join_each_record_one_audit(self, coordinator):
+        AUDIT.enable()
+        estimate = coordinator.est_join_size("f", "g")
+        assert len(AUDIT) == 1
+        audit = AUDIT.last()
+        assert audit.origin == "coordinator"
+        assert audit.streams == ("f", "g")
+        assert audit.sites == ("s0", "s1")
+        assert audit.n_f == coordinator.global_sketch("f").absolute_mass
+        assert audit.n_g == coordinator.global_sketch("g").absolute_mass
+        assert audit.dyadic is False
+        assert audit.estimate == estimate
+        assert audit.health is None
+
+        second_moment = coordinator.est_self_join_size("g")
+        assert len(AUDIT) == 2
+        audit = AUDIT.last()
+        assert audit.origin == "coordinator"
+        assert audit.streams == ("g", "g")
+        assert audit.sites == ("s0", "s1")
+        assert audit.n_f == audit.n_g == coordinator.global_sketch("g").absolute_mass
+        assert audit.estimate == second_moment
 
 
 class TestTraceContext:

@@ -336,6 +336,35 @@ class TestMassCeiling:
         TestNonIntegerValues._assert_unchanged(sketch, before, self.CEILING - 1)
 
 
+class TestMergeMassCeiling:
+    """A merge keeps the 2**53 ceiling that every ingest path enforces:
+    two sketches each below it cannot merge into one at or above it."""
+
+    SCHEMAS = {
+        "hash": lambda: HashSketchSchema(64, 5, 256, seed=1),
+        "agms": lambda: AGMSSchema(16, 5, 256, seed=1),
+        "skimmed": lambda: SkimmedSketchSchema(64, 5, 256, seed=1),
+        "skimmed_dyadic": lambda: SkimmedSketchSchema(
+            32, 5, 256, seed=1, dyadic=True
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SCHEMAS))
+    def test_merge_past_the_ceiling_raises(self, kind):
+        from repro.errors import ParameterError
+
+        schema = self.SCHEMAS[kind]()
+        left, right = schema.create_sketch(), schema.create_sketch()
+        left.update(3, 2.0**52 + 1)
+        right.update(9, 2.0**52 + 1)
+        with pytest.raises(ParameterError, match=r"2\*\*53"):
+            left.merged_with(right)
+        assert left.absolute_mass == right.absolute_mass == 2.0**52 + 1
+        lighter = schema.create_sketch()
+        lighter.update(9, 2.0**52 - 2)
+        assert left.merged_with(lighter).absolute_mass == 2.0**53 - 1
+
+
 class TestCancelledCoalescedBatch:
     """``update_coalesced`` keeps the observed mass of a batch that
     coalesced to nothing, as element-wise ingestion of it would."""

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import SketchParameters
 from repro.errors import ParameterError, QueryError
+from repro.obs import capturing
 from repro.streams.engine import StreamEngine
 from repro.streams.generators import shifted_zipf_pair
 from repro.streams.model import Update
@@ -101,6 +102,24 @@ class TestMaintenanceAndPredicates:
         engine.register_stream("f")
         with pytest.raises(ParameterError):
             engine.process_many("f", [Update(1)], chunk_size=0)
+
+    @pytest.mark.parametrize("synopsis", ["skimmed", "agms", "hash"])
+    def test_rejected_input_is_not_counted(self, synopsis):
+        """A batch or element the synopsis rejects leaves ``stream_stats``
+        and the engine counters as they were."""
+        engine = make_engine(synopsis)
+        engine.register_stream("f")
+        engine.process_bulk("f", np.arange(10))
+        with capturing() as registry:
+            with pytest.raises(ParameterError):
+                engine.process_bulk(
+                    "f", np.asarray([1, 2, 3]), np.asarray([1.0, np.nan, 1.0])
+                )
+            with pytest.raises(ParameterError):
+                engine.process("f", 5, np.inf)
+        assert engine.stream_stats("f") == (10, 0)
+        counters = registry.snapshot()["counters"]
+        assert not [name for name in counters if name.startswith("engine.")]
 
     def test_bulk_all_dropped_is_noop(self):
         engine = make_engine()

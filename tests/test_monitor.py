@@ -155,7 +155,6 @@ class TestAuditLog:
     def test_disabled_log_records_nothing(self):
         log = AuditLog(enabled=False)
         log.record(_make_audit())
-        log.annotate_last(streams=("a", "b"))
         log.alert(object())
         assert len(log) == 0 and log.alerts == []
 
@@ -175,15 +174,6 @@ class TestAuditLog:
         assert [a.index for a in log.audits()] == [7, 8, 9, 10]
         assert [a.index for a in log.recent(2)] == [9, 10]
         assert log.recent(0) == []
-
-    def test_annotate_last_known_and_unknown_fields(self):
-        log = AuditLog(enabled=True)
-        assert log.annotate_last(streams=("a", "b")) is None  # empty: no-op
-        log.record(_make_audit())
-        log.annotate_last(streams=("f", "g"), custom_tag="x")
-        audit = log.last()
-        assert audit.streams == ("f", "g")
-        assert audit.extra["custom_tag"] == "x"
 
     def test_reset_clears_but_keeps_switch(self):
         log = AuditLog(enabled=True, max_audits=2)
@@ -208,20 +198,21 @@ class TestAuditLog:
         assert snap["audits"][0]["estimate"] == 1000.0
         assert snap["alerts"] == []
 
-    def test_streaming_sink_defers_for_enrichment(self, tmp_path):
-        """A record hits the JSONL file only once the *next* record lands
-        (or the sink closes), so post-hoc enrichment is in the file."""
+    def test_streaming_sink_writes_each_record_when_recorded(self, tmp_path):
+        """Records are complete when recorded, so each one is in the JSONL
+        file as soon as ``record`` returns."""
         path = tmp_path / "audits.jsonl"
         log = AuditLog(enabled=True)
         log.open_jsonl(str(path))
-        log.record(_make_audit())
-        assert path.read_text() == ""  # still pending
-        log.annotate_last(streams=("f", "g"), origin="engine")
-        log.record(_make_audit(estimate=2.0))
+        log.record(_make_audit(streams=("f", "g"), origin="engine"))
         lines = path.read_text().splitlines()
         assert len(lines) == 1
         first = json.loads(lines[0])
+        assert first["index"] == 1
         assert first["streams"] == ["f", "g"] and first["origin"] == "engine"
+        log.record(_make_audit(estimate=2.0))
+        lines = path.read_text().splitlines()
+        assert [json.loads(line)["estimate"] for line in lines] == [1000.0, 2.0]
         log.close_jsonl()
         assert len(path.read_text().splitlines()) == 2
 
@@ -292,7 +283,7 @@ class TestEstimatorEmission:
         # SKIMDENSE's residual contract holds on this benign workload.
         assert audit.residual_bound_ok
         assert audit.residual_linf_f < RESIDUAL_BOUND_FACTOR * audit.threshold_f
-        # join_breakdown annotates masses and the skim strategy.
+        # The record carries the joined sketches' masses and skim strategy.
         assert audit.n_f == pytest.approx(f.total_count())
         assert audit.n_g == pytest.approx(g.total_count())
         assert audit.dyadic is not None
@@ -303,7 +294,7 @@ class TestEstimatorEmission:
         AUDIT.enable()
         sf.est_self_join_size()
         assert len(AUDIT) == 1
-        assert AUDIT.last().streams is None  # direct call: never enriched
+        assert AUDIT.last().streams is None  # a direct call names no stream
 
 
 def _audited_engine(shadow: ShadowAuditor | None = None):
@@ -374,6 +365,77 @@ class TestEngineEnrichment:
         _feed_zipf_streams(engine, ("a", "b"), np.random.default_rng(5))
         engine.answer(JoinCountQuery("a", "b"))
         assert len(AUDIT) == 0  # no estimator audit, and no stale enrichment
+
+    def test_non_skimmed_engine_leaves_earlier_audits_alone(self):
+        """A hash-synopsis answer records nothing: it neither takes over
+        nor scores the audit a direct skimmed estimate recorded before."""
+        from repro.core import SkimmedSketchSchema
+        from repro.core.config import SketchParameters
+        from repro.streams.engine import StreamEngine
+        from repro.streams.query import JoinCountQuery, SelfJoinQuery
+
+        rng = np.random.default_rng(5)
+        shadow = ShadowAuditor(sample_rate=1.0)
+        engine = StreamEngine(
+            1 << 10, SketchParameters(width=64, depth=5), synopsis="hash", seed=7
+        )
+        engine.attach_shadow(shadow)
+        AUDIT.enable()
+        _feed_zipf_streams(engine, ("x", "y"), rng)
+        schema = SkimmedSketchSchema(64, 5, 1 << 10, seed=7)
+        sf, sg = schema.create_sketch(), schema.create_sketch()
+        sf.update_bulk(rng.integers(0, 1 << 10, size=2_000))
+        sg.update_bulk(rng.integers(0, 1 << 10, size=2_000))
+        sf.est_join_size(sg)
+        before = AUDIT.last().to_json()
+        engine.answer(JoinCountQuery("x", "y"))
+        engine.answer(SelfJoinQuery("x"))
+        assert len(AUDIT) == 1
+        assert AUDIT.last().to_json() == before
+        assert shadow.queries == 0
+
+    def test_engine_audit_reuses_the_answers_skims(self, monkeypatch):
+        """An audited engine answer skims each stream once (its health
+        comes from the answer's own skim) and scans each distinct residual
+        once; the recorded health and residual norms equal a separate
+        health report and a fresh skim's residual norm."""
+        from repro.core.skim import residual_infinity_norm
+        from repro.eval.diagnostics import sketch_health
+        from repro.obs import capturing
+        from repro.sketches.hash_sketch import HashSketch
+        from repro.streams.query import JoinCountQuery, SelfJoinQuery
+
+        scans = []
+        full_scan = HashSketch.all_point_estimates
+
+        def counted_scan(sketch):
+            scans.append(sketch)
+            return full_scan(sketch)
+
+        engine = _audited_engine(ShadowAuditor(sample_rate=1.0))
+        AUDIT.enable()
+        _feed_zipf_streams(engine, ("s0", "s1"), np.random.default_rng(99))
+        cases = ((JoinCountQuery("s0", "s1"), 2), (SelfJoinQuery("s1"), 1))
+        for query, skims in cases:
+            scans.clear()
+            monkeypatch.setattr(HashSketch, "all_point_estimates", counted_scan)
+            with capturing() as registry:
+                estimate = engine.answer(query)
+            monkeypatch.undo()
+            counters = registry.snapshot()["counters"]
+            assert counters["skim.passes"] == skims
+            assert counters["monitor.audits.enriched"] == 1
+            assert len(scans) == skims
+            audit = AUDIT.last()
+            assert audit.origin == "engine" and audit.estimate == estimate
+            linf = dict(
+                zip(audit.streams, (audit.residual_linf_f, audit.residual_linf_g))
+            )
+            assert set(audit.health) == set(linf)
+            for name, residual_linf in linf.items():
+                synopsis = engine.synopsis_for(name)
+                assert audit.health[name] == sketch_health(synopsis).as_metrics()
+                assert residual_linf == residual_infinity_norm(synopsis.skim()[1])
 
     def test_shadow_only_fed_while_audits_enabled(self):
         shadow = ShadowAuditor()
