@@ -45,7 +45,6 @@ def main() -> None:
     engine = StreamEngine(
         domain_size=ADDRESS_SPACE,
         parameters=SketchParameters(width=300, depth=11),
-        synopsis="skimmed",
         seed=2024,
     )
     engine.register_stream("router1")

@@ -40,7 +40,6 @@ def main() -> None:
     engine = StreamEngine(
         domain_size=PRODUCTS,
         parameters=SketchParameters(width=256, depth=11),
-        synopsis="skimmed",
         seed=7,
     )
     allowed = RangePredicate(0, BLACKLIST_START)

@@ -27,7 +27,6 @@ def main() -> None:
     engine = StreamEngine(
         domain_size=SUBSCRIBERS,
         parameters=SketchParameters(width=300, depth=11),
-        synopsis="skimmed",
         seed=99,
     )
 

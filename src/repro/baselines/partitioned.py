@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DomainError, IncompatibleSketchError, ParameterError
+from ..errors import IncompatibleSketchError, ParameterError
 from ..sketches.agms import AGMSSchema, AGMSSketch
-from ..sketches.base import StreamSynopsis
+from ..sketches.base import StreamSynopsis, ingest_checked
 from ..streams.model import FrequencyVector
 
 #: Upper bound on boundary-candidate positions for the planner's DP.
@@ -204,26 +204,24 @@ class PartitionedAGMSSketch(StreamSynopsis):
         return self._schema.domain_size
 
     def update(self, value: int, weight: float = 1.0) -> None:
-        if not 0 <= value < self.domain_size:
-            raise DomainError(f"value {value} outside domain [0, {self.domain_size})")
-        partition = int(self._schema.plan.assignment[value])
-        self._partitions[partition].update(value, weight)
+        self.update_bulk(np.asarray([value]), np.asarray([weight]))
 
     def update_bulk(self, values: np.ndarray, weights: np.ndarray | None = None) -> None:
-        values = np.asarray(values, dtype=np.int64)
-        if values.size == 0:
-            return
-        if values.min() < 0 or values.max() >= self.domain_size:
-            raise DomainError("values fall outside the domain")
-        if weights is None:
-            weights = np.ones(values.size)
-        else:
-            weights = np.asarray(weights, dtype=np.float64)
+        """Check the whole batch, then route each value to its partition.
+
+        The check bounds the summed mass of all partitions, so no
+        partition's write can cross the 2**53 ceiling on its own.
+        """
+        tracked = sum(part.absolute_mass for part in self._partitions)
+        values, weights, _ = ingest_checked(values, weights, self.domain_size, tracked)
         routed = self._schema.plan.assignment[values]
         for partition, sketch in enumerate(self._partitions):
             mask = routed == partition
             if mask.any():
-                sketch.update_bulk(values[mask], weights[mask])
+                part_weights = weights[mask]
+                sketch._ingest(
+                    values[mask], part_weights, float(np.abs(part_weights).sum())
+                )
 
     def size_in_counters(self) -> int:
         return sum(p.size_in_counters() for p in self._partitions)

@@ -19,7 +19,12 @@ from collections import Counter
 import numpy as np
 
 from ..errors import DeletionUnsupportedError, ParameterError
-from ..sketches.base import StreamSynopsis
+from ..sketches.base import StreamSynopsis, ingest_checked, ingest_checked_one
+
+_UNIT_INSERTS_ONLY = (
+    "reservoir samples only support unit-weight inserts; "
+    "a deletion would silently bias the sample (paper §1)"
+)
 
 
 class ReservoirSample(StreamSynopsis):
@@ -52,11 +57,24 @@ class ReservoirSample(StreamSynopsis):
         return list(self._reservoir)
 
     def update(self, value: int, weight: float = 1.0) -> None:
+        ingest_checked_one(value, weight, self._domain_size, self._seen)
         if weight != 1.0:
-            raise DeletionUnsupportedError(
-                "reservoir samples only support unit-weight inserts; "
-                "a deletion would silently bias the sample (paper §1)"
-            )
+            raise DeletionUnsupportedError(_UNIT_INSERTS_ONLY)
+        self._insert(value)
+
+    def update_bulk(self, values: np.ndarray, weights: np.ndarray | None = None) -> None:
+        """Check the whole batch (and that every weight is 1), then insert
+        it element by element."""
+        values, weights, _ = ingest_checked(
+            values, weights, self._domain_size, self._seen
+        )
+        if not np.all(weights == 1.0):
+            raise DeletionUnsupportedError(_UNIT_INSERTS_ONLY)
+        for value in values:
+            self._insert(int(value))
+
+    def _insert(self, value: int) -> None:
+        """One reservoir step for a checked unit-weight element."""
         self._seen += 1
         if len(self._reservoir) < self.capacity:
             self._reservoir.append(value)
@@ -64,15 +82,6 @@ class ReservoirSample(StreamSynopsis):
         slot = int(self._rng.integers(0, self._seen))
         if slot < self.capacity:
             self._reservoir[slot] = value
-
-    def update_bulk(self, values: np.ndarray, weights: np.ndarray | None = None) -> None:
-        values = np.asarray(values, dtype=np.int64)
-        if weights is not None and not np.all(np.asarray(weights) == 1.0):
-            raise DeletionUnsupportedError(
-                "reservoir samples only support unit-weight inserts"
-            )
-        for value in values:
-            self.update(int(value))
 
     def size_in_counters(self) -> int:
         return self.capacity

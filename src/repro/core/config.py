@@ -120,12 +120,3 @@ class SketchParameters:
             )
         width = max(1, math.ceil(stream_size**2 / (epsilon * join_size_lower_bound)))
         return cls(width, depth_for_confidence(delta), threshold_multiplier)
-
-    def basic_agms_equivalent(self) -> tuple[int, int]:
-        """(averaging, median) giving a basic AGMS sketch of equal space.
-
-        Used by every comparison experiment: both methods get the same
-        number of counter words (paper Section 5.1: "We allocate the same
-        amount of memory to both sketching methods").
-        """
-        return self.width, self.depth

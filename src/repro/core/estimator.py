@@ -37,7 +37,7 @@ from ..monitor.audit import QueryAudit, confidence_halfwidth
 from ..obs import METRICS as _METRICS
 from ..obs import MetricsRegistry
 from ..trace import TRACER as _TRACER
-from ..sketches.base import StreamSynopsis
+from ..sketches.base import StreamSynopsis, ingest_checked, ingest_checked_one
 from ..sketches.dyadic import DyadicHashSketch, DyadicSketchSchema
 from ..sketches.hash_sketch import HashSketch, HashSketchSchema
 from .config import SketchParameters
@@ -182,19 +182,13 @@ class SkimmedSketch(StreamSynopsis):
         return self._inner.absolute_mass
 
     def update(self, value: int, weight: float = 1.0) -> None:
-        self._inner.update(value, weight)
+        mass = ingest_checked_one(value, weight, self.domain_size, self.absolute_mass)
+        self._inner._ingest_one(value, weight, mass)
 
     def update_bulk(self, values: np.ndarray, weights: np.ndarray | None = None) -> None:
-        self._inner.update_bulk(values, weights)
-
-    def update_coalesced(
-        self,
-        values: np.ndarray,
-        masses: np.ndarray,
-        observed_mass: float | None = None,
-    ) -> None:
-        """Pre-coalesced ingest, delegated to the wrapped hash/dyadic sketch."""
-        self._inner.update_coalesced(values, masses, observed_mass)
+        self._inner._ingest(
+            *ingest_checked(values, weights, self.domain_size, self.absolute_mass)
+        )
 
     def size_in_counters(self) -> int:
         return self._inner.size_in_counters()

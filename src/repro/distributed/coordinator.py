@@ -184,7 +184,10 @@ class SketchCoordinator:
     # -- queries ------------------------------------------------------------------
 
     def est_join_size(self, left: str, right: str) -> float:
-        """Global ``COUNT(left join right)`` across all sites' traffic."""
+        """Global ``COUNT(left join right)`` across all sites' traffic; a
+        self-join merges and skims its stream once."""
+        if left == right:
+            return self.est_self_join_size(left)
         return self._estimate(
             left, right, self.global_sketch(left), self.global_sketch(right)
         )

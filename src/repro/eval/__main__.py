@@ -166,7 +166,7 @@ def _audited_query_segment() -> str:
 
     domain_size = 1 << 10
     engine = StreamEngine(
-        domain_size, SketchParameters(width=128, depth=7), synopsis="skimmed", seed=7
+        domain_size, SketchParameters(width=128, depth=7), seed=7
     )
     shadow = ShadowAuditor(sample_rate=1.0, window=64, coverage_target=0.9)
     engine.attach_shadow(shadow)

@@ -68,7 +68,7 @@ def _smoke_workload(
 
     rng = np.random.default_rng(seed)
     engine = StreamEngine(
-        domain, SketchParameters(width=128, depth=5), synopsis="skimmed", seed=seed
+        domain, SketchParameters(width=128, depth=5), seed=seed
     )
     for name in ("f", "g"):
         engine.register_stream(name)

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..errors import IncompatibleSketchError, ParameterError
 from ..hashing import FourWiseSignFamily
-from .base import StreamSynopsis, finite_mass, require_integer_values
+from .base import StreamSynopsis, finite_mass, ingest_checked, ingest_checked_one
 
 if TYPE_CHECKING:  # type-only: repro.streams imports repro.sketches at runtime
     from ..streams.model import FrequencyVector
@@ -166,60 +166,17 @@ class AGMSSketch(StreamSynopsis):
 
     def update(self, value: int, weight: float = 1.0) -> None:
         """O(averaging * median): every atomic sketch is touched (paper §2.2)."""
-        require_integer_values(value)
-        self._check_value(value)
-        mass = finite_mass(abs(weight), self._absolute_mass)
-        self._apply_point_masses(
+        mass = ingest_checked_one(value, weight, self.domain_size, self._absolute_mass)
+        self._ingest(
             np.asarray([value], dtype=np.int64),
             np.asarray([weight], dtype=np.float64),
+            mass,
         )
-        self._absolute_mass += mass
 
     def update_bulk(self, values: np.ndarray, weights: np.ndarray | None = None) -> None:
-        require_integer_values(values)
-        values = np.asarray(values, dtype=np.int64)
-        if values.size == 0:
-            return
-        self._check_value(int(values.min()))
-        self._check_value(int(values.max()))
-        if weights is None:
-            weights = np.ones(values.size)
-        else:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != values.shape:
-                raise ParameterError("weights must have the same shape as values")
-        mass = finite_mass(float(np.abs(weights).sum()), self._absolute_mass)
-        self._apply_point_masses(values, weights)
-        self._absolute_mass += mass
-
-    def update_coalesced(
-        self,
-        values: np.ndarray,
-        masses: np.ndarray,
-        observed_mass: float | None = None,
-    ) -> None:
-        """Ingest a pre-coalesced batch: distinct ``values``, summed ``masses``.
-
-        Mirrors :meth:`HashSketch.update_coalesced` for callers that
-        coalesce once and feed many sketches.  ``observed_mass`` defaults
-        to ``sum(|masses|)``; passing the original batch's
-        ``sum(|weight|)`` keeps :attr:`absolute_mass` identical to
-        element-wise ingestion, even for a batch that cancels to nothing.
-        Records no metrics or spans — the caller owns instrumentation.
-        """
-        require_integer_values(values)
-        values = np.asarray(values, dtype=np.int64)
-        masses = np.asarray(masses, dtype=np.float64)
-        if masses.shape != values.shape:
-            raise ParameterError("masses must have the same shape as values")
-        mass = finite_mass(float(np.abs(masses).sum()), self._absolute_mass)
-        if observed_mass is not None:
-            mass = finite_mass(float(observed_mass), self._absolute_mass)
-        if values.size:
-            self._check_value(int(values.min()))
-            self._check_value(int(values.max()))
-        self._apply_point_masses(values, masses)
-        self._absolute_mass += mass
+        self._ingest(
+            *ingest_checked(values, weights, self.domain_size, self._absolute_mass)
+        )
 
     def ingest_frequency_vector(self, frequencies: "FrequencyVector") -> None:
         """Absorb a whole frequency vector.
@@ -238,8 +195,13 @@ class AGMSSketch(StreamSynopsis):
                 f"domain mismatch: synopsis {self.domain_size}, "
                 f"vector {frequencies.domain_size}"
             )
-        counts = frequencies.counts
-        mass = finite_mass(float(np.abs(counts).sum()), self._absolute_mass)
+        # The dense vector's values are the domain itself.
+        _, counts, mass = ingest_checked(
+            np.arange(self.domain_size, dtype=np.int64),
+            frequencies.counts,
+            self.domain_size,
+            self._absolute_mass,
+        )
         flat = self._atomic.reshape(-1)
         # Chunk over atomic sketches to bound the float32 conversion buffer.
         chunk = max(1, _BULK_CHUNK_ELEMENTS // self.domain_size)
@@ -315,24 +277,21 @@ class AGMSSketch(StreamSynopsis):
 
     # -- internals ---------------------------------------------------------------
 
-    def _apply_point_masses(self, values: np.ndarray, masses: np.ndarray) -> None:
-        """Add ``masses[k] * xi(values[k])`` to every atomic sketch.
+    def _ingest(self, values: np.ndarray, masses: np.ndarray, mass: float) -> None:
+        """Add ``masses[k] * xi(values[k])`` to every atomic sketch and
+        ``mass`` to the tracked mass.
 
-        The one counter write of :meth:`update`, :meth:`update_bulk` and
-        :meth:`update_coalesced`; chunked so the ``(signs, chunk)`` sign
-        matrix stays bounded.  Callers validate first.
+        The one counter write of :meth:`update` and :meth:`update_bulk`
+        (and of a partitioned sketch's partitions), unchecked: callers
+        pass what :func:`~repro.sketches.base.ingest_checked` returned.
+        Chunked so the ``(signs, chunk)`` sign matrix stays bounded.
         """
         flat = self._atomic.reshape(-1)
         chunk = max(1, _BULK_CHUNK_ELEMENTS // self._schema.signs.count)
         for start in range(0, values.size, chunk):
             stop = start + chunk
             flat += self._schema.signs.signs(values[start:stop]) @ masses[start:stop]
-
-    def _check_value(self, value: int) -> None:
-        if not 0 <= value < self.domain_size:
-            from ..errors import DomainError
-
-            raise DomainError(f"value {value} outside domain [0, {self.domain_size})")
+        self._absolute_mass += mass
 
     def _check_compatible(self, other: "AGMSSketch") -> None:
         if not isinstance(other, AGMSSketch):

@@ -15,7 +15,8 @@ import math
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
-from ..errors import DomainError, ParameterError
+from ..errors import DomainError, ParameterError, ReproError
+from ..obs import METRICS as _METRICS
 
 if TYPE_CHECKING:  # type-only: repro.streams imports repro.sketches at runtime
     from ..streams.model import FrequencyVector, Update
@@ -60,6 +61,102 @@ def require_integer_values(values: object) -> None:
     array = np.asarray(values)  # repro: noqa[R1] -- reads the caller's dtype before the int64 cast
     if array.size and array.dtype.kind not in "iu":
         raise DomainError(f"values must be integers, got dtype {array.dtype}")
+
+
+class _CountingRejections:
+    """``with counting_rejections:`` counts ``ingest.rejected`` once (while
+    ``METRICS`` is on) when its block raises a :class:`ReproError`; every
+    ingest check runs in one, so the counting policy lives here alone."""
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind: type | None, *_: object) -> bool:
+        if kind is not None and _METRICS.enabled and issubclass(kind, ReproError):
+            _METRICS.count("ingest.rejected")
+        return False
+
+
+counting_rejections = _CountingRejections()
+
+
+def ingest_batch(
+    values: object, weights: object | None, ndim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Steps 1-2 of :func:`ingest_checked` for ``ndim``-D ``values``."""
+    require_integer_values(values)
+    values = np.asarray(values, dtype=np.int64)
+    if weights is None:
+        weights = np.ones(values.shape[:1], dtype=np.float64)
+    else:
+        weights = np.asarray(weights, dtype=np.float64)
+    if values.ndim != ndim or weights.shape != values.shape[:1]:
+        raise ParameterError(
+            f"expected {ndim}-D values with one weight per row, "
+            f"got shapes {values.shape} and {weights.shape}"
+        )
+    return values, weights
+
+
+def ingest_mass(
+    weights: np.ndarray, tracked: float, observed_mass: float | None = None
+) -> float:
+    """Step 4 of :func:`ingest_checked`: the mass to add to ``tracked``.
+
+    That is ``sum(|weights|)``, checked by :func:`finite_mass`; or, when
+    given, ``observed_mass`` (a coalesced batch's raw mass, or 0 for a
+    subtraction of already-counted mass), checked by it instead, while
+    ``sum(|weights|)`` need only be finite.
+    """
+    mass = float(np.abs(weights).sum())
+    if observed_mass is None:
+        return finite_mass(mass, tracked)
+    if not math.isfinite(mass):
+        raise ParameterError(f"weights must be finite, got sum(|w|) = {mass}")
+    return finite_mass(float(observed_mass), tracked)
+
+
+def ingest_checked(
+    values: object,
+    weights: object | None,
+    domain_size: int,
+    tracked: float,
+    observed_mass: float | None = None,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Check one update batch at the ingest boundary.
+
+    Every synopsis that accepts updates calls this once per call, before
+    any counter, mass, sample or candidate changes; its fan-out (dyadic
+    levels, partitions, a window's epoch, a wrapped sketch) then writes
+    unchecked.  In order: (1) integer-dtype ``values``
+    (:func:`require_integer_values`, ``DomainError``), cast to ``int64``;
+    (2) ``weights``, default ones, cast to ``float64``, one per value of
+    a 1-D batch (``ParameterError``); (3) values in ``[0, domain_size)``
+    by min/max (``DomainError``); (4) :func:`ingest_mass`
+    (``ParameterError``).  Returns the cast arrays and the mass to add;
+    each rejection counts once in ``ingest.rejected``.
+    """
+    with counting_rejections:
+        values, weights = ingest_batch(values, weights, 1)
+        if values.size and (int(values.min()) < 0 or int(values.max()) >= domain_size):
+            raise DomainError(
+                f"values outside domain [0, {domain_size}): "
+                f"min {values.min()}, max {values.max()}"
+            )
+        mass = ingest_mass(weights, tracked, observed_mass)
+    return values, weights, mass
+
+
+def ingest_checked_one(
+    value: int, weight: float, domain_size: int, tracked: float
+) -> float:
+    """Scalar form of :func:`ingest_checked` for ``update``: check one
+    element the same way and return the mass to add, ``|weight|``."""
+    with counting_rejections:
+        require_integer_values(value)
+        if not 0 <= value < domain_size:
+            raise DomainError(f"value {value} outside domain [0, {domain_size})")
+        return finite_mass(abs(weight), tracked)
 
 
 class StreamSynopsis(abc.ABC):

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .base import StreamSynopsis
+from .base import StreamSynopsis, ingest_checked, ingest_checked_one
 from .hash_sketch import HashSketch, HashSketchSchema
 from ..errors import ParameterError
 
@@ -61,7 +61,10 @@ class TopKSketch(StreamSynopsis):
         return self._sketch
 
     def update(self, value: int, weight: float = 1.0) -> None:
-        self._sketch.update(value, weight)
+        mass = ingest_checked_one(
+            value, weight, self.domain_size, self._sketch.absolute_mass
+        )
+        self._sketch._ingest_one(value, weight, mass)
         self._consider(value)
 
     def update_bulk(self, values: np.ndarray, weights: np.ndarray | None = None) -> None:
@@ -71,13 +74,13 @@ class TopKSketch(StreamSynopsis):
         the batch (every value that appears is considered against the final
         sketch state, which only improves estimates).
         """
-        values = np.asarray(values, dtype=np.int64)
-        if values.size == 0:
-            return
-        self._sketch.update_bulk(values, weights)
+        values, weights, mass = ingest_checked(
+            values, weights, self.domain_size, self._sketch.absolute_mass
+        )
+        self._sketch._ingest(values, weights, mass)
         # Top-k candidacy is per-distinct-value dict bookkeeping; the
-        # numpy work happened in update_bulk above.
-        for value in np.unique(values):  # repro: noqa[R2] -- per-distinct-value dict bookkeeping; numpy work done in update_bulk
+        # numpy work happened in the sketch write above.
+        for value in np.unique(values):  # repro: noqa[R2] -- per-distinct-value dict bookkeeping; numpy work done in the sketch write
             self._consider(int(value))
 
     def size_in_counters(self) -> int:

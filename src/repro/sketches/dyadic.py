@@ -30,7 +30,7 @@ from ..errors import IncompatibleSketchError, ParameterError
 from ..hashing.bulk import BulkHashCache
 from ..obs import METRICS as _METRICS
 from ..trace import TRACER as _TRACER
-from .base import StreamSynopsis, finite_mass, require_integer_values
+from .base import StreamSynopsis, ingest_checked, ingest_checked_one
 from .hash_sketch import HashSketch, HashSketchSchema
 
 if TYPE_CHECKING:  # type-only: repro.streams imports repro.sketches at runtime
@@ -167,33 +167,40 @@ class DyadicHashSketch(StreamSynopsis):
 
     def update(self, value: int, weight: float = 1.0) -> None:
         """O(depth * log|D|): one counter per table per level."""
-        require_integer_values(value)
-        for level, sketch in enumerate(self._levels):
-            sketch.update(value >> level, weight)
+        mass = ingest_checked_one(value, weight, self.domain_size, self.absolute_mass)
+        self._ingest_one(value, weight, mass)
 
     def update_bulk(self, values: np.ndarray, weights: np.ndarray | None = None) -> None:
         """Fold one batch into every level of the hierarchy.
 
-        Coalesces the batch once (:class:`repro.hashing.BulkHashCache`)
-        and derives each level's distinct-interval view by a shift-and-
-        merge over the previous level, so the per-level hash families run
-        over at most ``min(k, domain >> level)`` distinct ids instead of
-        re-hashing all ``n`` raw elements ``num_levels`` times.
+        Checks the batch once for the whole hierarchy, coalesces it once
+        (:class:`repro.hashing.BulkHashCache`) and derives each level's
+        distinct-interval view by a shift-and-merge over the previous
+        level, so the per-level hash families run over at most
+        ``min(k, domain >> level)`` distinct ids instead of re-hashing
+        all ``n`` raw elements ``num_levels`` times.
         """
-        require_integer_values(values)
-        values = np.asarray(values, dtype=np.int64)
+        self._ingest(
+            *ingest_checked(values, weights, self.domain_size, self.absolute_mass)
+        )
+
+    def _ingest_one(self, value: int, weight: float, mass: float) -> None:
+        """Unchecked write of one checked element into every level."""
+        for level, sketch in enumerate(self._levels):
+            sketch._ingest_one(value >> level, weight, mass)
+
+    def _ingest(self, values: np.ndarray, weights: np.ndarray, mass: float) -> None:
+        """Unchecked write of a checked batch into every level."""
         if values.size == 0:
             return
         cache = BulkHashCache(values, weights)
-        observed = finite_mass(cache.total_absolute_mass, self.absolute_mass)
         with _TRACER.span(
             "sketch.update_bulk",
             elements=int(values.size),
             levels=len(self._levels),
         ) if _TRACER.enabled else nullcontext():
             for level, sketch in enumerate(self._levels):
-                level_values, level_masses = cache.level(level)
-                sketch.update_coalesced(level_values, level_masses, observed)
+                sketch._ingest_coalesced(*cache.level(level), mass)
         if _METRICS.enabled:
             # Same totals as per-level HashSketch.update_bulk calls: each
             # level is a real hash-sketch update of the whole batch.
@@ -204,36 +211,6 @@ class DyadicHashSketch(StreamSynopsis):
                 _METRICS.count(
                     "sketch.update.deletions", cache.num_deletions * num_levels
                 )
-
-    def update_coalesced(
-        self,
-        values: np.ndarray,
-        masses: np.ndarray,
-        observed_mass: float | None = None,
-    ) -> None:
-        """Ingest a pre-coalesced batch into every level of the hierarchy.
-
-        Mirrors :meth:`HashSketch.update_coalesced`: ``values`` are
-        distinct, ``masses`` their summed weights, and ``observed_mass``
-        is ``sum(|weight|)`` over the original batch (default:
-        ``sum(|masses|)``), keeping :attr:`absolute_mass` identical to
-        element-wise ingestion when coalescing cancelled opposite-signed
-        weights, even down to an empty batch.  Records no metrics or
-        spans — the caller owns instrumentation.
-        """
-        require_integer_values(values)
-        values = np.asarray(values, dtype=np.int64)
-        masses = np.asarray(masses, dtype=np.float64)
-        if masses.shape != values.shape:
-            raise ParameterError("masses must have the same shape as values")
-        cache = BulkHashCache(values, masses)
-        observed = (
-            cache.total_absolute_mass if observed_mass is None
-            else float(observed_mass)
-        )
-        for level, sketch in enumerate(self._levels):
-            level_values, level_masses = cache.level(level)
-            sketch.update_coalesced(level_values, level_masses, observed)
 
     def size_in_counters(self) -> int:
         return sum(s.size_in_counters() for s in self._levels)
@@ -324,20 +301,19 @@ class DyadicHashSketch(StreamSynopsis):
         """Subtract a known frequency assignment at *every* level, in place.
 
         Keeps the hierarchy self-consistent so skimming can be repeated
-        (e.g. progressively lowering the threshold).
+        (e.g. progressively lowering the threshold).  Checked once, like
+        an update whose observed mass is 0: subtraction removes
+        already-counted mass, so the tracked stream size ``N`` stays.
         """
-        values = np.asarray(values, dtype=np.int64)
-        frequencies = np.asarray(frequencies, dtype=np.float64)
-        if frequencies.shape != values.shape:
-            raise ParameterError("frequencies must have the same shape as values")
+        values, frequencies, _ = ingest_checked(
+            values, frequencies, self.domain_size, self.absolute_mass, 0.0
+        )
         if values.size == 0:
             return
         cache = BulkHashCache(values, frequencies)
         for level, sketch in enumerate(self._levels):
             level_values, level_masses = cache.level(level)
-            # observed_mass=0.0: subtraction removes already-counted mass,
-            # so the tracked stream size N must not change.
-            sketch.update_coalesced(level_values, -level_masses, 0.0)
+            sketch._ingest_coalesced(level_values, -level_masses, 0.0)
 
     def merged_with(self, other: "DyadicHashSketch") -> "DyadicHashSketch":
         """Hierarchy of the concatenation of both underlying streams."""

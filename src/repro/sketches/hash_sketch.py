@@ -40,7 +40,7 @@ from ..hashing import FourWiseSignFamily, PairwiseBucketHash
 from ..hashing.bulk import coalesce_updates
 from ..obs import METRICS as _METRICS
 from ..trace import TRACER as _TRACER
-from .base import StreamSynopsis, finite_mass, require_integer_values
+from .base import StreamSynopsis, finite_mass, ingest_checked, ingest_checked_one
 
 if TYPE_CHECKING:  # type-only: repro.streams imports repro.sketches at runtime
     from ..streams.model import FrequencyVector
@@ -275,9 +275,16 @@ class HashSketch(StreamSynopsis):
 
     def update(self, value: int, weight: float = 1.0) -> None:
         """O(depth): exactly one counter per table is touched (paper §4.1)."""
-        require_integer_values(value)
-        self._check_value(value)
-        mass = finite_mass(abs(weight), self._absolute_mass)
+        mass = ingest_checked_one(value, weight, self.domain_size, self._absolute_mass)
+        self._ingest_one(value, weight, mass)
+
+    def update_bulk(self, values: np.ndarray, weights: np.ndarray | None = None) -> None:
+        self._ingest(
+            *ingest_checked(values, weights, self.domain_size, self._absolute_mass)
+        )
+
+    def _ingest_one(self, value: int, weight: float, mass: float) -> None:
+        """Unchecked write of one element :func:`ingest_checked_one` passed."""
         buckets = self._schema.buckets.buckets(value)[:, 0]
         signs = self._schema.signs.signs(value)[:, 0]
         # The O(depth) single-element fast path the paper's update-time
@@ -292,20 +299,10 @@ class HashSketch(StreamSynopsis):
         if _TRACER.enabled:
             _TRACER.instant("sketch.update", tables=self._schema.depth)
 
-    def update_bulk(self, values: np.ndarray, weights: np.ndarray | None = None) -> None:
-        require_integer_values(values)
-        values = np.asarray(values, dtype=np.int64)
+    def _ingest(self, values: np.ndarray, weights: np.ndarray, mass: float) -> None:
+        """Unchecked write of a batch :func:`ingest_checked` passed."""
         if values.size == 0:
             return
-        self._check_value(int(values.min()))
-        self._check_value(int(values.max()))
-        if weights is None:
-            weights = np.ones(values.size, dtype=np.float64)
-        else:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != values.shape:
-                raise ParameterError("weights must have the same shape as values")
-        mass = finite_mass(float(np.abs(weights).sum()), self._absolute_mass)
         with _TRACER.span(
             "sketch.update_bulk", elements=int(values.size)
         ) if _TRACER.enabled else nullcontext():
@@ -342,7 +339,8 @@ class HashSketch(StreamSynopsis):
 
     def point_estimate(self, value: int) -> float:
         """Frequency estimate for a single domain value."""
-        self._check_value(value)
+        if not 0 <= value < self.domain_size:
+            raise DomainError(f"value {value} outside domain [0, {self.domain_size})")
         return float(self.point_estimates(np.asarray([value], dtype=np.int64))[0])
 
     def all_point_estimates(self) -> np.ndarray:
@@ -415,15 +413,12 @@ class HashSketch(StreamSynopsis):
         After the call the sketch equals the sketch of the *residual*
         frequency vector ``f - fhat`` where ``fhat`` puts ``frequencies[k]``
         on ``values[k]`` — exactly Steps 8-9 of ``SKIMDENSE`` (Figure 3).
+        Checked like an update whose observed mass is 0: subtraction
+        removes already-counted mass, so :attr:`absolute_mass` stays.
         """
-        values = np.asarray(values, dtype=np.int64)
-        frequencies = np.asarray(frequencies, dtype=np.float64)
-        if frequencies.shape != values.shape:
-            raise ParameterError("frequencies must have the same shape as values")
-        if values.size == 0:
-            return
-        self._check_value(int(values.min()))
-        self._check_value(int(values.max()))
+        values, frequencies, _ = ingest_checked(
+            values, frequencies, self.domain_size, self._absolute_mass, 0.0
+        )
         self._apply_point_masses(values, -frequencies)
 
     def copy(self) -> "HashSketch":
@@ -441,27 +436,28 @@ class HashSketch(StreamSynopsis):
     ) -> None:
         """Ingest a pre-coalesced batch: distinct ``values``, summed ``masses``.
 
-        Kernel entry point for callers that coalesce one batch and feed
-        many sketches (dyadic hierarchies) — typically via
-        :class:`repro.hashing.BulkHashCache`.  ``observed_mass`` is
+        Checked entry point for callers that coalesce a batch themselves
+        (the end-to-end replay in ``benchmarks/e2e``); a dyadic hierarchy
+        checks its batch once and writes each level through the unchecked
+        :meth:`_ingest_coalesced`.  ``observed_mass`` is
         ``sum(|weight|)`` over the *original* batch (default:
         ``sum(|masses|)``); passing it keeps :attr:`absolute_mass`
         identical to element-wise ingestion even when coalescing cancels
         opposite-signed weights — down to a batch that cancels to nothing.
         Records no metrics or spans — the caller owns instrumentation.
         """
-        require_integer_values(values)
-        values = np.asarray(values, dtype=np.int64)
-        masses = np.asarray(masses, dtype=np.float64)
-        if masses.shape != values.shape:
-            raise ParameterError("masses must have the same shape as values")
-        mass = finite_mass(float(np.abs(masses).sum()), self._absolute_mass)
-        if observed_mass is not None:
-            mass = finite_mass(float(observed_mass), self._absolute_mass)
-        if values.size:
-            self._check_value(int(values.min()))
-            self._check_value(int(values.max()))
-            self._apply_point_masses(values, masses, coalesced=True)
+        self._ingest_coalesced(
+            *ingest_checked(
+                values, masses, self.domain_size, self._absolute_mass, observed_mass
+            )
+        )
+
+    def _ingest_coalesced(
+        self, values: np.ndarray, masses: np.ndarray, mass: float
+    ) -> None:
+        """Unchecked write of a coalesced batch (distinct ``values``) whose
+        caller checked it; records no metrics or spans."""
+        self._apply_point_masses(values, masses, coalesced=True)
         self._absolute_mass += mass
 
     # -- read access for exactness checks ---------------------------------------
@@ -502,10 +498,6 @@ class HashSketch(StreamSynopsis):
         self._counters += np.bincount(
             flat, weights=(signs * masses).ravel(), minlength=self._counters.size
         ).reshape(self._schema.depth, self._schema.width)
-
-    def _check_value(self, value: int) -> None:
-        if not 0 <= value < self.domain_size:
-            raise DomainError(f"value {value} outside domain [0, {self.domain_size})")
 
     def _check_compatible(self, other: "HashSketch") -> None:
         if not isinstance(other, HashSketch):

@@ -23,8 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DeletionUnsupportedError, DomainError, ParameterError
-from .base import StreamSynopsis
+from ..errors import DeletionUnsupportedError, ParameterError
+from .base import StreamSynopsis, ingest_checked, ingest_checked_one
+
+_INSERT_ONLY = (
+    "Space-Saving is an insert-only summary; use a hash sketch "
+    "for general update streams"
+)
 
 
 @dataclass(frozen=True)
@@ -71,13 +76,24 @@ class SpaceSaving(StreamSynopsis):
         return self._stream_size
 
     def update(self, value: int, weight: float = 1.0) -> None:
+        ingest_checked_one(value, weight, self._domain_size, self._stream_size)
         if weight <= 0:
-            raise DeletionUnsupportedError(
-                "Space-Saving is an insert-only summary; use a hash sketch "
-                "for general update streams"
-            )
-        if not 0 <= value < self._domain_size:
-            raise DomainError(f"value {value} outside domain [0, {self._domain_size})")
+            raise DeletionUnsupportedError(_INSERT_ONLY)
+        self._insert(value, weight)
+
+    def update_bulk(self, values: np.ndarray, weights: np.ndarray | None = None) -> None:
+        """Check the whole batch (and that it only inserts), then insert it
+        element by element."""
+        values, weights, _ = ingest_checked(
+            values, weights, self._domain_size, self._stream_size
+        )
+        if weights.size and weights.min() <= 0:
+            raise DeletionUnsupportedError(_INSERT_ONLY)
+        for value, weight in zip(values, weights):  # repro: noqa[R2] -- Space-Saving is inherently sequential; per-element IS the algorithm
+            self._insert(int(value), float(weight))
+
+    def _insert(self, value: int, weight: float) -> None:
+        """One Space-Saving step for a checked, positive-weight element."""
         self._stream_size += weight
         if value in self._counts:
             self._counts[value] += weight
@@ -92,21 +108,6 @@ class SpaceSaving(StreamSynopsis):
         # The newcomer inherits the evicted count as its overestimate.
         self._counts[value] = floor + weight
         self._errors[value] = floor
-
-    def update_bulk(self, values: np.ndarray, weights: np.ndarray | None = None) -> None:
-        values = np.asarray(values, dtype=np.int64)
-        if weights is None:
-            # Space-Saving is inherently sequential (each eviction depends
-            # on all prior state); per-element is the algorithm, not a
-            # regression.  See docs/STATIC_ANALYSIS.md (R2).
-            for value in values:  # repro: noqa[R2] -- Space-Saving is inherently sequential; per-element IS the algorithm
-                self.update(int(value))
-            return
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != values.shape:
-            raise ParameterError("weights must have the same shape as values")
-        for value, weight in zip(values, weights):  # repro: noqa[R2] -- Space-Saving is inherently sequential; per-element IS the algorithm
-            self.update(int(value), float(weight))
 
     def size_in_counters(self) -> int:
         # value + count + error per slot.

@@ -8,10 +8,9 @@ answers the §2.1 query class — COUNT/SUM/AVERAGE over binary joins,
 self-joins and point frequencies — from synopses alone, never from the raw
 streams (which, per the stream model, can only be seen once).
 
-Synopsis choice is pluggable: ``"skimmed"`` (the paper's algorithm,
-default), ``"agms"`` (the basic-sketching baseline) or ``"hash"``
-(unskimmed hash sketches, i.e. Fast-AGMS) — useful for side-by-side
-comparisons through one interface.
+Every stream's synopsis is a :class:`~repro.core.estimator.SkimmedSketch`
+(the paper's algorithm); the baselines are compared through their own
+sketch classes, not through the engine.
 """
 
 from __future__ import annotations
@@ -27,9 +26,7 @@ from ..monitor import AUDIT as _AUDIT
 from ..monitor.shadow import ShadowAuditor
 from ..obs import METRICS as _METRICS
 from ..trace import TRACER as _TRACER
-from ..sketches.agms import AGMSSchema, AGMSSketch
-from ..sketches.base import require_integer_values
-from ..sketches.hash_sketch import HashSketch, HashSketchSchema
+from ..sketches.base import counting_rejections, require_integer_values
 from ..streams.model import Update
 from .multijoin import MultiJoinSchema, RelationSketch, est_multi_join_count
 from .query import (
@@ -48,9 +45,6 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from ..core.config import SketchParameters
     from ..core.estimator import SkimmedSketch
 
-#: Synopsis kinds the engine can maintain.
-SYNOPSIS_KINDS = ("skimmed", "agms", "hash")
-
 
 @dataclass
 class _RegisteredStream:
@@ -58,7 +52,7 @@ class _RegisteredStream:
 
     name: str
     predicate: Predicate
-    synopsis: "SkimmedSketch | AGMSSketch | HashSketch"
+    synopsis: "SkimmedSketch"
     elements_seen: int = 0
     elements_dropped: int = 0
 
@@ -71,10 +65,8 @@ class StreamEngine:
     domain_size:
         Common value domain of all streams.
     parameters:
-        Sketch dimensions (width/depth or averaging/median, depending on
-        the synopsis kind) — see :class:`~repro.core.config.SketchParameters`.
-    synopsis:
-        ``"skimmed"`` | ``"agms"`` | ``"hash"``.
+        Sketch width, depth and skim threshold multiplier — see
+        :class:`~repro.core.config.SketchParameters`.
     seed:
         Seed shared by all synopses (required for join compatibility).
     """
@@ -83,7 +75,6 @@ class StreamEngine:
         self,
         domain_size: int,
         parameters: "SketchParameters",
-        synopsis: str = "skimmed",
         seed: int = 0,
         attribute_domains: dict[str, int] | None = None,
     ):
@@ -91,13 +82,8 @@ class StreamEngine:
         # repro.streams.model; a top-level import would close the cycle.
         from ..core.estimator import SkimmedSketchSchema
 
-        if synopsis not in SYNOPSIS_KINDS:
-            raise ParameterError(
-                f"synopsis must be one of {SYNOPSIS_KINDS}, got {synopsis!r}"
-            )
         self.domain_size = domain_size
         self.parameters = parameters
-        self.synopsis_kind = synopsis
         self.seed = seed
         self._shadow: ShadowAuditor | None = None
         self._streams: dict[str, _RegisteredStream] = {}
@@ -111,21 +97,13 @@ class StreamEngine:
             if attribute_domains
             else None
         )
-        if synopsis == "skimmed":
-            self._schema = SkimmedSketchSchema(
-                parameters.width,
-                parameters.depth,
-                domain_size,
-                seed=seed,
-                threshold_multiplier=parameters.threshold_multiplier,
-            )
-        elif synopsis == "hash":
-            self._schema = HashSketchSchema(
-                parameters.width, parameters.depth, domain_size, seed=seed
-            )
-        else:
-            averaging, median = parameters.basic_agms_equivalent()
-            self._schema = AGMSSchema(averaging, median, domain_size, seed=seed)
+        self._schema = SkimmedSketchSchema(
+            parameters.width,
+            parameters.depth,
+            domain_size,
+            seed=seed,
+            threshold_multiplier=parameters.threshold_multiplier,
+        )
 
     # -- stream registration & maintenance -------------------------------------
 
@@ -177,7 +155,8 @@ class StreamEngine:
     def process(self, stream: str, value: int, weight: float = 1.0) -> None:
         """Feed one stream element through predicate filtering into the synopsis."""
         registered = self._lookup(stream)
-        require_integer_values(value)
+        with counting_rejections:  # the predicate reads the value: check first
+            require_integer_values(value)
         if not registered.predicate.accepts(value):
             registered.elements_seen += 1
             registered.elements_dropped += 1
@@ -236,7 +215,8 @@ class StreamEngine:
         """Vectorised batch ingestion (predicate applied per element); a
         batch the synopsis rejects is not counted."""
         registered = self._lookup(stream)
-        require_integer_values(values)
+        with counting_rejections:  # the predicate reads the values: check first
+            require_integer_values(values)
         values = np.asarray(values, dtype=np.int64)
         keep = registered.predicate.accepts_bulk(values)
         kept = int(keep.sum())
@@ -372,7 +352,7 @@ class StreamEngine:
                 raise QueryError("AVERAGE over an (estimated) empty join")
             return self._join_size(query.measure_stream, query.right) / count
         if isinstance(query, SelfJoinQuery):
-            return self._self_join_size(query.stream)
+            return self._join_size(query.stream, query.stream)
         if isinstance(query, PointQuery):
             return self._point(query.stream, query.value)
         if isinstance(query, MultiJoinCountQuery):
@@ -396,18 +376,6 @@ class StreamEngine:
             raise QueryError(f"unknown relation {relation!r}") from None
 
     def _join_size(self, left: str, right: str) -> float:
-        if self.synopsis_kind == "skimmed":
-            return self._skimmed_join(left, right)
-        return float(
-            self._lookup(left).synopsis.est_join_size(self._lookup(right).synopsis)
-        )
-
-    def _self_join_size(self, stream: str) -> float:
-        if self.synopsis_kind == "skimmed":
-            return self._skimmed_join(stream, stream)
-        return float(self._lookup(stream).synopsis.est_self_join_size())
-
-    def _skimmed_join(self, left: str, right: str) -> float:
         """A skimmed join answer; while audits are on, it records one
         complete audit: stream names, each stream's health from the
         answer's own skim and, with a shadow attached, the realized error
@@ -450,16 +418,10 @@ class StreamEngine:
         return breakdown.estimate
 
     def _point(self, stream: str, value: int) -> float:
-        synopsis = self._lookup(stream).synopsis
-        if isinstance(synopsis, AGMSSketch):
-            raise QueryError(
-                "point queries need a hash-based synopsis "
-                "(engine synopsis='skimmed' or 'hash')"
-            )
-        return float(synopsis.point_estimate(value))
+        return float(self._lookup(stream).synopsis.point_estimate(value))
 
     def __repr__(self) -> str:
         return (
             f"StreamEngine(domain_size={self.domain_size}, "
-            f"synopsis={self.synopsis_kind!r}, streams={list(self._streams)})"
+            f"streams={list(self._streams)})"
         )

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..errors import DomainError, IncompatibleSketchError, ParameterError, QueryError
 from ..hashing import FourWiseSignFamily
-from ..sketches.base import finite_mass, require_integer_values
+from ..sketches.base import counting_rejections, ingest_batch, ingest_mass
 
 #: Cap on the (families x tuples) sign matrix materialised per bulk chunk.
 _BULK_CHUNK_ELEMENTS = 8_000_000
@@ -140,27 +140,21 @@ class RelationSketch:
     ) -> None:
         """Process a batch of tuples, shape ``(m, len(attributes))``.
 
-        Float or bool tuples, non-finite weights and a batch that would
-        take the tracked mass past the 2**53 ceiling are rejected before
-        any counter moves, as for the other sketch kinds.
+        Checked like every sketch kind's batch (dtype, one weight per
+        tuple, mass), but each attribute against its own domain, before
+        any counter moves.
         """
-        require_integer_values(tuples)
-        tuples = np.asarray(tuples, dtype=np.int64)
-        if tuples.ndim != 2 or tuples.shape[1] != len(self.attributes):
-            raise ParameterError(
-                f"tuples must have shape (m, {len(self.attributes)}), "
-                f"got {tuples.shape}"
-            )
-        if tuples.shape[0] == 0:
-            return
-        self._check_domains(tuples)
-        if weights is None:
-            weights = np.ones(tuples.shape[0])
-        else:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != (tuples.shape[0],):
-                raise ParameterError("weights must have shape (m,)")
-        mass = finite_mass(float(np.abs(weights).sum()), self._absolute_mass)
+        with counting_rejections:
+            tuples, weights = ingest_batch(tuples, weights, 2)
+            if tuples.shape[1] != len(self.attributes):
+                raise ParameterError(
+                    f"tuples must have shape (m, {len(self.attributes)}), "
+                    f"got {tuples.shape}"
+                )
+            if tuples.shape[0] == 0:
+                return
+            self._check_domains(tuples)
+            mass = ingest_mass(weights, self._absolute_mass)
         flat = self._atomic.reshape(-1)
         num_families = self._schema.averaging * self._schema.median
         chunk = max(1, _BULK_CHUNK_ELEMENTS // num_families)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import IncompatibleSketchError, ParameterError
-from ..sketches.base import StreamSynopsis
+from ..sketches.base import StreamSynopsis, ingest_checked, ingest_checked_one
 from ..sketches.hash_sketch import HashSketch, HashSketchSchema
 
 
@@ -118,10 +118,18 @@ class WindowedSketch(StreamSynopsis):
         return len(self._ring)
 
     def update(self, value: int, weight: float = 1.0) -> None:
-        self._ring[-1].update(value, weight)
+        mass = ingest_checked_one(value, weight, self.domain_size, self._window_mass())
+        self._ring[-1]._ingest_one(value, weight, mass)
 
     def update_bulk(self, values: np.ndarray, weights: np.ndarray | None = None) -> None:
-        self._ring[-1].update_bulk(values, weights)
+        self._ring[-1]._ingest(
+            *ingest_checked(values, weights, self.domain_size, self._window_mass())
+        )
+
+    def _window_mass(self) -> float:
+        """Tracked ``sum |weight|`` of the live window: the sketch
+        :meth:`window_sketch` merges must stay under the 2**53 ceiling."""
+        return sum(epoch.absolute_mass for epoch in self._ring)
 
     def size_in_counters(self) -> int:
         # The ring always provisions the full window's epochs worth of space.

@@ -83,7 +83,6 @@ def run_workload(
     engine = StreamEngine(
         instance.domain_size,
         SketchParameters(width=width, depth=depth),
-        synopsis="skimmed",
         seed=engine_seed,
     )
     shadow = ShadowAuditor(sample_rate=1.0, seed=0)

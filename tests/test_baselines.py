@@ -67,7 +67,8 @@ class TestReservoirSample:
         with pytest.raises(DeletionUnsupportedError):
             sample.update(1, -1.0)
         with pytest.raises(DeletionUnsupportedError):
-            sample.update_bulk(np.asarray([1]), np.asarray([2.0]))
+            sample.update_bulk(np.asarray([1, 2]), np.asarray([1.0, 2.0]))
+        assert sample.sample == [] and sample.stream_size == 0
 
     def test_roughly_uniform(self):
         """Each element keeps ~capacity/n inclusion probability."""

@@ -69,8 +69,3 @@ class TestSketchParameters:
             SketchParameters.for_accuracy(0.1, 0.1, 0, 1000)
         with pytest.raises(ValueError):
             SketchParameters.for_accuracy(0.1, 0.1, 1000, 0)
-
-    def test_basic_agms_equivalent_space(self):
-        params = SketchParameters(100, 11)
-        averaging, median = params.basic_agms_equivalent()
-        assert averaging * median == params.total_counters

@@ -149,8 +149,9 @@ class TestCoordinator:
             coordinator.receive_all(rogue_site.close_round())
 
     def test_malformed_report_rejected_and_counted(self):
-        """A report whose counters are not finite is refused before it
-        reaches the merge, so the fleet's answer stays what it was."""
+        """A report whose counters are not finite, whose payload was cut in
+        half, or whose payload is empty is refused before it reaches the
+        merge, so the fleet's answer stays what it was."""
         schema = make_schema()
         coordinator = SketchCoordinator(schema)
         site = SketchSite("edge1", schema, ["f", "g"])
@@ -163,14 +164,16 @@ class TestCoordinator:
         state["counters"][0, 0] = np.nan
         payload = io.BytesIO()
         np.savez_compressed(payload, **state)
-        bad = SketchReport("edge1", "f", 2, payload.getvalue())
-        with capturing() as metrics, capturing_spans() as tracer:
-            with pytest.raises(SerializationError):
-                coordinator.receive(bad)
-        assert coordinator.est_join_size("f", "g") == before == 800.0
-        assert metrics.snapshot()["counters"]["dist.reports.rejected"] == 1
-        (span,) = tracer.find("dist.receive")
-        assert span.attributes["rejected"] == "malformed"
+        whole = reports[0].payload
+        for bad_payload in (payload.getvalue(), whole[: len(whole) // 2], b""):
+            bad = SketchReport("edge1", "f", 2, bad_payload)
+            with capturing() as metrics, capturing_spans() as tracer:
+                with pytest.raises(SerializationError):
+                    coordinator.receive(bad)
+            assert coordinator.est_join_size("f", "g") == before == 800.0
+            assert metrics.snapshot()["counters"]["dist.reports.rejected"] == 1
+            (span,) = tracer.find("dist.receive")
+            assert span.attributes["rejected"] == "malformed"
 
     def test_delta_report_past_the_mass_ceiling_refused(self):
         """A delta report whose merge would take the site's tracked mass
@@ -201,6 +204,10 @@ class TestCoordinator:
         coordinator.receive(SketchReport.from_sketch("edge1", "f", 2, light))
         assert coordinator.global_sketch("f").absolute_mass == 2.0**52 + 2
         assert coordinator.communication_stats()[0] == 2
+        # The fleet below the ceiling still answers: a skim is not an ingest.
+        assert coordinator.est_self_join_size("f") == pytest.approx(
+            (2.0**52 + 1) ** 2
+        )
 
     def test_query_past_the_mass_ceiling_raises(self):
         """Cumulative sites whose masses sum past 2**53 cannot be merged
@@ -282,6 +289,20 @@ class TestCoordinatorAudits:
         assert audit.sites == ("s0", "s1")
         assert audit.n_f == audit.n_g == coordinator.global_sketch("g").absolute_mass
         assert audit.estimate == second_moment
+
+    def test_join_of_a_stream_with_itself_is_a_self_join(self, coordinator):
+        """``est_join_size(s, s)`` merges and skims ``s`` once, answers as
+        ``est_self_join_size(s)`` bit for bit, and records one audit."""
+        with capturing() as metrics:
+            self_join = coordinator.est_self_join_size("f")
+            passes = metrics.snapshot()["counters"]["skim.passes"]
+            join = coordinator.est_join_size("f", "f")
+            assert metrics.snapshot()["counters"]["skim.passes"] == passes + 1
+        assert join.hex() == self_join.hex()
+        AUDIT.enable()
+        coordinator.est_join_size("f", "f")
+        assert len(AUDIT) == 1
+        assert AUDIT.last().streams == ("f", "f")
 
 
 class TestTraceContext:

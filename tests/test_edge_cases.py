@@ -6,13 +6,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines.partitioned import (
+    PartitionedAGMSSchema,
+    PartitionedAGMSSketch,
+    PartitionPlan,
+)
+from repro.baselines.sampling import ReservoirSample
 from repro.core.estimator import SkimmedSketchSchema
 from repro.core.skim import skim_dense
+from repro.obs import capturing
 from repro.sketches.agms import AGMSSchema
+from repro.sketches.countsketch import TopKSketch
 from repro.sketches.dyadic import DyadicSketchSchema
 from repro.sketches.hash_sketch import HashSketchSchema
+from repro.sketches.spacesaving import SpaceSaving
 from repro.streams.generators import shifted_frequencies, zipf_frequencies
 from repro.streams.model import FrequencyVector
+from repro.streams.windows import WindowedSketch, WindowedSketchSchema
 
 
 class TestDegenerateShapes:
@@ -181,9 +191,85 @@ class TestNaNThresholds:
         assert np.array_equal(skimmed.counters, sketch.counters)
 
 
+#: The sketch kinds the older edge cases run on, by schema.
+SCHEMAS = {
+    "hash": lambda: HashSketchSchema(64, 5, 256, seed=1),
+    "agms": lambda: AGMSSchema(16, 5, 256, seed=1),
+    "dyadic": lambda: DyadicSketchSchema(32, 5, 256, seed=1),
+}
+
+
+def _partitioned():
+    """Values 0-85, 86-170 and 171-255 route to partitions 0, 1 and 2."""
+    plan = PartitionPlan(np.arange(256, dtype=np.int64) * 3 // 256, (4, 4, 4))
+    return PartitionedAGMSSchema(plan, median=5, seed=1).create_sketch()
+
+
+#: Every kind that accepts updates, over the domain [0, 256).
+UPDATABLE = {
+    "hash": lambda: SCHEMAS["hash"]().create_sketch(),
+    "agms": lambda: SCHEMAS["agms"]().create_sketch(),
+    "dyadic": lambda: SCHEMAS["dyadic"]().create_sketch(),
+    "skimmed": lambda: SkimmedSketchSchema(64, 5, 256, seed=1).create_sketch(),
+    "skimmed_dyadic": lambda: SkimmedSketchSchema(
+        32, 5, 256, seed=1, dyadic=True
+    ).create_sketch(),
+    "windowed": lambda: WindowedSketchSchema(
+        64, 5, 256, window_epochs=3, seed=1
+    ).create_sketch(),
+    "topk": lambda: TopKSketch(HashSketchSchema(64, 5, 256, seed=1), k=4),
+    "partitioned": _partitioned,
+    "spacesaving": lambda: SpaceSaving(16, 256),
+    "reservoir": lambda: ReservoirSample(16, 256, seed=1),
+}
+
+#: A batch whose first element is valid and whose bad second element
+#: (weight or value) sits in another partition of ``_partitioned``.
+BATCH = np.asarray([1, 200, 3], dtype=np.int64)
+
+
+def _state(sketch) -> object:
+    """All of a kind's state a rejected call must leave as it was, bit
+    for bit: counters, tracked masses, samples, candidates, epochs."""
+    if isinstance(sketch, SpaceSaving):
+        return repr((sketch.tracked(), sketch.stream_size))
+    if isinstance(sketch, ReservoirSample):
+        state = sketch._rng.bit_generator.state  # noqa: SLF001
+        return repr((sketch.sample, sketch.stream_size, state))
+    if isinstance(sketch, TopKSketch):
+        return _state(sketch.sketch), repr((sketch.candidates(), sketch._heap))  # noqa: SLF001
+    if isinstance(sketch, WindowedSketch):
+        return [_state(epoch) for epoch in sketch._ring], sketch.current_epoch  # noqa: SLF001
+    if isinstance(sketch, PartitionedAGMSSketch):
+        return [_state(part) for part in sketch._partitions]  # noqa: SLF001
+    return (
+        [block.tobytes() for block in sketch.counters_view()],
+        repr(sketch.tracked_masses()),
+    )
+
+
+def _rejections(metrics) -> int:
+    return metrics.snapshot()["counters"].get("ingest.rejected", 0)
+
+
+#: ``(kind, bad weight, path)``; ``update_coalesced`` is the hash sketch's.
+WEIGHT_CASES = [
+    pytest.param(kind, bad, path, id=f"{kind}-{bad}-{path}")
+    for kind in sorted(UPDATABLE)
+    for bad in [np.nan, np.inf, -np.inf, 1e300, 2.0**53]
+    for path in (
+        ["update", "update_bulk", "update_coalesced", "observed_mass"]
+        if kind == "hash"
+        else ["update", "update_bulk"]
+    )
+]
+
+
 class TestNonFiniteWeights:
     """A NaN or infinite weight, or one that would take the tracked
-    ``sum(|w|)`` to 2**53 or more, is rejected before any counter moves.
+    ``sum(|w|)`` to 2**53 or more, is rejected before any counter, mass,
+    sample or candidate moves, for every kind that accepts updates, and
+    counts once in ``ingest.rejected``.
 
     Unchecked, one NaN in a batch turns one counter per table NaN, and
     every later estimate silently becomes NaN; a weight of 1e300 makes
@@ -191,119 +277,129 @@ class TestNonFiniteWeights:
     reads back as 2**53.
     """
 
-    SCHEMAS = {
-        "hash": lambda: HashSketchSchema(64, 5, 256, seed=1),
-        "agms": lambda: AGMSSchema(16, 5, 256, seed=1),
-        "dyadic": lambda: DyadicSketchSchema(32, 5, 256, seed=1),
-    }
-
-    @staticmethod
-    def _state(sketch):
-        from repro.sketches.serialize import sketch_state
-
-        return sketch_state(sketch)
-
-    @pytest.mark.parametrize(
-        "path", ["update", "update_bulk", "update_coalesced", "observed_mass"]
-    )
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, 2.0**53])
-    @pytest.mark.parametrize("kind", sorted(SCHEMAS))
+    @pytest.mark.parametrize("kind,bad,path", WEIGHT_CASES)
     def test_rejected_and_nothing_changes(self, kind, bad, path):
         from repro.errors import ParameterError
 
-        sketch = self.SCHEMAS[kind]().create_sketch()
+        sketch = UPDATABLE[kind]()
         sketch.update_bulk(np.arange(0, 256, 3, dtype=np.int64))
-        before = self._state(sketch)
-        mass = sketch.absolute_mass
-        values = np.asarray([1, 2, 3], dtype=np.int64)
-        with pytest.raises(ParameterError):
+        before = _state(sketch)
+        with capturing() as metrics, pytest.raises(ParameterError):
             if path == "update":
                 sketch.update(7, bad)
             elif path == "update_bulk":
-                sketch.update_bulk(values, np.asarray([1.0, bad, 1.0]))
+                sketch.update_bulk(BATCH, np.asarray([1.0, bad, 1.0]))
             elif path == "update_coalesced":
-                sketch.update_coalesced(values, np.asarray([1.0, bad, 1.0]))
+                sketch.update_coalesced(BATCH, np.asarray([1.0, bad, 1.0]))
             else:
                 sketch.update_coalesced(
-                    values, np.asarray([1.0, 1.0, 1.0]), observed_mass=bad
+                    BATCH, np.asarray([1.0, 1.0, 1.0]), observed_mass=bad
                 )
-        after = self._state(sketch)
-        assert sketch.absolute_mass == mass
-        assert after.keys() == before.keys()
-        for key, value in before.items():
-            assert np.array_equal(after[key], value), key
+        assert _state(sketch) == before
+        assert _rejections(metrics) == 1
+
+    @pytest.mark.parametrize("kind", ["dyadic", "hash"])
+    @pytest.mark.parametrize("bad", ["nan", "float_value"])
+    def test_subtract_frequencies_rejected_and_nothing_changes(self, kind, bad):
+        """Skim-time subtraction is checked like an update: a NaN
+        frequency would leave one NaN counter per table."""
+        from repro.errors import DomainError, ParameterError
+
+        sketch = UPDATABLE[kind]()
+        sketch.update_bulk(np.arange(0, 256, 3, dtype=np.int64))
+        before = _state(sketch)
+        with capturing() as metrics:
+            if bad == "nan":
+                with pytest.raises(ParameterError):
+                    sketch.subtract_frequencies(BATCH, np.asarray([1.0, np.nan, 1.0]))
+            else:
+                with pytest.raises(DomainError):
+                    sketch.subtract_frequencies(
+                        np.asarray([1.0, 2.5]), np.asarray([1.0, 1.0])
+                    )
+        assert _state(sketch) == before
+        assert _rejections(metrics) == 1
 
 
 class TestNonIntegerValues:
-    """Float and bool values are rejected before any counter moves.
+    """Float, bool and out-of-domain values are rejected before anything
+    moves, and count once in ``ingest.rejected``.
 
     The ingest paths cast values to int64: unchecked, 1.5 and 2.7 would
     be ingested as 1 and 2, and True/False as 1/0.
     """
 
-    SCHEMAS = TestNonFiniteWeights.SCHEMAS
     BAD = {
         "float": (3.9, np.asarray([1.5, 2.7])),
         "bool": (True, np.asarray([True, False, True])),
+        "negative": (-1, np.asarray([1, -1])),
+        "past_domain": (256, np.asarray([1, 256])),
     }
 
-    @staticmethod
-    def _assert_unchanged(sketch, before, mass):
-        from repro.sketches.serialize import sketch_state
-
-        after = sketch_state(sketch)
-        assert sketch.absolute_mass == mass
-        assert after.keys() == before.keys()
-        for key, value in before.items():
-            assert np.array_equal(after[key], value), key
-
     @pytest.mark.parametrize("path", ["update", "update_bulk"])
-    @pytest.mark.parametrize("dtype", sorted(BAD))
-    @pytest.mark.parametrize("kind", sorted(SCHEMAS))
-    def test_rejected_and_nothing_changes(self, kind, dtype, path):
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    @pytest.mark.parametrize("kind", sorted(UPDATABLE))
+    def test_rejected_and_nothing_changes(self, kind, bad, path):
         from repro.errors import DomainError
-        from repro.sketches.serialize import sketch_state
 
-        sketch = self.SCHEMAS[kind]().create_sketch()
+        sketch = UPDATABLE[kind]()
         sketch.update_bulk(np.arange(0, 256, 3, dtype=np.int64))
-        before, mass = sketch_state(sketch), sketch.absolute_mass
-        scalar, batch = self.BAD[dtype]
-        with pytest.raises(DomainError):
+        before = _state(sketch)
+        scalar, batch = self.BAD[bad]
+        with capturing() as metrics, pytest.raises(DomainError):
             if path == "update":
                 sketch.update(scalar)
             else:
                 sketch.update_bulk(batch)
-        self._assert_unchanged(sketch, before, mass)
+        assert _state(sketch) == before
+        assert _rejections(metrics) == 1
+
+    @pytest.mark.parametrize("shape", ["scalar", "matrix"])
+    @pytest.mark.parametrize("kind", sorted(UPDATABLE))
+    def test_misshapen_batch_rejected_and_nothing_changes(self, kind, shape):
+        """A batch is a 1-D array: a bare scalar, or a 2-D array with one
+        weight per row, is refused by the check, not by a later kernel."""
+        from repro.errors import ParameterError
+
+        sketch = UPDATABLE[kind]()
+        sketch.update_bulk(np.arange(0, 256, 3, dtype=np.int64))
+        before = _state(sketch)
+        with capturing() as metrics, pytest.raises(ParameterError):
+            if shape == "scalar":
+                sketch.update_bulk(np.int64(5))
+            else:
+                sketch.update_bulk(np.asarray([[1, 2], [3, 4]]), np.ones(2))
+        assert _state(sketch) == before
+        assert _rejections(metrics) == 1
 
     @pytest.mark.parametrize("path", ["process", "process_bulk"])
-    @pytest.mark.parametrize("dtype", sorted(BAD))
-    def test_engine_rejects_and_nothing_changes(self, dtype, path):
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_engine_rejects_and_nothing_changes(self, bad, path):
         from repro.core.config import SketchParameters
         from repro.errors import DomainError
-        from repro.sketches.serialize import sketch_state
         from repro.streams.engine import StreamEngine
 
         engine = StreamEngine(256, SketchParameters(width=64, depth=5), seed=1)
         engine.register_stream("f")
         engine.process_bulk("f", np.arange(0, 256, 3, dtype=np.int64))
         sketch = engine.synopsis_for("f")
-        before, mass = sketch_state(sketch), sketch.absolute_mass
-        stats = engine.stream_stats("f")
-        scalar, batch = self.BAD[dtype]
-        with pytest.raises(DomainError):
+        before, stats = _state(sketch), engine.stream_stats("f")
+        scalar, batch = self.BAD[bad]
+        with capturing() as metrics, pytest.raises(DomainError):
             if path == "process":
                 engine.process("f", scalar)
             else:
                 engine.process_bulk("f", batch)
-        self._assert_unchanged(sketch, before, mass)
+        assert _state(sketch) == before
         assert engine.stream_stats("f") == stats
+        assert _rejections(metrics) == 1
 
-    @pytest.mark.parametrize("kind", sorted(SCHEMAS))
+    @pytest.mark.parametrize("kind", sorted(UPDATABLE))
     def test_empty_batch_of_any_dtype_is_a_no_op(self, kind):
-        sketch = self.SCHEMAS[kind]().create_sketch()
+        sketch = UPDATABLE[kind]()
         sketch.update_bulk(np.asarray([]))
         sketch.update_bulk(np.asarray([], dtype=np.bool_))
-        assert sketch.absolute_mass == 0.0
+        assert _state(sketch) == _state(UPDATABLE[kind]())
 
 
 class TestMassCeiling:
@@ -312,7 +408,7 @@ class TestMassCeiling:
     :class:`TestNonFiniteWeights` for every ingest path)."""
 
     SCHEMAS = {
-        **TestNonFiniteWeights.SCHEMAS,
+        **SCHEMAS,
         "skimmed": lambda: SkimmedSketchSchema(64, 5, 256, seed=1),
     }
     CEILING = 2.0**53
@@ -330,10 +426,38 @@ class TestMassCeiling:
         for key, value in sketch_state(sketch).items():
             if key.startswith("counters"):
                 assert np.abs(value).max() == self.CEILING - 1, key
-        before = sketch_state(sketch)
+        before = _state(sketch)
         with pytest.raises(ParameterError, match=r"2\*\*53"):
             sketch.update(7, 1.0)
-        TestNonIntegerValues._assert_unchanged(sketch, before, self.CEILING - 1)
+        assert _state(sketch) == before
+
+    @pytest.mark.parametrize("dyadic", [False, True], ids=["flat", "dyadic"])
+    def test_skimmed_answer_past_half_the_ceiling(self, dyadic):
+        """A skim subtracts mass the sketch already counts, so it is held
+        to finiteness, not to the ceiling: a sketch of 2**52 + 1 on one
+        value (N plus the skimmed sum(|fhat|) passes 2**53) answers with
+        that value squared, and nothing counts as rejected."""
+        big = 2.0**52 + 1
+        schema = SkimmedSketchSchema(64, 5, 256, seed=1, dyadic=dyadic)
+        sketch, other = schema.create_sketch(), schema.create_sketch()
+        sketch.update(3, big)
+        other.update(3, 1.0)
+        with capturing() as metrics:
+            assert sketch.est_self_join_size() == big**2
+            assert sketch.est_join_size(other) == big
+        assert _rejections(metrics) == 0
+
+    def test_engine_self_join_past_half_the_ceiling(self):
+        """The same through the engine's ``SelfJoinQuery``."""
+        from repro import SketchParameters, StreamEngine
+        from repro.streams.query import SelfJoinQuery
+
+        engine = StreamEngine(256, SketchParameters(width=64, depth=5), seed=1)
+        engine.register_stream("f")
+        engine.process("f", 3, 2.0**52 + 1)
+        with capturing() as metrics:
+            assert engine.answer(SelfJoinQuery("f")) == (2.0**52 + 1) ** 2
+        assert _rejections(metrics) == 0
 
 
 class TestMergeMassCeiling:
@@ -366,16 +490,24 @@ class TestMergeMassCeiling:
 
 
 class TestCancelledCoalescedBatch:
-    """``update_coalesced`` keeps the observed mass of a batch that
-    coalesced to nothing, as element-wise ingestion of it would."""
+    """A batch that coalesces to nothing keeps its observed mass, as
+    element-wise ingestion of it would: through ``update_bulk`` (which
+    the dyadic hierarchy coalesces) and the hash sketch's
+    ``update_coalesced``."""
 
-    @pytest.mark.parametrize("kind", sorted(TestNonFiniteWeights.SCHEMAS))
+    CANCELLING = [(3, 1.0), (3, -1.0), (5, 1.0), (5, -1.0)]
+
+    @pytest.mark.parametrize("kind", sorted(SCHEMAS))
     def test_observed_mass_survives_full_cancellation(self, kind):
-        schema = TestNonFiniteWeights.SCHEMAS[kind]()
+        schema = SCHEMAS[kind]()
         coalesced, elementwise = schema.create_sketch(), schema.create_sketch()
-        for value, weight in [(3, 1.0), (3, -1.0), (5, 1.0), (5, -1.0)]:
+        for value, weight in self.CANCELLING:
             elementwise.update(value, weight)
-        coalesced.update_coalesced([], [], observed_mass=4.0)
+        if kind == "hash":
+            coalesced.update_coalesced([], [], observed_mass=4.0)
+        else:
+            values, weights = zip(*self.CANCELLING)
+            coalesced.update_bulk(np.asarray(values), np.asarray(weights))
         assert elementwise.absolute_mass == 4.0
         assert coalesced.tracked_masses() == elementwise.tracked_masses()
         for ours, theirs in zip(

@@ -25,8 +25,13 @@ DOMAIN = 1 << 12
 PARAMS = SketchParameters(width=256, depth=7)
 
 
-def make_engine(synopsis="skimmed", **kwargs):
-    return StreamEngine(DOMAIN, PARAMS, synopsis=synopsis, seed=5, **kwargs)
+def make_engine(**kwargs):
+    return StreamEngine(DOMAIN, PARAMS, seed=5, **kwargs)
+
+
+#: The engine keeps one synopsis kind, the skimmed sketch; tests that
+#: once ran per kind keep their ``[skimmed]`` id.
+ONE_SYNOPSIS = pytest.mark.parametrize("synopsis", ["skimmed"])
 
 
 class TestRegistration:
@@ -46,10 +51,6 @@ class TestRegistration:
         engine = make_engine()
         with pytest.raises(QueryError):
             engine.process("nope", 1)
-
-    def test_unknown_synopsis_kind(self):
-        with pytest.raises(ValueError):
-            StreamEngine(DOMAIN, PARAMS, synopsis="magic")
 
     def test_total_space(self):
         engine = make_engine()
@@ -82,8 +83,8 @@ class TestMaintenanceAndPredicates:
         assert seen == 2
 
     def test_process_many_chunking_matches_single_bulk(self):
-        chunked = make_engine(synopsis="hash")
-        whole = make_engine(synopsis="hash")
+        chunked = make_engine()
+        whole = make_engine()
         rng = np.random.default_rng(17)
         values = rng.integers(0, DOMAIN, size=1000, dtype=np.int64)
         for engine in (chunked, whole):
@@ -92,9 +93,11 @@ class TestMaintenanceAndPredicates:
             "f", (Update(int(v)) for v in values), chunk_size=64
         )
         whole.process_bulk("f", values)
-        assert np.array_equal(
-            chunked.synopsis_for("f").counters, whole.synopsis_for("f").counters
-        )
+        for ours, theirs in zip(
+            chunked.synopsis_for("f").counters_view(),
+            whole.synopsis_for("f").counters_view(),
+        ):
+            assert np.array_equal(ours, theirs)
         assert chunked.stream_stats("f") == whole.stream_stats("f")
 
     def test_process_many_rejects_bad_chunk_size(self):
@@ -103,11 +106,12 @@ class TestMaintenanceAndPredicates:
         with pytest.raises(ParameterError):
             engine.process_many("f", [Update(1)], chunk_size=0)
 
-    @pytest.mark.parametrize("synopsis", ["skimmed", "agms", "hash"])
+    @ONE_SYNOPSIS
     def test_rejected_input_is_not_counted(self, synopsis):
         """A batch or element the synopsis rejects leaves ``stream_stats``
-        and the engine counters as they were."""
-        engine = make_engine(synopsis)
+        and the engine counters as they were, and counts once in
+        ``ingest.rejected``."""
+        engine = make_engine()
         engine.register_stream("f")
         engine.process_bulk("f", np.arange(10))
         with capturing() as registry:
@@ -120,6 +124,7 @@ class TestMaintenanceAndPredicates:
         assert engine.stream_stats("f") == (10, 0)
         counters = registry.snapshot()["counters"]
         assert not [name for name in counters if name.startswith("engine.")]
+        assert counters["ingest.rejected"] == 2
 
     def test_bulk_all_dropped_is_noop(self):
         engine = make_engine()
@@ -128,13 +133,13 @@ class TestMaintenanceAndPredicates:
         assert engine.synopsis_for("f").absolute_mass == 0.0
 
 
-@pytest.mark.parametrize("synopsis", ["skimmed", "agms", "hash"])
+@ONE_SYNOPSIS
 class TestJoinQueriesAllSynopses:
     def test_join_count(self, synopsis):
-        # Mild skew: this checks engine wiring for every synopsis kind, not
-        # estimator quality (quality comparisons live in test_skimmed_join
-        # and the benchmarks, where basic AGMS is *expected* to do poorly).
-        engine = make_engine(synopsis)
+        # Mild skew: this checks engine wiring, not estimator quality
+        # (quality comparisons live in test_skimmed_join and the
+        # benchmarks).
+        engine = make_engine()
         engine.register_stream("f")
         engine.register_stream("g")
         f, g = shifted_zipf_pair(DOMAIN, 50_000, 0.7, 10)
@@ -144,7 +149,7 @@ class TestJoinQueriesAllSynopses:
         assert answer == pytest.approx(f.join_size(g), rel=0.35)
 
     def test_self_join(self, synopsis):
-        engine = make_engine(synopsis)
+        engine = make_engine()
         engine.register_stream("f")
         f, _ = shifted_zipf_pair(DOMAIN, 50_000, 0.7, 0)
         engine.synopsis_for("f").ingest_frequency_vector(f)
@@ -194,12 +199,6 @@ class TestAggregateQueries:
             engine.process("f", 3)
         assert engine.answer(PointQuery("f", 3)) == pytest.approx(9.0)
 
-    def test_point_query_rejected_on_agms(self):
-        engine = make_engine("agms")
-        engine.register_stream("f")
-        with pytest.raises(QueryError):
-            engine.answer(PointQuery("f", 3))
-
     def test_unsupported_query_type(self):
         engine = make_engine()
 
@@ -215,7 +214,6 @@ class TestMultiJoinRelations:
         return StreamEngine(
             DOMAIN,
             SketchParameters(width=64, depth=11),
-            synopsis="skimmed",
             seed=8,
             attribute_domains={"a": 64, "b": 64},
         )

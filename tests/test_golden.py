@@ -135,7 +135,6 @@ class TestSketchBytesFrozen:
         engine = StreamEngine(
             instance.domain_size,
             SketchParameters(width=256, depth=5),
-            synopsis="skimmed",
             seed=101,
         )
         for name, predicate in instance.streams.items():

@@ -34,7 +34,7 @@ class TestStreamingPipeline:
         f, g = shifted_zipf_pair(DOMAIN, 5_000, 1.1, 5)
         params = SketchParameters(width=128, depth=5)
 
-        streaming = StreamEngine(DOMAIN, params, synopsis="skimmed", seed=2)
+        streaming = StreamEngine(DOMAIN, params, seed=2)
         streaming.register_stream("f")
         streaming.register_stream("g")
         rng = np.random.default_rng(0)
@@ -42,7 +42,7 @@ class TestStreamingPipeline:
             for update in insert_delete_stream(freqs, 0.2, rng):
                 streaming.process(name, update.value, update.weight)
 
-        bulk = StreamEngine(DOMAIN, params, synopsis="skimmed", seed=2)
+        bulk = StreamEngine(DOMAIN, params, seed=2)
         bulk.register_stream("f")
         bulk.register_stream("g")
         bulk.synopsis_for("f").ingest_frequency_vector(f)

@@ -114,7 +114,7 @@ class TestMetamorphic:
     @staticmethod
     def _engine_with_batches(instance, batches):
         engine = StreamEngine(
-            instance.domain_size, PARAMS, synopsis="skimmed", seed=13
+            instance.domain_size, PARAMS, seed=13
         )
         for name, predicate in instance.streams.items():
             engine.register_stream(name, predicate=predicate)

@@ -302,7 +302,7 @@ def _audited_engine(shadow: ShadowAuditor | None = None):
     from repro.streams.engine import StreamEngine
 
     engine = StreamEngine(
-        1 << 10, SketchParameters(width=128, depth=7), synopsis="skimmed", seed=7
+        1 << 10, SketchParameters(width=128, depth=7), seed=7
     )
     if shadow is not None:
         engine.attach_shadow(shadow)
@@ -352,47 +352,6 @@ class TestEngineEnrichment:
         # all five are covered with wide margin).
         covered = sum(1 for a in audits if a.covered)
         assert covered / len(audits) >= 0.9
-
-    def test_non_skimmed_synopsis_emits_no_audit(self):
-        from repro.core.config import SketchParameters
-        from repro.streams.engine import StreamEngine
-        from repro.streams.query import JoinCountQuery
-
-        engine = StreamEngine(
-            1 << 10, SketchParameters(width=64, depth=5), synopsis="hash", seed=7
-        )
-        AUDIT.enable()
-        _feed_zipf_streams(engine, ("a", "b"), np.random.default_rng(5))
-        engine.answer(JoinCountQuery("a", "b"))
-        assert len(AUDIT) == 0  # no estimator audit, and no stale enrichment
-
-    def test_non_skimmed_engine_leaves_earlier_audits_alone(self):
-        """A hash-synopsis answer records nothing: it neither takes over
-        nor scores the audit a direct skimmed estimate recorded before."""
-        from repro.core import SkimmedSketchSchema
-        from repro.core.config import SketchParameters
-        from repro.streams.engine import StreamEngine
-        from repro.streams.query import JoinCountQuery, SelfJoinQuery
-
-        rng = np.random.default_rng(5)
-        shadow = ShadowAuditor(sample_rate=1.0)
-        engine = StreamEngine(
-            1 << 10, SketchParameters(width=64, depth=5), synopsis="hash", seed=7
-        )
-        engine.attach_shadow(shadow)
-        AUDIT.enable()
-        _feed_zipf_streams(engine, ("x", "y"), rng)
-        schema = SkimmedSketchSchema(64, 5, 1 << 10, seed=7)
-        sf, sg = schema.create_sketch(), schema.create_sketch()
-        sf.update_bulk(rng.integers(0, 1 << 10, size=2_000))
-        sg.update_bulk(rng.integers(0, 1 << 10, size=2_000))
-        sf.est_join_size(sg)
-        before = AUDIT.last().to_json()
-        engine.answer(JoinCountQuery("x", "y"))
-        engine.answer(SelfJoinQuery("x"))
-        assert len(AUDIT) == 1
-        assert AUDIT.last().to_json() == before
-        assert shadow.queries == 0
 
     def test_engine_audit_reuses_the_answers_skims(self, monkeypatch):
         """An audited engine answer skims each stream once (its health

@@ -83,7 +83,7 @@ class TestMaintenance:
     def test_domain_check(self):
         schema = MultiJoinSchema(2, 2, DOMAINS)
         relation = schema.create_relation(("a",))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="attribute 'a'"):
             relation.update((64,))
 
     def test_deletes_cancel(self):

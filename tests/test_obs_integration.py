@@ -28,7 +28,7 @@ DOMAIN = 1 << 10
 
 def _engine() -> StreamEngine:
     return StreamEngine(
-        DOMAIN, SketchParameters(width=64, depth=5), synopsis="skimmed", seed=3
+        DOMAIN, SketchParameters(width=64, depth=5), seed=3
     )
 
 

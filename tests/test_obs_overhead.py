@@ -5,7 +5,9 @@ and one branch per *batch* when disabled, so a 100k-element bulk update
 must run within a small factor of the uninstrumented kernel
 (:meth:`HashSketch._apply_point_masses` plus the mass update) that does
 all the real work.  A regression here means someone put per-element
-Python work on the hot path.
+Python work on the hot path.  The per-element ``update`` paths are held
+to the paper's claim C3: a hash sketch touches one counter per table,
+basic AGMS every atomic sketch.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import time
 import numpy as np
 
 from repro.obs import METRICS
+from repro.sketches.agms import AGMSSchema
 from repro.sketches.hash_sketch import HashSketchSchema
 
 N_ELEMENTS = 100_000
@@ -79,7 +82,7 @@ def test_disabled_audit_answer_matches_raw_estimator(rng):
 
     assert not AUDIT.enabled  # the conftest fixture guarantees this
     engine = StreamEngine(
-        1 << 12, SketchParameters(width=256, depth=7), synopsis="skimmed", seed=1
+        1 << 12, SketchParameters(width=256, depth=7), seed=1
     )
     for name in ("f", "g"):
         engine.register_stream(name)
@@ -116,7 +119,7 @@ def test_disabled_engine_ingest_stays_near_update_bulk(rng):
     from repro.streams.engine import StreamEngine
 
     engine = StreamEngine(
-        1 << 16, SketchParameters(width=256, depth=7), synopsis="skimmed", seed=1
+        1 << 16, SketchParameters(width=256, depth=7), seed=1
     )
     engine.register_stream("f")
     values = rng.integers(0, 1 << 16, size=N_ELEMENTS).astype(np.int64)
@@ -190,4 +193,30 @@ def test_disabled_telemetry_site_close_round_stays_free(rng):
         f"scoped close_round {scoped * 1e3:.2f}ms vs bare reports "
         f"{bare * 1e3:.2f}ms — entering the telemetry scopes must stay "
         "per-round constant work"
+    )
+
+
+def test_hash_update_beats_agms_update_per_element():
+    """Claim C3 at 250x59: one checked AGMS ``update`` costs at least 3x
+    one checked hash-sketch ``update`` (best of 3 x 200 elements; about
+    8x on a 2-core x86 host).  A check that grew per-counter work, or a
+    hash write that lost its O(depth) form, fails here."""
+    elements = 200
+    agms = AGMSSchema(250, 59, 1 << 16, seed=0).create_sketch()
+    hashed = HashSketchSchema(250, 59, 1 << 16, seed=0).create_sketch()
+
+    def per_element(sketch):
+        def run() -> None:
+            for value in range(elements):
+                sketch.update(value)
+
+        return run
+
+    per_element(agms)()  # warm
+    per_element(hashed)()
+    agms_time = _best_of(3, per_element(agms))
+    hash_time = _best_of(3, per_element(hashed))
+    assert agms_time >= 3.0 * hash_time, (
+        f"AGMS update {agms_time / elements * 1e6:.1f}us vs hash update "
+        f"{hash_time / elements * 1e6:.1f}us per element: claim C3 wants >= 3x"
     )

@@ -370,7 +370,6 @@ class TestConcurrentScrape:
         engine = StreamEngine(
             1 << 10,
             SketchParameters(width=64, depth=5),
-            synopsis="skimmed",
             seed=3,
         )
         for name in ("f", "g"):

@@ -34,6 +34,10 @@ class TestBasics:
         summary = SpaceSaving(4, DOMAIN)
         with pytest.raises(DeletionUnsupportedError):
             summary.update(1, -1.0)
+        # A batch is refused whole, though its first element inserts.
+        with pytest.raises(DeletionUnsupportedError):
+            summary.update_bulk(np.asarray([1, 2]), np.asarray([1.0, -1.0]))
+        assert summary.tracked() == [] and summary.stream_size == 0.0
 
     def test_domain_check(self):
         summary = SpaceSaving(4, DOMAIN)

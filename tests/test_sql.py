@@ -137,7 +137,7 @@ class TestWhereClauses:
 class TestEngineIntegration:
     def make_engine(self):
         return StreamEngine(
-            DOMAIN, SketchParameters(width=128, depth=7), synopsis="skimmed", seed=3
+            DOMAIN, SketchParameters(width=128, depth=7), seed=3
         )
 
     def test_answer_sql_end_to_end(self):

@@ -280,7 +280,6 @@ class TestEndToEnd:
         engine = StreamEngine(
             domain_size=1 << 10,
             parameters=SketchParameters(width=64, depth=5),
-            synopsis="skimmed",
             seed=3,
         )
         engine.register_stream("f")
@@ -355,7 +354,6 @@ class TestEndToEnd:
         engine = StreamEngine(
             domain_size=256,
             parameters=SketchParameters(width=32, depth=3),
-            synopsis="skimmed",
             seed=1,
         )
         engine.register_stream("f")
