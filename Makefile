@@ -54,7 +54,7 @@ metrics-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.eval smoke --metrics-out .metrics-smoke.json
 	PYTHONPATH=src $(PYTHON) -m repro.obs .metrics-smoke.json \
 		sketch.update.elements skim.passes estimate.joins \
-		skim.seconds eval.experiment.seconds
+		skim.seconds eval.experiment.seconds hash.tables.built
 	rm -f .metrics-smoke.json
 
 # Run the audited smoke workload, then serve the resulting audit JSONL +

@@ -171,13 +171,17 @@ class SketchCoordinator:
         return sorted(self._contributions.get(stream, {}))
 
     def global_sketch(self, stream: str) -> SkimmedSketch:
-        """The union sketch of a stream across all reporting sites."""
+        """The union sketch of a stream across all reporting sites.
+
+        It is merged into a sketch of the fleet schema, not of a report's
+        freshly deserialised one, so the lookup tables the fleet schema
+        builds serve every round's queries.
+        """
         per_site = self._contributions.get(stream)
         if not per_site:
             raise QueryError(f"no reports received for stream {stream!r}")
-        sketches = list(per_site.values())
-        merged = sketches[0]
-        for sketch in sketches[1:]:
+        merged = self.schema.create_sketch()
+        for sketch in per_site.values():
             merged = merged.merged_with(sketch)
         return merged
 

@@ -248,6 +248,26 @@ class TestCoordinator:
         assert coordinator.sites_for("f") == ["edge1"]
         assert coordinator.est_self_join_size("f") == pytest.approx(100.0)
 
+    def test_lookup_tables_are_built_once_not_every_round(self, rng):
+        """Each report opens with its own freshly deserialised schema; the
+        merged sketch is bound to the fleet schema, so only the first
+        round's first query builds lookup tables."""
+        coordinator = SketchCoordinator(make_schema(seed=4))
+        sites = [
+            SketchSite(f"edge{i}", make_schema(seed=4), ["f", "g"]) for i in range(3)
+        ]
+        built = []
+        for _ in range(2):
+            for site in sites:
+                for stream in ("f", "g"):
+                    site.observe_bulk(stream, rng.zipf(1.1, 2_000) % DOMAIN)
+                coordinator.receive_all(site.close_round())
+            with capturing(fresh=True) as metrics:
+                coordinator.est_join_size("f", "g")
+            built.append(metrics.snapshot()["counters"].get("hash.tables.built", 0))
+        assert built == [1, 0]
+        assert coordinator.global_sketch("f").schema is coordinator.schema
+
 
 class TestCoordinatorAudits:
     """Coordinator answers record one complete audit each, with their

@@ -22,7 +22,7 @@ from repro.core.skimmed_join import (
 )
 from repro.obs import capturing
 from repro.sketches.dyadic import DyadicSketchSchema
-from repro.sketches.hash_sketch import AUTO_PRECOMPUTE_MAX_ENTRIES, HashSketchSchema
+from repro.sketches.hash_sketch import TABLE_BUDGET_BYTES, HashSketchSchema
 from repro.streams.generators import zipf_frequencies
 from repro.streams.model import FrequencyVector
 
@@ -239,7 +239,7 @@ class TestHotBucketSkim:
         assert 2 <= counters["skim.flat.probes"] < DOMAIN
 
     def test_over_budget_scans_the_domain_and_agrees(self):
-        domain = AUTO_PRECOMPUTE_MAX_ENTRIES // 3 + 1  # depth 3: just over
+        domain = TABLE_BUDGET_BYTES // 9 + 1  # depth 3, 3 bytes per entry: just over
         over = HashSketchSchema(256, 3, domain, seed=21)
         twin = HashSketchSchema(256, 3, domain, seed=21)
         twin.precompute()
