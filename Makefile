@@ -34,18 +34,20 @@ lint:
 	fi
 
 # Umbrella gate: every check CI runs (CI also uploads the outputs).
-check: lint test e2e-test metrics-smoke monitor-smoke profile-smoke workloads-smoke
+check: lint test e2e-test examples metrics-smoke monitor-smoke profile-smoke workloads-smoke
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 experiments:
-	$(PYTHON) -m repro.eval figure5a figure5b census example1 \
+	PYTHONPATH=src $(PYTHON) -m repro.eval figure5a figure5b census example1 \
 		space-scaling dyadic-cost threshold-ablation baseline-panel
 
+# Run every example script end to end (test_examples.py runs only the
+# two quick ones).
 examples:
 	for script in examples/*.py; do \
-		echo "== $$script =="; $(PYTHON) $$script || exit 1; \
+		echo "== $$script =="; PYTHONPATH=src $(PYTHON) $$script || exit 1; \
 	done
 
 # Run one instrumented benchmark and validate the emitted metrics

@@ -13,16 +13,16 @@ without storing the traffic.  This example simulates two routers seeing
 overlapping, heavy-tailed traffic — including *retracted* records (e.g.
 flow-timeout corrections), which arrive as deletions — and answers the
 query from a few-KB synopsis per router via the Figure-1 stream engine.
-It also flags the heaviest destinations (COUNTSKETCH top-k) as a bonus:
-those are exactly the "dense" values skimming isolates.
+It also lists the heaviest destinations at router1 from the same
+synopsis: skimming it extracts them, since they are exactly the "dense"
+values the join estimator handles exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import SketchParameters, TopKSketch
-from repro.sketches import HashSketchSchema
+from repro import SketchParameters
 from repro.streams import JoinCountQuery, SelfJoinQuery, StreamEngine
 from repro.streams.generators import zipf_frequencies
 from repro.streams.model import FrequencyVector, iter_stream
@@ -50,10 +50,6 @@ def main() -> None:
     engine.register_stream("router1")
     engine.register_stream("router2")
 
-    top_tracker = TopKSketch(
-        HashSketchSchema(512, 7, ADDRESS_SPACE, seed=9), k=5
-    )
-
     rng = np.random.default_rng(1)
     truth = {}
     for router, shift in (("router1", 0), ("router2", 40)):
@@ -61,8 +57,6 @@ def main() -> None:
         truth[router] = traffic
         for update in iter_stream(traffic):
             engine.process(router, update.value, update.weight)
-            if router == "router1":
-                top_tracker.update(update.value, update.weight)
             # Occasionally the collector retracts a record (flow-timeout
             # merge): a deletion, which the sketches absorb exactly.
             if rng.random() < RETRACTION_RATE:
@@ -82,8 +76,12 @@ def main() -> None:
     print(f"router1 traffic concentration (F2): {f2:,.0f} "
           f"(exact {truth['router1'].self_join_size():,.0f})")
 
-    print("\nhottest destinations at router1 (COUNTSKETCH top-5):")
-    for value, estimate in top_tracker.top_k():
+    # The skim lists every destination whose estimated flow count
+    # reaches the threshold theta, with that estimate.
+    heavy, _ = engine.synopsis_for("router1").skim()
+    print(f"\nhottest destinations at router1 (skimmed at theta = "
+          f"{heavy.threshold:,.0f}):")
+    for value, estimate in zip(heavy.dense_values, heavy.dense_frequencies):
         print(f"  dest {value:>6}: ~{estimate:,.0f} flows "
               f"(exact {truth['router1'][value]:,.0f})")
 

@@ -6,8 +6,8 @@ The paper's opening scenario — continuous Call-Detail-Record analysis in
 a large Telecom network — driven end to end through the textual query
 interface: declare queries in the SQL subset (predicates install at
 ingestion, per §2.1), stream synthetic CDRs through the engine, answer
-aggregates from synopses only, and flag the heaviest callers with the
-deterministic Space-Saving summary.
+aggregates from synopses only, and list the heaviest callers by
+skimming the morning stream's synopsis.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import SketchParameters
-from repro.sketches import SpaceSaving
 from repro.streams import CDRSource, StreamEngine, feed_engine
 
 SUBSCRIBERS = 1 << 14
@@ -46,7 +45,6 @@ def main() -> None:
     )
 
     source = CDRSource(SUBSCRIBERS, popularity_skew=1.1, seed=4)
-    top_callers = SpaceSaving(capacity=20, domain_size=SUBSCRIBERS)
 
     morning = list(source.records(CALLS_MORNING, hour_of_day=9.0))
     evening = list(source.records(CALLS_EVENING, hour_of_day=20.0))
@@ -61,8 +59,6 @@ def main() -> None:
     )
     feed_engine(engine, "morning_premium", morning, key=lambda r: r.caller)
     feed_engine(engine, "evening", evening, key=lambda r: r.caller)
-    for record in morning:
-        top_callers.update(record.caller)
 
     # Exact references (what an offline warehouse would compute).
     m = np.bincount([r.caller for r in morning], minlength=SUBSCRIBERS)
@@ -89,11 +85,14 @@ def main() -> None:
     print(f"  -> {banded:,.0f}   (exact {exact_banded:,.0f}; predicate "
           f"dropped {dropped:,} of {seen:,} morning records at ingestion)\n")
 
-    print("heaviest morning callers (Space-Saving, deterministic):")
-    for entry in top_callers.tracked()[:5]:
-        print(f"  subscriber {entry.value:>6}: <= {entry.count:,.0f} calls "
-              f"(guaranteed >= {entry.guaranteed:,.0f}; exact "
-              f"{m[entry.value]:,})")
+    # The skim lists every caller whose estimated call count reaches the
+    # threshold theta: the callers the join estimator treats as dense.
+    heavy, _ = engine.synopsis_for("morning").skim()
+    print(f"heaviest morning callers (skimmed at theta = "
+          f"{heavy.threshold:,.0f}):")
+    for value, estimate in zip(heavy.dense_values, heavy.dense_frequencies):
+        print(f"  subscriber {value:>6}: ~{estimate:,.0f} calls "
+              f"(exact {m[value]:,})")
 
 
 if __name__ == "__main__":

@@ -22,8 +22,9 @@ Quick start::
 
 Package map (details in DESIGN.md):
 
-* :mod:`repro.core` — skimming + the skimmed-sketch join estimator;
-* :mod:`repro.sketches` — AGMS, hash sketches, COUNTSKETCH top-k, dyadic;
+* :mod:`repro.core` — skimming (which also lists heavy hitters) + the
+  skimmed-sketch join estimator;
+* :mod:`repro.sketches` — AGMS, hash sketches, dyadic hierarchies;
 * :mod:`repro.hashing` — k-wise independent hash/sign families;
 * :mod:`repro.streams` — stream model, generators, query engine, multi-join;
 * :mod:`repro.baselines` — exact / sampling / bifocal / partitioned AGMS;
@@ -32,7 +33,6 @@ Package map (details in DESIGN.md):
 """
 
 from .errors import (
-    DeletionUnsupportedError,
     DomainError,
     IncompatibleSketchError,
     QueryError,
@@ -57,7 +57,6 @@ from .sketches import (
     HashSketch,
     HashSketchSchema,
     StreamSynopsis,
-    TopKSketch,
 )
 from .hashing import BulkHashCache
 from .streams import (
@@ -82,7 +81,6 @@ __all__ = [
     "AGMSSchema",
     "AGMSSketch",
     "BulkHashCache",
-    "DeletionUnsupportedError",
     "DomainError",
     "DyadicHashSketch",
     "DyadicSketchSchema",
@@ -100,7 +98,6 @@ __all__ = [
     "SkimmedSketchSchema",
     "StreamEngine",
     "StreamSynopsis",
-    "TopKSketch",
     "Update",
     "est_skim_join_size",
     "est_sub_join_size",

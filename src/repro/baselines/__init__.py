@@ -1,14 +1,12 @@
-"""Comparator estimators: exact ground truth, reservoir sampling, bifocal
-sampling, and domain-partitioned AGMS (every alternative the paper
-discusses in Sections 1-3)."""
+"""Comparator estimators: exact ground truth, uniform-sampling joins,
+bifocal sampling, and domain-partitioned AGMS (every alternative the
+paper discusses in Sections 1-3)."""
 
 from .exact import (
     exact_join_size,
     exact_self_join_size,
     exact_sub_join_sizes,
-    exact_top_k,
 )
-from .sampling import ReservoirSample
 from .bifocal import BifocalEstimator
 from .partitioned import (
     PartitionPlan,
@@ -22,10 +20,8 @@ __all__ = [
     "PartitionPlan",
     "PartitionedAGMSSchema",
     "PartitionedAGMSSketch",
-    "ReservoirSample",
     "exact_join_size",
     "exact_self_join_size",
     "exact_sub_join_sizes",
-    "exact_top_k",
     "plan_partitions",
 ]

@@ -44,10 +44,3 @@ def exact_sub_join_sizes(
         "sparse_dense": float(np.dot(f_sparse, g_dense)),
         "sparse_sparse": float(np.dot(f_sparse, g_sparse)),
     }
-
-
-def exact_top_k(f: FrequencyVector, k: int) -> list[tuple[int, float]]:
-    """The true top-``k`` (value, frequency) pairs, decreasing frequency."""
-    counts = f.counts
-    order = np.argsort(-counts, kind="stable")[:k]
-    return [(int(v), float(counts[v])) for v in order if counts[v] > 0]

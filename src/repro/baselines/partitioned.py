@@ -226,6 +226,9 @@ class PartitionedAGMSSketch(StreamSynopsis):
     def size_in_counters(self) -> int:
         return sum(p.size_in_counters() for p in self._partitions)
 
+    def seed_words(self) -> int:
+        return sum(p.seed_words() for p in self._partitions)
+
     def est_join_size(self, other: "PartitionedAGMSSketch") -> float:
         """Sum of per-partition ESTJOINSIZE estimates (Dobra et al.)."""
         if not isinstance(other, PartitionedAGMSSketch):

@@ -41,14 +41,5 @@ class DomainError(ReproError):
     """A stream element falls outside the synopsis' declared domain."""
 
 
-class DeletionUnsupportedError(ReproError):
-    """A synopsis that cannot process deletions received one.
-
-    Random-sample summaries are the canonical example (Section 2 of the
-    paper: "a sequence of deletions can easily deplete the maintained
-    sample"); sketches never raise this.
-    """
-
-
 class QueryError(ReproError):
     """A stream query is malformed or references unknown streams/synopses."""

@@ -1,5 +1,4 @@
-"""Sketch synopses: basic AGMS, hash sketches, COUNTSKETCH top-k, dyadic
-hierarchies.
+"""Sketch synopses: basic AGMS, hash sketches, dyadic hierarchies.
 
 These are the stream summaries of Sections 2.2 and 4.1-4.2 of the paper.
 The skimmed-sketch join estimator itself lives in :mod:`repro.core` and is
@@ -9,9 +8,7 @@ built on top of :class:`HashSketch` / :class:`DyadicHashSketch`.
 from .base import StreamSynopsis
 from .agms import AGMSSchema, AGMSSketch
 from .hash_sketch import HashSketch, HashSketchSchema
-from .countsketch import TopKSketch
 from .dyadic import DyadicHashSketch, DyadicSketchSchema
-from .spacesaving import SpaceSaving, TrackedCount
 
 __all__ = [
     "StreamSynopsis",
@@ -19,9 +16,6 @@ __all__ = [
     "AGMSSketch",
     "HashSketch",
     "HashSketchSchema",
-    "SpaceSaving",
-    "TopKSketch",
-    "TrackedCount",
     "DyadicHashSketch",
     "DyadicSketchSchema",
 ]

@@ -126,8 +126,8 @@ def ingest_checked(
     """Check one update batch at the ingest boundary.
 
     Every synopsis that accepts updates calls this once per call, before
-    any counter, mass, sample or candidate changes; its fan-out (dyadic
-    levels, partitions, a window's epoch, a wrapped sketch) then writes
+    any counter or tracked mass changes; its fan-out (dyadic levels,
+    partitions, a window's epoch, a wrapped sketch) then writes
     unchecked.  In order: (1) integer-dtype ``values``
     (:func:`require_integer_values`, ``DomainError``), cast to ``int64``;
     (2) ``weights``, default ones, cast to ``float64``, one per value of
@@ -188,9 +188,9 @@ class StreamSynopsis(abc.ABC):
         reports space; seed words are available via :meth:`seed_words`.
         """
 
+    @abc.abstractmethod
     def seed_words(self) -> int:
-        """Machine words of hash/seed state (0 for seed-free synopses)."""
-        return 0
+        """Machine words of hash/seed state the synopsis keeps."""
 
     def consume(self, updates: Iterable["Update"]) -> None:
         """Feed a finite update stream through :meth:`update`."""

@@ -252,8 +252,14 @@ class StreamEngine:
         registered = self._lookup(stream)
         return registered.elements_seen, registered.elements_dropped
 
-    def synopsis_for(self, stream: str):
-        """Direct access to a stream's synopsis (for advanced queries)."""
+    def synopsis_for(self, stream: str) -> "SkimmedSketch":
+        """Direct access to a stream's synopsis (for advanced queries).
+
+        Its ``.skim()`` lists the stream's heavy hitters: the returned
+        :class:`~repro.core.skim.SkimResult` holds every value whose
+        estimated frequency reaches the skim threshold, with that
+        estimate, which are the values the join estimator treats as dense.
+        """
         return self._lookup(stream).synopsis
 
     def total_space_in_counters(self) -> int:

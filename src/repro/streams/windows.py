@@ -138,7 +138,8 @@ class WindowedSketch(StreamSynopsis):
         )
 
     def seed_words(self) -> int:
-        return self._schema.inner.create_sketch().seed_words()
+        # Every epoch shares the schema's families: count one live epoch's.
+        return self._ring[-1].seed_words()
 
     # -- window control -------------------------------------------------------
 

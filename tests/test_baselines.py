@@ -10,14 +10,13 @@ from repro.baselines.exact import (
     exact_join_size,
     exact_self_join_size,
     exact_sub_join_sizes,
-    exact_top_k,
 )
 from repro.baselines.partitioned import (
     PartitionedAGMSSchema,
     plan_partitions,
 )
-from repro.baselines.sampling import ReservoirSample, sample_join_estimate
-from repro.errors import DeletionUnsupportedError, IncompatibleSketchError
+from repro.baselines.sampling import sample_join_estimate
+from repro.errors import IncompatibleSketchError
 from repro.streams.generators import shifted_zipf_pair, zipf_frequencies
 from repro.streams.model import FrequencyVector
 
@@ -40,67 +39,6 @@ class TestExact:
         f, g = shifted_zipf_pair(DOMAIN, 5_000, 1.0, 5)
         parts = exact_sub_join_sizes(f, g, 1e-9, 1e-9)
         assert parts["dense_dense"] == pytest.approx(f.join_size(g))
-
-    def test_top_k(self):
-        f = FrequencyVector(np.asarray([5.0, 0.0, 9.0, 1.0]))
-        assert exact_top_k(f, 2) == [(2, 9.0), (0, 5.0)]
-        assert exact_top_k(f, 10) == [(2, 9.0), (0, 5.0), (3, 1.0)]
-
-
-class TestReservoirSample:
-    def test_holds_at_most_capacity(self):
-        sample = ReservoirSample(10, DOMAIN, seed=0)
-        for value in range(100):
-            sample.update(value % DOMAIN)
-        assert len(sample.sample) == 10
-        assert sample.stream_size == 100
-
-    def test_small_stream_kept_entirely(self):
-        sample = ReservoirSample(10, DOMAIN, seed=1)
-        for value in (1, 2, 3):
-            sample.update(value)
-        assert sorted(sample.sample) == [1, 2, 3]
-
-    def test_deletions_rejected(self):
-        """The paper's §1 point: samples cannot survive deletes."""
-        sample = ReservoirSample(5, DOMAIN, seed=2)
-        with pytest.raises(DeletionUnsupportedError):
-            sample.update(1, -1.0)
-        with pytest.raises(DeletionUnsupportedError):
-            sample.update_bulk(np.asarray([1, 2]), np.asarray([1.0, 2.0]))
-        assert sample.sample == [] and sample.stream_size == 0
-
-    def test_roughly_uniform(self):
-        """Each element keeps ~capacity/n inclusion probability."""
-        hits = np.zeros(100)
-        for seed in range(300):
-            sample = ReservoirSample(10, DOMAIN, seed=seed)
-            for value in range(100):
-                sample.update(value)
-            for value in sample.sample:
-                hits[value] += 1
-        # Expected 30 hits per position over 300 runs.
-        assert hits.min() > 10
-        assert hits.max() < 60
-
-    def test_join_estimate_on_identical_streams(self):
-        a = ReservoirSample(50, DOMAIN, seed=3)
-        b = ReservoirSample(50, DOMAIN, seed=4)
-        for _ in range(200):
-            a.update(7)
-            b.update(7)
-        assert a.est_join_size(b) == pytest.approx(200.0 * 200.0)
-
-    def test_join_estimate_empty(self):
-        a = ReservoirSample(5, DOMAIN, seed=5)
-        b = ReservoirSample(5, DOMAIN, seed=6)
-        assert a.est_join_size(b) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ReservoirSample(0, DOMAIN)
-        with pytest.raises(TypeError):
-            ReservoirSample(5, DOMAIN).est_join_size("x")  # type: ignore[arg-type]
 
 
 class TestSampleJoinEstimate:

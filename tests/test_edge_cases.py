@@ -11,15 +11,12 @@ from repro.baselines.partitioned import (
     PartitionedAGMSSketch,
     PartitionPlan,
 )
-from repro.baselines.sampling import ReservoirSample
 from repro.core.estimator import SkimmedSketchSchema
 from repro.core.skim import skim_dense
 from repro.obs import capturing
 from repro.sketches.agms import AGMSSchema
-from repro.sketches.countsketch import TopKSketch
 from repro.sketches.dyadic import DyadicSketchSchema
 from repro.sketches.hash_sketch import HashSketchSchema
-from repro.sketches.spacesaving import SpaceSaving
 from repro.streams.generators import shifted_frequencies, zipf_frequencies
 from repro.streams.model import FrequencyVector
 from repro.streams.windows import WindowedSketch, WindowedSketchSchema
@@ -217,10 +214,7 @@ UPDATABLE = {
     "windowed": lambda: WindowedSketchSchema(
         64, 5, 256, window_epochs=3, seed=1
     ).create_sketch(),
-    "topk": lambda: TopKSketch(HashSketchSchema(64, 5, 256, seed=1), k=4),
     "partitioned": _partitioned,
-    "spacesaving": lambda: SpaceSaving(16, 256),
-    "reservoir": lambda: ReservoirSample(16, 256, seed=1),
 }
 
 #: A batch whose first element is valid and whose bad second element
@@ -230,14 +224,7 @@ BATCH = np.asarray([1, 200, 3], dtype=np.int64)
 
 def _state(sketch) -> object:
     """All of a kind's state a rejected call must leave as it was, bit
-    for bit: counters, tracked masses, samples, candidates, epochs."""
-    if isinstance(sketch, SpaceSaving):
-        return repr((sketch.tracked(), sketch.stream_size))
-    if isinstance(sketch, ReservoirSample):
-        state = sketch._rng.bit_generator.state  # noqa: SLF001
-        return repr((sketch.sample, sketch.stream_size, state))
-    if isinstance(sketch, TopKSketch):
-        return _state(sketch.sketch), repr((sketch.candidates(), sketch._heap))  # noqa: SLF001
+    for bit: counters, tracked masses, epochs."""
     if isinstance(sketch, WindowedSketch):
         return [_state(epoch) for epoch in sketch._ring], sketch.current_epoch  # noqa: SLF001
     if isinstance(sketch, PartitionedAGMSSketch):
@@ -267,9 +254,9 @@ WEIGHT_CASES = [
 
 class TestNonFiniteWeights:
     """A NaN or infinite weight, or one that would take the tracked
-    ``sum(|w|)`` to 2**53 or more, is rejected before any counter, mass,
-    sample or candidate moves, for every kind that accepts updates, and
-    counts once in ``ingest.rejected``.
+    ``sum(|w|)`` to 2**53 or more, is rejected before any counter or
+    mass moves, for every kind that accepts updates, and counts once in
+    ``ingest.rejected``.
 
     Unchecked, one NaN in a batch turns one counter per table NaN, and
     every later estimate silently becomes NaN; a weight of 1e300 makes
@@ -400,6 +387,21 @@ class TestNonIntegerValues:
         sketch.update_bulk(np.asarray([]))
         sketch.update_bulk(np.asarray([], dtype=np.bool_))
         assert _state(sketch) == _state(UPDATABLE[kind]())
+
+
+class TestSeedWords:
+    """Every kind that accepts updates keeps hash/sign seeds and reports
+    them; a composite reports what its parts hold."""
+
+    @pytest.mark.parametrize("kind", sorted(UPDATABLE))
+    def test_reported_and_positive(self, kind):
+        assert UPDATABLE[kind]().seed_words() > 0
+
+    def test_partitioned_sums_its_partitions(self):
+        sketch = _partitioned()
+        parts = sketch._partitions  # noqa: SLF001
+        assert len(parts) == 3
+        assert sketch.seed_words() == sum(part.seed_words() for part in parts)
 
 
 class TestMassCeiling:

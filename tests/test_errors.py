@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import (
-    DeletionUnsupportedError,
     DomainError,
     IncompatibleSketchError,
     QueryError,
@@ -15,7 +14,7 @@ from repro.errors import (
 
 @pytest.mark.parametrize(
     "exc",
-    [DeletionUnsupportedError, DomainError, IncompatibleSketchError, QueryError],
+    [DomainError, IncompatibleSketchError, QueryError],
 )
 def test_all_derive_from_repro_error(exc):
     assert issubclass(exc, ReproError)

@@ -1,8 +1,8 @@
 """Smoke tests: the fast example scripts run end to end and talk sense.
 
-The heavyweight examples (network monitoring, telecom SQL) are exercised
-manually / in benchmarks; the two quick ones run here so a broken public
-API surfaces in the unit suite.
+Every example runs in ``make examples`` (part of ``make check`` and of
+CI's test job); the two quick ones also run here so a broken public API
+surfaces in the unit suite.
 """
 
 from __future__ import annotations

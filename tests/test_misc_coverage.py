@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.config import SketchParameters
 from repro.errors import QueryError
 from repro.eval.runner import SweepConfig
 from repro.sketches.agms import AGMSSchema
-from repro.sketches.countsketch import TopKSketch
 from repro.sketches.hash_sketch import HashSketchSchema
 from repro.streams.engine import StreamEngine
 from repro.streams.model import FrequencyVector
@@ -60,17 +58,6 @@ class TestIngestValidation:
         sketch = schema.create_sketch()
         sketch.ingest_frequency_vector(FrequencyVector.zeros(DOMAIN))
         assert sketch.absolute_mass == 0.0
-
-
-class TestTopKWeighted:
-    def test_weighted_bulk_updates(self):
-        tracker = TopKSketch(HashSketchSchema(64, 5, DOMAIN, seed=3), k=2)
-        tracker.update_bulk(
-            np.asarray([7, 9]), np.asarray([50.0, 3.0])
-        )
-        top = tracker.top_k()
-        assert top[0][0] == 7
-        assert top[0][1] == pytest.approx(50.0)
 
 
 class TestSweepConfigEdges:

@@ -1,5 +1,5 @@
-"""Property-based tests for the extension modules (windows, Space-Saving,
-dyadic ranges, serialization, multi-join linearity)."""
+"""Property-based tests for the extension modules (windows, dyadic
+ranges, serialization, multi-join linearity)."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro import load_sketch, save_sketch
 from repro.sketches.dyadic import DyadicSketchSchema
 from repro.sketches.hash_sketch import HashSketchSchema
-from repro.sketches.spacesaving import SpaceSaving
 from repro.streams.multijoin import MultiJoinSchema
 from repro.streams.windows import WindowedSketchSchema
 
@@ -41,25 +40,6 @@ def test_window_equals_sketch_of_recent_epochs(epochs, window):
         for value in epoch_values:
             reference.update(value)
     assert np.allclose(sketch.window_sketch().counters, reference.counters)
-
-
-@given(values=values_strategy, capacity=st.integers(1, 16))
-@settings(max_examples=50, deadline=None)
-def test_spacesaving_invariants(values, capacity):
-    """Counts are upper bounds; total count mass equals the stream size;
-    at most ``capacity`` values are tracked."""
-    summary = SpaceSaving(capacity, DOMAIN)
-    true_counts = np.zeros(DOMAIN)
-    for value in values:
-        summary.update(value)
-        true_counts[value] += 1
-    tracked = summary.tracked()
-    assert len(tracked) <= capacity
-    for entry in tracked:
-        assert entry.count >= true_counts[entry.value] - 1e-9
-        assert entry.guaranteed <= true_counts[entry.value] + 1e-9
-    # Space-Saving conserves mass: counts sum exactly to N.
-    assert sum(t.count for t in tracked) == len(values)
 
 
 @given(
